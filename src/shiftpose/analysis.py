@@ -175,7 +175,8 @@ def factored_window_energies(out_row, in_weight, gate_values):
 
 
 def explicit_window_energies(out_row, in_weight, gate_values):
-    """Same quantity by materializing the per-position kernel tensor."""
+    """Same quantity by materializing the per-position kernel tensor (the
+    test oracle for the factored form)."""
     kernel = np.einsum("k,kd->kd",
                        np.asarray(out_row, np.float64)
                        * np.asarray(gate_values, np.float64),
@@ -183,8 +184,7 @@ def explicit_window_energies(out_row, in_weight, gate_values):
     return (kernel ** 2).sum(axis=1)
 
 
-def window_energy(graph, images, module_id, out_channel, position, mode="eval",
-                  explicit=False):
+def window_energy(graph, images, module_id, out_channel, position, mode="eval"):
     """Energy of the induced convolution window at one output position,
     for each shifting channel (first batch item's attention)."""
     module = _fsm_module(graph, module_id)
@@ -193,5 +193,5 @@ def window_energy(graph, images, module_id, out_channel, position, mode="eval",
     x, y = position
     params = module.params
     fk = gate[0, :, y, x]
-    compute = explicit_window_energies if explicit else factored_window_energies
-    return compute(params.out_weight.data[out_channel], params.in_weight.data, fk)
+    return factored_window_energies(params.out_weight.data[out_channel],
+                                    params.in_weight.data, fk)

@@ -22,7 +22,6 @@ __all__ = [
     "Parameter",
     "tensor",
     "add",
-    "add_bias",
     "mul",
     "scale",
     "relu",
@@ -133,7 +132,7 @@ class Tensor:
             if node._backward is None:
                 continue
             for parent, pg in node._backward(g):
-                if not _needs_grad(parent):
+                if not parent.requires_grad:
                     continue
                 key = id(parent)
                 if key in grads:
@@ -161,10 +160,6 @@ def tensor(data, requires_grad=False, dtype=None, name=None):
     if dtype is None and arr.dtype not in (np.float32, np.float64):
         arr = arr.astype(np.float64)
     return Tensor(arr, requires_grad=requires_grad, name=name)
-
-
-def _needs_grad(t):
-    return t.requires_grad
 
 
 def _node(data, parents, backward, name=None):
@@ -212,19 +207,6 @@ def scale(a, factor):
         return ((a, g * factor),)
 
     return _node(a.data * factor, (a,), backward)
-
-
-def add_bias(x, bias):
-    """Add a per-channel bias (C,) to a (B,C,H,W) tensor."""
-    _check_rank4(x, "add_bias")
-    if bias.ndim != 1 or bias.shape[0] != x.shape[1]:
-        raise DimensionError(
-            f"add_bias: channels: bias has {bias.shape}, input has C={x.shape[1]}")
-
-    def backward(g):
-        return ((x, g), (bias, g.sum(axis=(0, 2, 3))))
-
-    return _node(x.data + bias.data[None, :, None, None], (x, bias), backward)
 
 
 _RELU_TRACE = None

@@ -11,6 +11,7 @@ graph uses. Writes go to a temp file renamed into place.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -86,11 +87,24 @@ def checkpoint_save(path, graph, optimizer=None, rng=None, iteration=0, extra=No
     return len(out)
 
 
+def _index_entry_ok(entry):
+    def count(v):
+        return type(v) is int and v >= 0
+
+    return (isinstance(entry, dict)
+            and set(entry) == {"name", "shape", "offset", "nbytes"}
+            and isinstance(entry["name"], str)
+            and isinstance(entry["shape"], list)
+            and all(map(count, [entry["offset"], entry["nbytes"], *entry["shape"]])))
+
+
 def checkpoint_load(path):
     """Parse and validate a checkpoint; returns (header, {blob name: array}).
 
-    Rejects bad magic, unknown versions, and truncated files with the
-    expected/actual byte counts.
+    Rejects bad magic, unknown versions, truncated files (with the
+    expected/actual byte counts), headers that are not a JSON mapping, and
+    blob-index entries that do not describe a float32 array inside the
+    payload.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -106,17 +120,35 @@ def checkpoint_load(path):
     if len(raw) < 16 + header_len:
         raise CheckpointError(
             f"truncated header: expected {16 + header_len} bytes, got {len(raw)}")
-    header = json.loads(raw[16:16 + header_len].decode())
+    try:
+        header = json.loads(raw[16:16 + header_len].decode())
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise CheckpointError(f"corrupt header: {exc}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(
+            f"corrupt header: expected a mapping, got {type(header).__name__}")
+    index = header.get("blobs")
+    if not isinstance(index, list) or not all(map(_index_entry_ok, index)):
+        raise CheckpointError("corrupt header: malformed blob index")
     payload = raw[16 + header_len:]
-    expected = sum(b["nbytes"] for b in header["blobs"])
+    expected = sum(b["nbytes"] for b in index)
     if len(payload) != expected:
         raise CheckpointError(
             f"truncated payload: expected {expected} bytes, got {len(payload)}")
     blobs = {}
-    for entry in header["blobs"]:
+    for entry in index:
+        name, shape = entry["name"], entry["shape"]
         start, n = entry["offset"], entry["nbytes"]
+        if start + n > len(payload):
+            raise CheckpointError(
+                f"blob {name}: bytes {start}..{start + n} lie outside the "
+                f"{len(payload)}-byte payload")
+        need = math.prod(shape) * 4
+        if need != n:
+            raise CheckpointError(
+                f"blob {name}: shape {shape} needs {need} bytes, index says {n}")
         arr = np.frombuffer(payload[start:start + n], dtype="<f4")
-        blobs[entry["name"]] = arr.reshape(entry["shape"]).copy()
+        blobs[name] = arr.reshape(shape).copy()
     return header, blobs
 
 

@@ -9,7 +9,7 @@ the README's configuration table).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -198,57 +198,16 @@ def load_run_config(path):
 
 
 def run_config_to_dict(cfg):
-    """Plain-dict mirror (embedded into checkpoints for resume/eval)."""
-    return {
-        "network": {
-            "builder": cfg.network.builder,
-            "input_size": list(cfg.network.input_size),
-            "shift_channels": cfg.network.shift_channels,
-            "keypoints": cfg.network.keypoints,
-            "ca_variant": cfg.network.ca_variant,
-            "in_channels": cfg.network.in_channels,
-            "width": cfg.network.width,
-            "base_channels": cfg.network.base_channels,
-            "fsm_active": cfg.network.fsm_active,
-            "esp": list(cfg.network.esp),
-            "seed": cfg.network.seed,
-        },
-        "dataset": {
-            "image_size": list(cfg.dataset.image_size),
-            "displacement": list(cfg.dataset.displacement),
-            "blob_sigma": cfg.dataset.blob_sigma,
-            "distractors": cfg.dataset.distractors,
-            "noise_std": cfg.dataset.noise_std,
-            "count": cfg.dataset.count,
-            "seed": cfg.dataset.seed,
-            "heatmap_downscale": cfg.dataset.heatmap_downscale,
-            "heatmap_sigma": cfg.dataset.heatmap_sigma,
-        },
-        "trainer": {
-            "base_lr": cfg.trainer.base_lr,
-            "offset_lr": cfg.trainer.offset_lr,
-            "offset_decay_per_epoch": cfg.trainer.offset_decay_per_epoch,
-            "batch_size": cfg.trainer.batch_size,
-            "insertion_iteration": cfg.trainer.insertion_iteration,
-            "iterations": cfg.trainer.iterations,
-            "lr_decay": {"after_iter": cfg.trainer.lr_decay.after_iter,
-                         "factor": cfg.trainer.lr_decay.factor,
-                         "every": cfg.trainer.lr_decay.every},
-            "augment": cfg.trainer.augment,
-            "augment_ranges": {
-                "rotation_deg": cfg.trainer.augment_ranges.rotation_deg,
-                "scale": list(cfg.trainer.augment_ranges.scale),
-                "shift_frac": cfg.trainer.augment_ranges.shift_frac},
-            "seed": cfg.trainer.seed,
-        },
-        "analysis": {
-            "module_id": cfg.analysis.module_id,
-            "channel": cfg.analysis.channel,
-            "position": list(cfg.analysis.position),
-            "threshold": cfg.analysis.threshold,
-        },
-        "eval_count": cfg.eval_count,
-    }
+    """Plain-dict form of every dataclass field, tuples as lists (embedded
+    into checkpoints for resume/eval); ``parse_run_config`` inverts it."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
+        if isinstance(value, (tuple, list)):
+            return [plain(v) for v in value]
+        return value
+
+    return plain(asdict(cfg))
 
 
 def build_network(cfg, dtype=np.float32):

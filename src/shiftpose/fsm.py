@@ -114,53 +114,43 @@ def init_fsm_params(channels, shift_channels, ca_variant=CA_SOFTPLUS, rng=None,
 # shifting
 # ---------------------------------------------------------------------------
 
-def _corner_context(dx, dy, h, w):
-    """Corner indices, validity masks and fractional weights for a uniform
-    per-channel translation sampled at every integer output position."""
-    # sample coordinate x - dx has integer part x + floor(-dx), fraction frac(-dx)
-    mx = -np.asarray(dx, dtype=np.float64)
-    my = -np.asarray(dy, dtype=np.float64)
-    ox = np.floor(mx).astype(np.int64)
-    oy = np.floor(my).astype(np.int64)
-    fx = (mx - ox)[:, None, None]
-    fy = (my - oy)[:, None, None]
-    ix = np.arange(w, dtype=np.int64)[None, None, :] + ox[:, None, None]
-    iy = np.arange(h, dtype=np.int64)[None, :, None] + oy[:, None, None]
-    ix = np.broadcast_to(ix, (len(ox), h, w))
-    iy = np.broadcast_to(iy, (len(oy), h, w))
-    corners = []
-    for ddy in (0, 1):
-        for ddx in (0, 1):
-            cy, cx = iy + ddy, ix + ddx
-            valid = (cy >= 0) & (cy < h) & (cx >= 0) & (cx < w)
-            corners.append((np.clip(cy, 0, h - 1), np.clip(cx, 0, w - 1), valid))
-    return corners, fx, fy
+def _translate_axis(maps, d, axis, difference=False):
+    """One axis of the per-channel translation of (B, K, H, W) maps.
 
+    Channel k reads ``maps`` at ``i - d[k]`` along ``axis`` (2 rows, 3
+    columns): with ``o = floor(-d)`` and ``f = -d - o`` that is the two-tap
+    blend ``(1 - f) * maps[i + o] + f * maps[i + o + 1]``, reading zero
+    outside the view. ``difference`` swaps the taps for (-1, +1), the
+    derivative of the blend with respect to the sample coordinate. Each
+    run of adjacent channels sharing ``o`` is one pair of slice updates.
+    """
+    n = maps.shape[axis]
+    m = -np.asarray(d, dtype=np.float64)
+    o = np.floor(m)
+    f = (m - o).astype(maps.dtype)
+    o = o.astype(np.int64)
+    lead = (slice(None),) * (axis - 2)
 
-def _gather_corners(maps, corners, dtype):
-    """Zero-filled corner values, each of shape (B, K, H, W)."""
-    kidx = np.arange(maps.shape[1])[:, None, None]
-    vals = []
-    for cy, cx, valid in corners:
-        v = maps[:, kidx, cy, cx]
-        v = np.where(valid[None], v, dtype.type(0))
-        vals.append(v)
-    return vals
+    def view(a, channels, lo, hi):
+        return a[(slice(None), channels) + lead + (slice(lo, hi),)]
 
-
-def _corner_weights(fx, fy, dtype):
-    fx = fx.astype(dtype)[None]
-    fy = fy.astype(dtype)[None]
-    return ((1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx)
+    out = np.zeros_like(maps)
+    cuts = (np.flatnonzero(np.diff(o)) + 1).tolist()
+    for k0, k1 in zip([0] + cuts, cuts + [len(o)]):
+        ch = slice(k0, k1)
+        fk = f[ch].reshape(-1, 1, 1)
+        taps = (-1, 1) if difference else (1 - fk, fk)
+        for t, wgt in zip((int(o[k0]), int(o[k0]) + 1), taps):
+            lo, hi = max(0, -t), min(n, n - t)
+            if lo < hi:
+                dst = view(out, ch, lo, hi)
+                dst += wgt * view(maps, ch, lo + t, hi + t)
+    return out
 
 
 def shift_values(maps, dx, dy):
     """Numpy-level per-channel fractional translation of (B, K, H, W) maps."""
-    b, k, h, w = maps.shape
-    corners, fx, fy = _corner_context(dx, dy, h, w)
-    v00, v01, v10, v11 = _gather_corners(maps, corners, maps.dtype)
-    w00, w01, w10, w11 = _corner_weights(fx, fy, maps.dtype)
-    return w00 * v00 + w01 * v01 + w10 * v10 + w11 * v11
+    return _translate_axis(_translate_axis(maps, dx, 3), dy, 2)
 
 
 def shift(maps, dx, dy):
@@ -168,35 +158,32 @@ def shift(maps, dx, dy):
 
     out[b,k,y,x] samples maps[b,k] at (x - dx[k], y - dy[k]) with bilinear
     interpolation; content moved outside the view is lost and vacated
-    regions fill with zero. Gradients flow to both the maps and the
-    offsets (the offset gradient is the negated spatial derivative of the
-    interpolated map at the sample points).
+    regions fill with zero. The translation is separable: a two-tap blend
+    along x, then one along y.
+
+    Gradients: the map gradient is the exact adjoint,
+    ``shift_values(g, -dx, -dy)``, since negating an offset mirrors its
+    taps, so ``<shift(m), g> == <m, shift_values(g, -dx, -dy)>``. The
+    offset gradient is the negated spatial derivative of the interpolated
+    map at the sample points: the blend on the differentiated axis is
+    replaced by difference taps (-1, +1), and the result is contracted
+    with the upstream gradient.
     """
     if maps.ndim != 4:
         raise DimensionError(f"shift: expected (B,K,H,W) maps, got rank {maps.ndim}")
-    b, k, h, w = maps.shape
+    k = maps.shape[1]
     if dx.shape != (k,) or dy.shape != (k,):
         raise DimensionError(
             f"shift: offsets: expected dx/dy of shape ({k},) to match K={k}, "
             f"got {dx.shape}/{dy.shape}")
-    corners, fx, fy = _corner_context(dx.data, dy.data, h, w)
-    vals = _gather_corners(maps.data, corners, maps.dtype)
-    v00, v01, v10, v11 = vals
-    w00, w01, w10, w11 = _corner_weights(fx, fy, maps.dtype)
-    out = w00 * v00 + w01 * v01 + w10 * v10 + w11 * v11
+    along_x = _translate_axis(maps.data, dx.data, 3)
+    out = _translate_axis(along_x, dy.data, 2)
 
     def backward(g):
-        gmaps = np.zeros_like(maps.data)
-        bidx = np.arange(b)[:, None, None, None]
-        kidx = np.arange(k)[None, :, None, None]
-        for (cy, cx, valid), wgt in zip(corners, (w00, w01, w10, w11)):
-            np.add.at(gmaps, (bidx, kidx, cy[None], cx[None]),
-                      g * wgt * valid[None])
-        fyb = fy.astype(maps.dtype)[None]
-        fxb = fx.astype(maps.dtype)[None]
-        # d out / d (sample x) then negate for d/d dx
-        d_gx = (1 - fyb) * (v01 - v00) + fyb * (v11 - v10)
-        d_gy = (1 - fxb) * (v10 - v00) + fxb * (v11 - v01)
+        gmaps = shift_values(g, -dx.data, -dy.data)
+        d_gx = _translate_axis(_translate_axis(maps.data, dx.data, 3, difference=True),
+                               dy.data, 2)
+        d_gy = _translate_axis(along_x, dy.data, 2, difference=True)
         gdx = -(g * d_gx).sum(axis=(0, 2, 3))
         gdy = -(g * d_gy).sum(axis=(0, 2, 3))
         return ((maps, gmaps), (dx, gdx.astype(dx.dtype)), (dy, gdy.astype(dy.dtype)))
@@ -229,21 +216,28 @@ def ca_forward(p, gate_weight, variant=CA_SOFTPLUS):
 # module forward and oracle
 # ---------------------------------------------------------------------------
 
-def fsm_forward(p, params, mode="train"):
+def _fsm_graph(p, params, mode):
     """Factored fast path: project, shift, gate, project back, add shortcut,
-    batch-norm the sum, ReLU."""
+    batch-norm the sum, ReLU. Returns the output and the intermediates the
+    analyses read (pre-shift, post-shift, attention, branch output)."""
     if p.ndim != 4 or p.shape[1] != params.channels:
         raise DimensionError(
             f"fsm_forward: channels: module expects C={params.channels}, "
             f"input has {p.shape[1] if p.ndim == 4 else p.shape}")
-    shifted = shift(ad.conv1x1(p, params.in_weight),
-                    params.offsets.dx, params.offsets.dy)
+    pre_shift = ad.conv1x1(p, params.in_weight)
+    post_shift = shift(pre_shift, params.offsets.dx, params.offsets.dy)
     gate = ca_forward(p, params.gate_weight, params.ca_variant)
-    branch = ad.conv1x1(ad.mul(gate, shifted), params.out_weight)
-    pre = ad.add(p, branch)
-    normed = ad.batch_norm(pre, params.norm_scale, params.norm_offset,
-                           params.running_mean, params.running_var, mode)
-    return ad.relu(normed)
+    nonlocal_maps = ad.conv1x1(ad.mul(gate, post_shift), params.out_weight)
+    normed = ad.batch_norm(ad.add(p, nonlocal_maps), params.norm_scale,
+                           params.norm_offset, params.running_mean,
+                           params.running_var, mode)
+    return ad.relu(normed), {"pre_shift": pre_shift, "post_shift": post_shift,
+                             "attention": gate, "nonlocal": nonlocal_maps}
+
+
+def fsm_forward(p, params, mode="train"):
+    """Module forward on explicit parameters; returns the output tensor."""
+    return _fsm_graph(p, params, mode)[0]
 
 
 def fsm_oracle(p, params, mode="train"):
@@ -317,21 +311,8 @@ class FeatureShiftModule:
     def forward(self, p, mode="train"):
         if not self.active:
             return p
-        params = self.params
-        pre_shift = ad.conv1x1(p, params.in_weight)
-        post_shift = shift(pre_shift, params.offsets.dx, params.offsets.dy)
-        gate = ca_forward(p, params.gate_weight, params.ca_variant)
-        nonlocal_maps = ad.conv1x1(ad.mul(gate, post_shift), params.out_weight)
-        pre = ad.add(p, nonlocal_maps)
-        normed = ad.batch_norm(pre, params.norm_scale, params.norm_offset,
-                               params.running_mean, params.running_var, mode)
-        self.cache = {
-            "pre_shift": pre_shift,
-            "post_shift": post_shift,
-            "attention": gate,
-            "nonlocal": nonlocal_maps,
-        }
-        return ad.relu(normed)
+        out, self.cache = _fsm_graph(p, self.params, mode)
+        return out
 
     def insert(self, rng):
         """Activate a bypassed module: zero the output projection, draw

@@ -247,7 +247,6 @@ class FsmLayer:
             raise DimensionError(
                 f"fsm: channels: module expects C={self.module.channels}, "
                 f"input has C={c}")
-        self.module.clamp_bound = float(max(in_shape[1], in_shape[2]))
         return in_shape
 
     def named_params(self):
@@ -339,6 +338,9 @@ class NetworkGraph:
             out_shape = layer.out_shape(*shapes)
         else:
             out_shape = layer.out_shape(shapes[0])
+        if isinstance(layer, FsmLayer):
+            # beyond the larger side an offset moves the whole map out of view
+            layer.module.clamp_bound = float(max(shapes[0][1:]))
         node = _Node(name, layer, inputs, out_shape, is_head)
         self.nodes.append(node)
         self._by_name[name] = node

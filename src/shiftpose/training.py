@@ -23,7 +23,7 @@ from .synthdata import AugmentRanges, augment_sample, heatmap_target
 
 __all__ = [
     "LrDecay", "TrainConfig", "base_lr_schedule", "offset_lr_schedule",
-    "insert_fsm_modules", "Trainer", "TrainResult", "METRICS_HEADER",
+    "insert_fsm_modules", "Trainer", "TrainResult",
 ]
 
 
@@ -98,16 +98,19 @@ def insert_fsm_modules(graph, rng, optimizer=None, offset_lr=None, weight_lr=Non
     for _, m in modules:
         m.insert(rng)
     if optimizer is not None:
-        weights, offsets = [], []
-        for name, m in modules:
-            weights += [(f"{name}.{n}", p) for n, p in m.weight_parameters()]
-            offsets += [(f"{name}.{n}", p) for n, p in m.offset_parameters()]
-        optimizer.add_group("fsm_weights", weights, weight_lr)
-        optimizer.add_group("offsets", offsets, offset_lr)
+        _add_fsm_groups(optimizer, modules, weight_lr, offset_lr)
     return [name for name, _ in modules]
 
 
-METRICS_HEADER = "iteration,loss_main{esp},base_lr,offset_lr"
+def _add_fsm_groups(optimizer, modules, weight_lr, offset_lr):
+    """Register the ``fsm_weights`` and ``offsets`` groups over the given
+    (node name, module) pairs; slots are named ``<node>.<param>``."""
+    weights, offsets = [], []
+    for name, m in modules:
+        weights += [(f"{name}.{n}", p) for n, p in m.weight_parameters()]
+        offsets += [(f"{name}.{n}", p) for n, p in m.offset_parameters()]
+    optimizer.add_group("fsm_weights", weights, weight_lr)
+    optimizer.add_group("offsets", offsets, offset_lr)
 
 
 @dataclass
@@ -143,12 +146,7 @@ class Trainer:
                                  config.base_lr)
         active = [(n, m) for n, m in graph.fsm_layers() if m.active]
         if active:
-            weights, offsets = [], []
-            for name, m in active:
-                weights += [(f"{name}.{n}", p) for n, p in m.weight_parameters()]
-                offsets += [(f"{name}.{n}", p) for n, p in m.offset_parameters()]
-            self.optimizer.add_group("fsm_weights", weights, config.base_lr)
-            self.optimizer.add_group("offsets", offsets, config.offset_lr)
+            _add_fsm_groups(self.optimizer, active, config.base_lr, config.offset_lr)
 
     # -- data ---------------------------------------------------------------
 

@@ -185,6 +185,9 @@ class TestOffsetAndEnergyExport:
         g, _ = single_fsm_graph(c=3, k=4, seed=31)
         images = batch(c=3, b=1, seed=32)
         a = ana.window_energy(g, images, "fsm1", 1, (2, 3))
-        b = ana.window_energy(g, images, "fsm1", 1, (2, 3), explicit=True)
+        module = g.node("fsm1").layer.module
+        b = ana.explicit_window_energies(module.params.out_weight.data[1],
+                                         module.params.in_weight.data,
+                                         module.cache["attention"].data[0, :, 3, 2])
         np.testing.assert_allclose(a, b, atol=1e-9)
         assert a.max() > 0

@@ -85,6 +85,25 @@ class TestRejection:
         with pytest.raises(CheckpointError, match=r"expected \d+ bytes, got \d+"):
             checkpoint_load(path)
 
+    def test_corrupted_preamble_or_header_raises_checkpoint_error(self, tmp_path):
+        raw = self._saved(tmp_path).read_bytes()
+        header_end = 16 + int(np.frombuffer(raw[8:16], dtype="<u8")[0])
+        bad = tmp_path / "bad.ssnc"
+        escaped = []
+        # every preamble byte, then every third header byte from offset 17
+        for pos in [*range(16), *range(17, header_end, 3)]:
+            for value in (0xFF, ord("}"), ord("9"), ord('"')):
+                corrupt = bytearray(raw)
+                corrupt[pos] = value
+                bad.write_bytes(corrupt)
+                try:
+                    checkpoint_load(bad)
+                except CheckpointError:
+                    pass
+                except Exception as exc:
+                    escaped.append((pos, value, type(exc).__name__))
+        assert escaped == []
+
     def test_missing_blob_rejected(self, tmp_path):
         path = self._saved(tmp_path)
         header, blobs = checkpoint_load(path)

@@ -20,7 +20,31 @@ def identity_norm_params(c, k, variant=fsm.CA_SIGMOID, seed=0):
     return params
 
 
+def mixed_offsets(rng, k, size):
+    """Per-channel offsets drawn from three kinds: fractional, integral
+    (either sign, zero included) and fully out of view (|d| > size)."""
+    kind = rng.integers(0, 3, k)
+    fractional = rng.uniform(-3.0, 3.0, k)
+    integral = rng.integers(-3, 4, k).astype(np.float64)
+    out_of_view = rng.choice([-1.0, 1.0], k) * (size + rng.uniform(0.1, 2.0, k))
+    return np.choose(kind, [fractional, integral, out_of_view])
+
+
 class TestShiftForward:
+    def test_matches_scalar_sampler_at_every_pixel(self):
+        rng = np.random.default_rng(19)
+        b, k, h, w = 2, 24, 5, 7
+        maps = rng.standard_normal((b, k, h, w))
+        dx, dy = mixed_offsets(rng, k, w), mixed_offsets(rng, k, h)
+        for d, size in ((dx, w), (dy, h)):
+            assert (d != np.round(d)).any() and (d == np.round(d)).any()
+            assert (d < 0).any() and (np.abs(d) > size).any()
+        out = fsm.shift(ad.tensor(maps), ad.Parameter(dx), ad.Parameter(dy)).data
+        expect = [[[[ad.bilinear_sample(maps[i, c], x - dx[c], y - dy[c])
+                     for x in range(w)] for y in range(h)]
+                   for c in range(k)] for i in range(b)]
+        np.testing.assert_allclose(out, expect, rtol=0, atol=1e-12)
+
     def test_integer_shift_is_translation_with_zero_fill(self):
         out = fsm.shift(tmap([[1.0, 2.0], [3.0, 4.0]]),
                         ad.Parameter(np.array([1.0])), ad.Parameter(np.array([0.0])))
@@ -79,6 +103,19 @@ class TestShiftBackward:
         # source pixels still in view received the upstream; the column
         # pushed out of view got nothing
         np.testing.assert_array_equal(maps.grad[0, 0], [[1.0, 0.0], [1.0, 0.0]])
+
+    def test_map_gradient_is_the_adjoint_shift(self):
+        rng = np.random.default_rng(20)
+        maps = ad.tensor(rng.standard_normal((2, 24, 6, 5)), requires_grad=True)
+        dx, dy = mixed_offsets(rng, 24, 5), mixed_offsets(rng, 24, 6)
+        g = rng.standard_normal(maps.shape)
+        out = fsm.shift(maps, ad.Parameter(dx), ad.Parameter(dy))
+        maps.zero_grad()
+        out.backward(g)
+        adjoint = fsm.shift_values(g, -dx, -dy)
+        np.testing.assert_array_equal(maps.grad, adjoint)
+        np.testing.assert_allclose(np.vdot(out.data, g), np.vdot(maps.data, adjoint),
+                                   rtol=1e-13)
 
     def test_constant_map_interior_offset_grads_are_zero(self):
         maps = ad.tensor(np.full((1, 1, 5, 5), 3.0), requires_grad=True)

@@ -177,6 +177,25 @@ class TestSerialization:
         assert len(names) == len(set(names))
 
 
+class TestClampBounds:
+    def test_costing_another_size_leaves_bounds_unchanged(self):
+        from shiftpose.config import RunConfig, build_network
+
+        g = build_network(RunConfig())
+        assert {n: m.clamp_bound for n, m in g.fsm_layers()} == {"fsm1": 8.0}
+        net.count_flops(g, input_size=(256, 256))
+        assert {n: m.clamp_bound for n, m in g.fsm_layers()} == {"fsm1": 8.0}
+
+    def test_graph_rebuilt_from_spec_gets_bounds(self):
+        g = net.build_fpn_ssn((64, 64), 3, base_channels=4, shift_channels=4)
+        expect = {n: float(max(g.shape_of(g.node(n).inputs[0])[1:]))
+                  for n, _ in g.fsm_layers()}
+        assert set(expect.values()) == {16.0, 8.0, 4.0, 2.0}
+        rebuilt = net.NetworkGraph.from_spec(g.spec())
+        for graph in (g, rebuilt):
+            assert {n: m.clamp_bound for n, m in graph.fsm_layers()} == expect
+
+
 class TestShapeAudit:
     def test_declared_shapes_match_forward_for_random_configs(self):
         rng = np.random.default_rng(4)
