@@ -35,7 +35,6 @@ class ScoreMatrix:
     """
     values: np.ndarray
     module_id: str
-    normalization: str = "per-channel-max"
 
 
 @dataclass
@@ -57,18 +56,15 @@ def _fsm_module(graph, module_id):
     return module
 
 
-def keypoint_offset_scores(graph, images, module_id, mode="eval",
-                           magnitude=True, normalization="max"):
+def keypoint_offset_scores(graph, images, module_id, mode="eval"):
     """Scores between keypoint categories and shifting channels.
 
     For each keypoint channel m: copy the predictions, zero the value at
     the per-sample peak of channel m, take the MSE between the modified
     copy and the live predictions, and back-propagate it to the chosen
-    module's post-shifting maps. The per-channel spatial average of those
-    gradients (absolute values by default; ``magnitude=False`` averages
-    signed values first) fills row m. Rows are finally normalized within
-    each shifting channel by its maximum magnitude (or by its sum with
-    ``normalization="sum"``).
+    module's post-shifting maps. The per-channel spatial average of the
+    gradient magnitudes fills row m. Rows are finally normalized within
+    each shifting channel by its maximum magnitude.
     """
     module = _fsm_module(graph, module_id)
     heads, _ = graph.forward(images, mode=mode)
@@ -93,22 +89,12 @@ def keypoint_offset_scores(graph, images, module_id, mode="eval",
         g = post_shift.grad
         if g is None:
             continue
-        if magnitude:
-            scores[m] = np.abs(g).mean(axis=(0, 2, 3))
-        else:
-            scores[m] = np.abs(g.mean(axis=(0, 2, 3)))
+        scores[m] = np.abs(g).mean(axis=(0, 2, 3))
 
-    if normalization == "max":
-        col = scores.max(axis=0)
-    elif normalization == "sum":
-        col = scores.sum(axis=0)
-    else:
-        raise ConfigError("analysis.normalization",
-                          f"unknown normalization {normalization!r}")
+    col = scores.max(axis=0)
     nonzero = col > 0
     scores[:, nonzero] /= col[nonzero]
-    return ScoreMatrix(scores, module_id,
-                       normalization=f"per-channel-{normalization}")
+    return ScoreMatrix(scores, module_id)
 
 
 def contribution_counts(scores, threshold=0.5):

@@ -82,9 +82,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = np.zeros_like(self.data)
 
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
-
     def _accumulate(self, g):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -498,9 +495,9 @@ def group_norm(x, gamma, beta, groups, eps=EPS):
     return _node(out, (x, gamma, beta), backward)
 
 
-def default_groups(channels, preferred=32):
+def default_groups(channels):
     """Group count for group-norm: 32, clamped to the channel count when smaller."""
-    return min(preferred, channels)
+    return min(32, channels)
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,14 @@ import numpy as np
 from .errors import CheckpointError
 
 __all__ = ["MAGIC", "FORMAT_VERSION", "checkpoint_save", "checkpoint_load",
-           "restore_graph_state", "rng_state", "restore_rng"]
+           "restore_graph_state", "copy_blobs", "rng_state", "restore_rng"]
 
 MAGIC = b"SSNC"
 FORMAT_VERSION = 1
+
+# JSON type of each header field, as checkpoint_save writes it
+_HEADER_TYPES = {"graph": dict, "iteration": int, "rng_state": (dict, type(None)),
+                 "optimizer": (dict, type(None)), "blobs": list, "extra": dict}
 
 
 def rng_state(rng):
@@ -32,7 +36,10 @@ def rng_state(rng):
 
 def restore_rng(state):
     rng = np.random.default_rng(0)
-    rng.bit_generator.state = state
+    try:
+        rng.bit_generator.state = state
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"corrupt generator state: {exc!r}") from None
     return rng
 
 
@@ -102,9 +109,9 @@ def checkpoint_load(path):
     """Parse and validate a checkpoint; returns (header, {blob name: array}).
 
     Rejects bad magic, unknown versions, truncated files (with the
-    expected/actual byte counts), headers that are not a JSON mapping, and
-    blob-index entries that do not describe a float32 array inside the
-    payload.
+    expected/actual byte counts), headers that are not a JSON mapping or
+    lack a field of the type ``checkpoint_save`` writes, and blob-index
+    entries that do not describe a float32 array inside the payload.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -127,8 +134,11 @@ def checkpoint_load(path):
     if not isinstance(header, dict):
         raise CheckpointError(
             f"corrupt header: expected a mapping, got {type(header).__name__}")
-    index = header.get("blobs")
-    if not isinstance(index, list) or not all(map(_index_entry_ok, index)):
+    for key, kind in _HEADER_TYPES.items():
+        if key not in header or not isinstance(header[key], kind):
+            raise CheckpointError(f"corrupt header: field {key!r} is missing or malformed")
+    index = header["blobs"]
+    if not all(map(_index_entry_ok, index)):
         raise CheckpointError("corrupt header: malformed blob index")
     payload = raw[16 + header_len:]
     expected = sum(b["nbytes"] for b in index)
@@ -152,17 +162,21 @@ def checkpoint_load(path):
     return header, blobs
 
 
+def copy_blobs(targets, blobs, what):
+    """Copy ``blobs[key]`` into each ``(key, array)`` target, casting to the
+    target's dtype; every key needs a blob of the target's shape."""
+    for key, arr in targets:
+        if key not in blobs:
+            raise CheckpointError(f"missing {what} blob {key}")
+        if blobs[key].shape != arr.shape:
+            raise CheckpointError(
+                f"blob {key}: shape {blobs[key].shape} does not match {arr.shape}")
+        arr[...] = blobs[key]
+
+
 def restore_graph_state(graph, blobs):
     """Copy parameter/buffer blobs into a graph rebuilt from the spec."""
-    for name, p in graph.named_parameters():
-        key = f"param.{name}"
-        if key not in blobs:
-            raise CheckpointError(f"missing parameter blob {key}")
-        if tuple(blobs[key].shape) != tuple(p.shape):
-            raise CheckpointError(
-                f"blob {key}: shape {blobs[key].shape} does not match {p.shape}")
-        p.data[...] = blobs[key].astype(p.dtype)
-    for name, b in graph.named_buffers():
-        key = f"buffer.{name}"
-        if key in blobs:
-            b[...] = blobs[key].astype(b.dtype)
+    copy_blobs([(f"param.{n}", p.data) for n, p in graph.named_parameters()],
+               blobs, "parameter")
+    copy_blobs([(f"buffer.{n}", b) for n, b in graph.named_buffers()],
+               blobs, "buffer")

@@ -48,6 +48,8 @@ def cmd_train(args):
     header = blobs = None
     if args.resume:
         header, blobs = checkpoint_load(args.resume)
+        if header["optimizer"] is None or header["rng_state"] is None:
+            raise CheckpointError("no optimizer or generator state to resume from")
     if args.config is not None:
         cfg = load_run_config(args.config)
     elif header is not None:

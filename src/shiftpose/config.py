@@ -1,22 +1,23 @@
 """Run configuration: a structured key-value document covering the
 network, dataset, trainer, and analysis options.
 
-Parsing is strict: unknown keys are rejected with their full dotted
-path, and every field has a documented default (see DEFAULTS below and
-the README's configuration table).
+The dataclasses below are the schema and hold the defaults; ``LIMITS``
+adds the bounds and choices their types cannot express. Parsing is
+strict: an unknown key or a bad value raises ``ConfigError`` naming its
+full dotted path.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .fsm import CA_SIGMOID, CA_SOFTPLUS
-from .synthdata import AugmentRanges, SynthSpec
-from .training import LrDecay, TrainConfig
+from .synthdata import SynthSpec
+from .training import TrainConfig
 
 __all__ = ["NetworkSpec", "AnalysisOptions", "RunConfig",
            "parse_run_config", "load_run_config", "run_config_to_dict",
@@ -55,137 +56,91 @@ class RunConfig:
     eval_count: int = 64
 
 
-def _section(doc, name, allowed):
-    section = doc.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(name, "must be a mapping")
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"{name}.{key}", "unknown key")
-    return section
+# By dotted field path: inclusive (low, high) bounds, or a string's choices.
+LIMITS = {
+    "network.builder": ("toy", "3block3fsm", "fpn"),
+    "network.ca_variant": (CA_SIGMOID, CA_SOFTPLUS),
+    "network.shift_channels": (1, None),
+    "network.keypoints": (1, None),
+    "network.in_channels": (1, None),
+    "network.width": (4, None),
+    "network.base_channels": (4, None),
+    "dataset.blob_sigma": (0.3, None),
+    "dataset.distractors": (0, None),
+    "dataset.noise_std": (0.0, None),
+    "dataset.count": (1, None),
+    "dataset.heatmap_downscale": (1, None),
+    "dataset.heatmap_sigma": (0.1, None),
+    "trainer.batch_size": (1, None),
+    "trainer.insertion_iteration": (0, None),
+    "trainer.iterations": (0, None),
+    "trainer.lr_decay.after_iter": (0, None),
+    "trainer.lr_decay.factor": (0.0, 1.0),
+    "trainer.lr_decay.every": (1, None),
+    "trainer.augment_ranges.rotation_deg": (0.0, None),
+    "trainer.augment_ranges.shift_frac": (0.0, None),
+    "analysis.channel": (0, None),
+    "eval_count": (1, None),
+}
 
 
-def _num(section, path, key, default, kind=float, low=None, high=None):
-    value = section.get(key, default)
+def _field(default, value, path):
+    """Read one field shaped like its default: a nested dataclass, a list
+    of the default's length (any length when the default is empty), or a
+    scalar of the default's type within its ``LIMITS``."""
+    if is_dataclass(default):
+        return _read(type(default), value, path)
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(path, "expected a list")
+        if not default:
+            return tuple(value)
+        if len(value) != len(default):
+            raise ConfigError(path, f"expected a list of {len(default)} values")
+        return tuple(_field(d, v, path) for d, v in zip(default, value))
+    if isinstance(default, bool) and not isinstance(value, bool):
+        raise ConfigError(path, "expected true or false")
     try:
-        value = kind(value)
+        value = type(default)(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{path}.{key}", f"expected {kind.__name__}") from None
-    if low is not None and value < low:
-        raise ConfigError(f"{path}.{key}", f"must be >= {low}")
-    if high is not None and value > high:
-        raise ConfigError(f"{path}.{key}", f"must be <= {high}")
+        raise ConfigError(path, f"expected {type(default).__name__}") from None
+    limit = LIMITS.get(path)
+    if isinstance(default, str):
+        if limit and value not in limit:
+            raise ConfigError(path, f"must be one of {', '.join(limit)}")
+    elif limit:
+        low, high = limit
+        if low is not None and value < low:
+            raise ConfigError(path, f"must be >= {low}")
+        if high is not None and value > high:
+            raise ConfigError(path, f"must be <= {high}")
     return value
 
 
-def _pair(section, path, key, default, kind=float):
-    value = section.get(key, default)
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{path}.{key}", "expected a pair [a, b]")
-    return (kind(value[0]), kind(value[1]))
+def _read(cls, doc, path):
+    """Dataclass ``cls`` from a mapping: the keys, nesting, defaults, types
+    and pair lengths all come from the fields and their defaults."""
+    if not isinstance(doc, dict):
+        raise ConfigError(path or "config", "must be a mapping")
+    defaults = cls()
+    names = [f.name for f in fields(cls)]
+    for key in doc:
+        if key not in names:
+            raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
+    return cls(**{name: _field(getattr(defaults, name), doc[name],
+                               f"{path}.{name}" if path else name)
+                  for name in names if name in doc})
 
 
 def parse_run_config(doc):
-    if not isinstance(doc, dict):
-        raise ConfigError("config", "top level must be a mapping")
-    for key in doc:
-        if key not in ("network", "dataset", "trainer", "analysis", "eval_count"):
-            raise ConfigError(key, "unknown key")
-
-    net = _section(doc, "network", {
-        "builder", "input_size", "shift_channels", "keypoints", "ca_variant",
-        "in_channels", "width", "base_channels", "fsm_active", "esp", "seed"})
-    builder = net.get("builder", "toy")
-    if builder not in ("toy", "3block3fsm", "fpn"):
-        raise ConfigError("network.builder", f"unknown builder {builder!r}")
-    ca = net.get("ca_variant", CA_SIGMOID)
-    if ca not in (CA_SIGMOID, CA_SOFTPLUS):
-        raise ConfigError("network.ca_variant",
-                          f"must be {CA_SIGMOID!r} or {CA_SOFTPLUS!r}")
-    esp = net.get("esp", [])
-    if not isinstance(esp, (list, tuple)):
-        raise ConfigError("network.esp", "expected a list of layer names")
-    network = NetworkSpec(
-        builder=builder,
-        input_size=_pair(net, "network", "input_size", (32, 32), int),
-        shift_channels=_num(net, "network", "shift_channels", 8, int, low=1),
-        keypoints=_num(net, "network", "keypoints", 1, int, low=1),
-        ca_variant=ca,
-        in_channels=_num(net, "network", "in_channels", 1, int, low=1),
-        width=_num(net, "network", "width", 16, int, low=4),
-        base_channels=_num(net, "network", "base_channels", 8, int, low=4),
-        fsm_active=bool(net.get("fsm_active", False)),
-        esp=tuple(esp),
-        seed=_num(net, "network", "seed", 0, int),
-    )
-
-    ds = _section(doc, "dataset", {
-        "image_size", "displacement", "blob_sigma", "distractors", "noise_std",
-        "count", "seed", "heatmap_downscale", "heatmap_sigma"})
-    dataset = SynthSpec(
-        image_size=_pair(ds, "dataset", "image_size", network.input_size, int),
-        displacement=_pair(ds, "dataset", "displacement", (10.0, 0.0)),
-        blob_sigma=_num(ds, "dataset", "blob_sigma", 1.2, float, low=0.3),
-        distractors=_num(ds, "dataset", "distractors", 0, int, low=0),
-        noise_std=_num(ds, "dataset", "noise_std", 0.0, float, low=0.0),
-        count=_num(ds, "dataset", "count", 256, int, low=1),
-        seed=_num(ds, "dataset", "seed", 0, int),
-        heatmap_downscale=_num(ds, "dataset", "heatmap_downscale", 4, int, low=1),
-        heatmap_sigma=_num(ds, "dataset", "heatmap_sigma", 1.0, float, low=0.1),
-    )
-
-    tr = _section(doc, "trainer", {
-        "base_lr", "offset_lr", "offset_decay_per_epoch", "batch_size",
-        "insertion_iteration", "iterations", "lr_decay", "augment",
-        "augment_ranges", "seed"})
-    decay_doc = tr.get("lr_decay", {})
-    if not isinstance(decay_doc, dict):
-        raise ConfigError("trainer.lr_decay", "must be a mapping")
-    for key in decay_doc:
-        if key not in ("after_iter", "factor", "every"):
-            raise ConfigError(f"trainer.lr_decay.{key}", "unknown key")
-    decay = LrDecay(
-        after_iter=_num(decay_doc, "trainer.lr_decay", "after_iter", 300_000, int, low=0),
-        factor=_num(decay_doc, "trainer.lr_decay", "factor", 0.5, float, low=0.0, high=1.0),
-        every=_num(decay_doc, "trainer.lr_decay", "every", 30_000, int, low=1),
-    )
-    aug_doc = tr.get("augment_ranges", {})
-    if not isinstance(aug_doc, dict):
-        raise ConfigError("trainer.augment_ranges", "must be a mapping")
-    for key in aug_doc:
-        if key not in ("rotation_deg", "scale", "shift_frac"):
-            raise ConfigError(f"trainer.augment_ranges.{key}", "unknown key")
-    ranges = AugmentRanges(
-        rotation_deg=_num(aug_doc, "trainer.augment_ranges", "rotation_deg",
-                          30.0, float, low=0.0),
-        scale=_pair(aug_doc, "trainer.augment_ranges", "scale", (0.75, 1.25)),
-        shift_frac=_num(aug_doc, "trainer.augment_ranges", "shift_frac",
-                        0.05, float, low=0.0),
-    )
-    trainer = TrainConfig(
-        base_lr=_num(tr, "trainer", "base_lr", 5e-4, float),
-        offset_lr=_num(tr, "trainer", "offset_lr", 1e-3, float),
-        offset_decay_per_epoch=_num(tr, "trainer", "offset_decay_per_epoch",
-                                    0.10, float),
-        batch_size=_num(tr, "trainer", "batch_size", 16, int, low=1),
-        insertion_iteration=_num(tr, "trainer", "insertion_iteration", 6000,
-                                 int, low=0),
-        iterations=_num(tr, "trainer", "iterations", 8000, int, low=0),
-        lr_decay=decay,
-        augment=bool(tr.get("augment", True)),
-        augment_ranges=ranges,
-        seed=_num(tr, "trainer", "seed", 0, int),
-    ).validate()
-
-    an = _section(doc, "analysis", {"module_id", "channel", "position", "threshold"})
-    analysis = AnalysisOptions(
-        module_id=str(an.get("module_id", "fsm1")),
-        channel=_num(an, "analysis", "channel", 0, int, low=0),
-        position=_pair(an, "analysis", "position", (4, 4), int),
-        threshold=_num(an, "analysis", "threshold", 0.5, float),
-    )
-    eval_count = _num(doc, "config", "eval_count", 64, int, low=1)
-    return RunConfig(network, dataset, trainer, analysis, eval_count)
+    """``RunConfig`` from a plain document; every absent field takes its
+    dataclass default, except that ``dataset.image_size`` follows
+    ``network.input_size``."""
+    cfg = _read(RunConfig, doc, "")
+    if "image_size" not in doc.get("dataset", {}):
+        cfg.dataset.image_size = cfg.network.input_size
+    cfg.trainer.validate()
+    return cfg
 
 
 def load_run_config(path):

@@ -52,9 +52,6 @@ class ShiftOffsets:
         np.clip(self.dx.data, -bound, bound, out=self.dx.data)
         np.clip(self.dy.data, -bound, bound, out=self.dy.data)
 
-    def as_pairs(self):
-        return np.stack([self.dx.data, self.dy.data], axis=1)
-
 
 @dataclass
 class FsmParams:
@@ -245,8 +242,9 @@ def fsm_oracle(p, params, mode="train"):
 
     Materializes the full position-dependent kernel
     ``w[c,k,c'](x,y) = out_weight[c,k] * in_weight[k,c'] * gate[k](x,y)``
-    and contracts it against the input maps resampled at each offset.
-    Quadratic in channels; intended for small tensors as a correctness
+    and contracts it against the input maps resampled at each offset by
+    ``bilinear_sample``, one pixel at a time. Quadratic in channels and
+    interpreted per pixel; intended for small tensors as a correctness
     reference only. Running statistics are left untouched.
     """
     pv = p.data if isinstance(p, Tensor) else np.asarray(p)
@@ -254,11 +252,13 @@ def fsm_oracle(p, params, mode="train"):
     k = params.shift_channels
     gate = ca_forward(Tensor(pv), params.gate_weight, params.ca_variant).data
 
-    # input maps resampled at every offset: (B, K, C', H, W)
-    tiled = np.repeat(pv[:, None], k, axis=1).reshape(b, k * c, h, w)
-    dx = np.repeat(params.offsets.dx.data, c)
-    dy = np.repeat(params.offsets.dy.data, c)
-    p_shift = shift_values(tiled, dx, dy).reshape(b, k, c, h, w)
+    # input maps resampled at every offset, one scalar bilinear sample per
+    # pixel so that the fast path's translation kernel is not involved:
+    # (B, K, C', H, W)
+    dx, dy = params.offsets.dx.data, params.offsets.dy.data
+    p_shift = np.empty((b, k, c, h, w), dtype=pv.dtype)
+    for i, j, d, y, x in np.ndindex(p_shift.shape):
+        p_shift[i, j, d, y, x] = ad.bilinear_sample(pv[i, d], x - dx[j], y - dy[j])
 
     kernel = np.einsum("ck,kd,bkhw->bckdhw", params.out_weight.data,
                        params.in_weight.data, gate)

@@ -299,8 +299,8 @@ class UpsampleAdd:
     def buffers(self):
         return []
 
-    def cost_ops(self, in_shape):
-        c, h, w = in_shape
+    def cost_ops(self, lateral_shape, deeper_shape):
+        c, h, w = lateral_shape
         return c * h * w
 
     def config(self):
@@ -334,10 +334,7 @@ class NetworkGraph:
         if inputs is None:
             inputs = (self.nodes[-1].name,) if self.nodes else ("input",)
         shapes = [self.shape_of(i) for i in inputs]
-        if isinstance(layer, UpsampleAdd):
-            out_shape = layer.out_shape(*shapes)
-        else:
-            out_shape = layer.out_shape(shapes[0])
+        out_shape = layer.out_shape(*shapes)
         if isinstance(layer, FsmLayer):
             # beyond the larger side an offset moves the whole map out of view
             layer.module.clamp_bound = float(max(shapes[0][1:]))
@@ -355,16 +352,10 @@ class NetworkGraph:
             raise ConfigError("graph.layer", f"unknown layer id {name!r}")
         return self._by_name[name].out_shape
 
-    def __contains__(self, name):
-        return name in self._by_name
-
     def node(self, name):
         if name not in self._by_name:
             raise ConfigError("graph.layer", f"unknown layer id {name!r}")
         return self._by_name[name]
-
-    def head_names(self):
-        return ["main"] + [n.name for n in self.nodes if n.is_head]
 
     def forward(self, x, mode="train", check_finite=False):
         """Run all nodes; returns (head outputs, every node output).
@@ -380,11 +371,7 @@ class NetworkGraph:
                 f"got {tuple(x.shape)}")
         outputs = {"input": x}
         for node in self.nodes:
-            ins = [outputs[i] for i in node.inputs]
-            if isinstance(node.layer, UpsampleAdd):
-                out = node.layer.forward(ins[0], ins[1], mode)
-            else:
-                out = node.layer.forward(ins[0], mode)
+            out = node.layer.forward(*(outputs[i] for i in node.inputs), mode)
             if check_finite and not np.isfinite(out.data).all():
                 raise NumericError(f"non-finite output at layer {node.name!r}")
             outputs[node.name] = out
@@ -396,13 +383,10 @@ class NetworkGraph:
 
     # -- parameter plumbing --------------------------------------------------
 
-    def named_parameters(self, trainable_only=False):
+    def named_parameters(self):
         """Every parameter slot as (unique name, Parameter)."""
         out = []
         for node in self.nodes:
-            if trainable_only and isinstance(node.layer, FsmLayer) \
-                    and not node.layer.module.active:
-                continue
             out += [(f"{node.name}.{n}", p) for n, p in node.layer.named_params()]
         return out
 
@@ -445,31 +429,46 @@ class NetworkGraph:
                               f"unsupported version {spec.get('version')!r}, "
                               f"expected {GRAPH_FORMAT_VERSION}")
         rng = rng or np.random.default_rng(0)
-        graph = cls(tuple(spec["input_shape"]), dtype=np.dtype(spec["dtype"]))
-        for nd in spec["nodes"]:
-            cfg = nd["config"]
-            kind = nd["kind"]
-            dtype = graph.dtype
-            if kind == "conv":
-                layer = ConvBlock(cfg["in_ch"], cfg["out_ch"], cfg["kernel"],
-                                  cfg["stride"], cfg["padding"], cfg["norm"],
-                                  cfg["act"], cfg["bias"], rng, dtype)
-            elif kind == "maxpool":
-                layer = MaxPool(cfg["kernel"], cfg["stride"], cfg["padding"])
-            elif kind == "bottleneck":
-                layer = Bottleneck(cfg["in_ch"], cfg["mid_ch"], cfg["out_ch"],
-                                   cfg["stride"], cfg["norm"], rng, dtype)
-            elif kind == "fsm":
-                module = FeatureShiftModule(cfg["channels"], cfg["shift_channels"],
-                                            cfg["ca_variant"], rng, dtype,
-                                            active=cfg["active"], name=nd["name"])
-                layer = FsmLayer(module)
-            elif kind == "upsample_add":
-                layer = UpsampleAdd()
-            else:
-                raise ConfigError("graph.kind", f"unknown layer kind {kind!r}")
-            graph.add(nd["name"], layer, nd["inputs"], nd["is_head"])
+        shape = spec.get("input_shape")
+        if not (isinstance(shape, list) and len(shape) == 3
+                and all(type(v) is int and v > 0 for v in shape)):
+            raise ConfigError("graph.input_shape",
+                              f"expected three positive integers, got {shape!r}")
+        try:
+            graph = cls(tuple(shape), dtype=np.dtype(spec["dtype"]))
+            nodes = list(spec["nodes"])
+        except (KeyError, TypeError) as exc:
+            raise ConfigError("graph", f"malformed spec: {exc!r}") from None
+        for i, nd in enumerate(nodes):
+            name = nd.get("name", f"#{i}") if isinstance(nd, dict) else f"#{i}"
+            try:
+                graph.add(nd["name"], _layer_from_spec(nd, rng, graph.dtype),
+                          nd["inputs"], nd["is_head"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"graph.nodes.{name}",
+                                  f"malformed node: {exc!r}") from None
         return graph
+
+
+def _layer_from_spec(nd, rng, dtype):
+    cfg = nd["config"]
+    kind = nd["kind"]
+    if kind == "conv":
+        return ConvBlock(cfg["in_ch"], cfg["out_ch"], cfg["kernel"],
+                         cfg["stride"], cfg["padding"], cfg["norm"],
+                         cfg["act"], cfg["bias"], rng, dtype)
+    if kind == "maxpool":
+        return MaxPool(cfg["kernel"], cfg["stride"], cfg["padding"])
+    if kind == "bottleneck":
+        return Bottleneck(cfg["in_ch"], cfg["mid_ch"], cfg["out_ch"],
+                          cfg["stride"], cfg["norm"], rng, dtype)
+    if kind == "fsm":
+        return FsmLayer(FeatureShiftModule(cfg["channels"], cfg["shift_channels"],
+                                           cfg["ca_variant"], rng, dtype,
+                                           active=cfg["active"], name=nd["name"]))
+    if kind == "upsample_add":
+        return UpsampleAdd()
+    raise ConfigError("graph.kind", f"unknown layer kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -531,13 +530,13 @@ def build_toy_fsm_net(input_size=(32, 32), in_channels=1, keypoints=1,
 
 
 def build_fpn_ssn(input_size=(64, 48), keypoints=17, base_channels=8,
-                  shift_channels=None, first_fsm_halved=True,
-                  ca_variant=CA_SOFTPLUS, fsm_active=True, rng=None,
-                  dtype=np.float32):
+                  shift_channels=None, ca_variant=CA_SOFTPLUS, fsm_active=True,
+                  rng=None, dtype=np.float32):
     """Structural U-shaped variant: four bottleneck stages (3,4,6,3 blocks)
     with shifting modules before every block except right after the
-    stride-2 downsampling blocks, pointwise laterals, top-down merges, and
-    a predictor per pyramid level (deepest first: p1..p4).
+    stride-2 downsampling blocks (the first module with half the shifting
+    channels), pointwise laterals, top-down merges, and a predictor per
+    pyramid level (deepest first: p1..p4).
 
     Provided for structure and accounting at configurable width; not a
     training target at full scale.
@@ -565,8 +564,7 @@ def build_fpn_ssn(input_size=(64, 48), keypoints=17, base_channels=8,
             stride = 2 if (s > 0 and bidx == 0) else 1
             after_downsample = s > 0 and bidx == 1
             if not after_downsample:
-                k = shift_channels // 2 if (first_fsm_halved and s == 0 and bidx == 0) \
-                    else shift_channels
+                k = shift_channels // 2 if s == 0 and bidx == 0 else shift_channels
                 g.add(f"s{s + 1}_fsm{bidx + 1}", FsmLayer(FeatureShiftModule(
                     in_ch, k, ca_variant, rng, dtype, active=fsm_active,
                     name=f"s{s + 1}_fsm{bidx + 1}")))
@@ -611,8 +609,8 @@ def attach_esp(graph, after_layer, keypoints, rng=None):
 # accounting
 # ---------------------------------------------------------------------------
 
-def count_params(graph, trainable_only=False):
-    return sum(p.size for _, p in graph.named_parameters(trainable_only))
+def count_params(graph):
+    return sum(p.size for _, p in graph.named_parameters())
 
 
 class CostReport:
@@ -645,12 +643,8 @@ def count_flops(graph, input_size=None):
     by_layer = {}
     for node in graph.nodes:
         in_shapes = [shapes[i] for i in node.inputs]
-        if isinstance(node.layer, UpsampleAdd):
-            shapes[node.name] = node.layer.out_shape(*in_shapes)
-            ops = node.layer.cost_ops(in_shapes[0])
-        else:
-            shapes[node.name] = node.layer.out_shape(in_shapes[0])
-            ops = node.layer.cost_ops(in_shapes[0])
+        shapes[node.name] = node.layer.out_shape(*in_shapes)
+        ops = node.layer.cost_ops(*in_shapes)
         by_layer[node.name] = ops
         total += ops
     return CostReport(total, by_layer)

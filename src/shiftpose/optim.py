@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .checkpoint import copy_blobs
+from .errors import CheckpointError
+
 __all__ = ["adam_step", "Adam"]
 
 
@@ -75,10 +78,15 @@ class Adam:
         return {name: {"lr": g["lr"], "t": g["t"]} for name, g in self.groups.items()}
 
     def load_state(self, meta, blobs):
+        """Restore every group's lr, step count and moments from ``meta``
+        (as written by :meth:`meta`) and the moment blobs."""
+        if set(meta) != set(self.groups):
+            raise CheckpointError(f"optimizer groups {sorted(meta)} in the checkpoint "
+                                  f"do not match {sorted(self.groups)}")
         for gname, info in meta.items():
-            group = self.groups[gname]
-            group["lr"] = float(info["lr"])
-            group["t"] = int(info["t"])
-            for e in group["entries"]:
-                e["m"][...] = blobs[f"opt.m.{gname}.{e['name']}"]
-                e["v"][...] = blobs[f"opt.v.{gname}.{e['name']}"]
+            try:
+                self.groups[gname].update(lr=float(info["lr"]), t=int(info["t"]))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CheckpointError(
+                    f"optimizer group {gname!r}: malformed state {exc!r}") from None
+        copy_blobs(self.state_blobs().items(), blobs, "optimizer")

@@ -237,13 +237,11 @@ class Trainer:
         self.iteration += 1
         return row
 
-    def run(self, iterations=None, snapshot_offsets=True):
-        cfg = self.config
-        end = cfg.iterations if iterations is None else iterations
-        while self.iteration < end:
+    def run(self):
+        while self.iteration < self.config.iterations:
             epoch_before = self.epoch()
             self.step()
-            if snapshot_offsets and self.epoch() != epoch_before:
+            if self.epoch() != epoch_before:
                 self.offset_snapshots.append(
                     (epoch_before, self.offset_table()))
         final_eval = self.evaluate()

@@ -1,0 +1,140 @@
+"""Command line, run in-process: the commands on a tiny config, and the
+one-line error for a bad config or checkpoint."""
+
+import json
+
+import numpy as np
+import pytest
+
+from shiftpose import cli
+from shiftpose.checkpoint import FORMAT_VERSION, MAGIC, checkpoint_load
+
+TINY = {"trainer": {"iterations": 3, "batch_size": 2, "insertion_iteration": 1},
+        "dataset": {"count": 4}, "eval_count": 2}
+
+
+def run(capsys, *argv):
+    code = cli.main([str(a) for a in argv])
+    return code, capsys.readouterr()
+
+
+@pytest.fixture
+def config(tmp_path):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(TINY))
+    return path
+
+
+@pytest.fixture
+def checkpoint(tmp_path, config, capsys):
+    code, _ = run(capsys, "train", "--config", config, "--out", tmp_path / "run")
+    assert code == 0
+    return tmp_path / "run" / "checkpoint.ssnc"
+
+
+def test_split_resume_writes_the_same_checkpoint(tmp_path, config, capsys):
+    whole, first, rest = (tmp_path / d for d in ("whole", "first", "rest"))
+    assert run(capsys, "train", "--config", config, "--out", whole,
+               "--iterations", 5)[0] == 0
+    assert run(capsys, "train", "--config", config, "--out", first)[0] == 0
+    assert run(capsys, "train", "--resume", first / "checkpoint.ssnc",
+               "--out", rest, "--iterations", 5)[0] == 0
+    assert (whole / "checkpoint.ssnc").read_bytes() == \
+        (rest / "checkpoint.ssnc").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval"],
+    ["analyze", "offsets", "--out", "{tmp}/offsets.csv"],
+])
+def test_checkpoint_commands_succeed(tmp_path, checkpoint, capsys, argv):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, out = run(capsys, *argv, "--checkpoint", checkpoint)
+    assert (code, out.err) == (0, "")
+
+
+def test_count_succeeds(config, capsys):
+    code, out = run(capsys, "count", "--config", config)
+    assert (code, out.err) == (0, "")
+    assert out.out.startswith("input 32x32\n")
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"network": {"widht": 8}}, "network.widht: unknown key"),
+    ({"network": {"fsm_active": "false"}}, "network.fsm_active: expected true or false"),
+    ({"network": {"input_size": [32, "x"]}}, "network.input_size: expected int"),
+])
+def test_bad_config_is_one_error_line(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "train", "--config", path, "--out", tmp_path / "run")
+    assert (code, out.err) == (2, f"error: config: {message}\n")
+
+
+# -- checkpoints the CLI cannot use -----------------------------------------------
+# Each corruption maps the path of a good checkpoint to the bytes of a bad one.
+
+def byte_edit(old, new):
+    """Replace the first occurrence of ``old`` with ``new`` of the same length."""
+    def apply(path):
+        raw = path.read_bytes()
+        assert len(old) == len(new) and old in raw
+        return raw.replace(old, new, 1)
+    return apply
+
+
+def rewritten(change):
+    """Load, let ``change(header, blobs)`` edit the pieces, write them back."""
+    def apply(path):
+        header, blobs = checkpoint_load(path)
+        change(header, blobs)
+        header["blobs"], payload = [], b""
+        for name, arr in blobs.items():
+            data = np.ascontiguousarray(arr, dtype="<f4").tobytes()
+            header["blobs"].append({"name": name, "shape": list(arr.shape),
+                                    "offset": len(payload), "nbytes": len(data)})
+            payload += data
+        head = json.dumps(header).encode()
+        return (MAGIC + np.uint32(FORMAT_VERSION).tobytes()
+                + np.uint64(len(head)).tobytes() + head + payload)
+    return apply
+
+
+def drop_blob(prefix):
+    def change(header, blobs):
+        del blobs[next(n for n in blobs if n.startswith(prefix))]
+    return rewritten(change)
+
+
+def null_field(key):
+    return rewritten(lambda header, blobs: header.update({key: None}))
+
+
+EVAL = ["eval"]
+RESUME = ["train", "--iterations", "5", "--out", "{tmp}/resumed", "--resume"]
+
+
+@pytest.mark.parametrize("argv,corrupt", [
+    (EVAL, byte_edit(b'"graph"', b'"Graph"')),
+    (EVAL, byte_edit(b'"kernel"', b'"kernal"')),
+    (EVAL, byte_edit(b'"input_shape": [1, 32, 32]', b'"input_shape": [1, 32, -2]')),
+    (EVAL, drop_blob("param.")),
+    (EVAL, drop_blob("buffer.")),
+    (RESUME, byte_edit(b'"backbone"', b'"backbonE"')),
+    (RESUME, byte_edit(b'"bit_generator"', b'"bit_generatoR"')),
+    (RESUME, drop_blob("opt.m.")),
+    (RESUME, null_field("optimizer")),
+    (RESUME, null_field("rng_state")),
+], ids=["graph-key", "kernel-key", "input-shape", "param-blob", "buffer-blob",
+        "optimizer-group", "rng-state", "moment-blob", "no-optimizer", "no-rng"])
+def test_unusable_checkpoint_is_one_error_line(tmp_path, checkpoint, capsys,
+                                               argv, corrupt):
+    bad = tmp_path / "bad.ssnc"
+    bad.write_bytes(corrupt(checkpoint))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if argv[0] == "eval":
+        argv.append("--checkpoint")
+    code, out = run(capsys, *argv, bad)
+    lines = out.err.splitlines()
+    assert code != 0
+    assert len(lines) == 1 and lines[0].startswith("error: "), out.err

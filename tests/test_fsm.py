@@ -269,6 +269,19 @@ class TestOracle:
         results, ok = oracle_trials(trials=8, tolerance=1e-6)
         assert ok, results
 
+    def test_sweep_detects_a_wrong_translation_kernel(self, monkeypatch):
+        from shiftpose.verify import oracle_trials
+
+        translate = fsm._translate_axis
+
+        def first_channel_offset(maps, d, axis, difference=False):
+            d = np.asarray(d)
+            return translate(maps, np.full_like(d, d[0]), axis, difference)
+
+        monkeypatch.setattr(fsm, "_translate_axis", first_channel_offset)
+        results, ok = oracle_trials(trials=8, tolerance=1e-6)
+        assert not ok, results
+
 
 class TestGateProperty:
     def test_zeroing_gate_removes_channel_contribution(self):
