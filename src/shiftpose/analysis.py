@@ -126,9 +126,11 @@ def erf_map(graph, image, module_id, channel, position, mode="eval"):
     x, y = position
     _, k, h, w = nonlocal_maps.shape
     if not (0 <= channel < k):
-        raise ValueError(f"channel {channel} outside non-local map channels [0,{k})")
+        raise ConfigError("analysis.channel",
+                          f"{channel} outside non-local map channels [0,{k})")
     if not (0 <= x < w and 0 <= y < h):
-        raise ValueError(f"position ({x},{y}) outside non-local map {h}x{w}")
+        raise ConfigError("analysis.position",
+                          f"({x},{y}) outside non-local map {h}x{w}")
     seed = np.zeros_like(nonlocal_maps.data)
     seed[0, channel, y, x] = 1.0
     image.grad = None

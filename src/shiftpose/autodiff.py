@@ -13,9 +13,11 @@ documents and raises :class:`DimensionError` otherwise.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 
 __all__ = [
     "Tensor",
@@ -23,7 +25,6 @@ __all__ = [
     "tensor",
     "add",
     "mul",
-    "scale",
     "relu",
     "sigmoid",
     "softplus",
@@ -75,9 +76,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    def item(self):
-        return float(self.data)
 
     def zero_grad(self):
         self.grad = np.zeros_like(self.data)
@@ -197,58 +195,27 @@ def mul(a, b):
     return _node(a.data * b.data, (a, b), backward)
 
 
-def scale(a, factor):
-    factor = float(factor)
-
-    def backward(g):
-        return ((a, g * factor),)
-
-    return _node(a.data * factor, (a,), backward)
+_SMOOTHNESS = None
 
 
-_RELU_TRACE = None
-_VAR_TRACE = None
-
-
-def trace_relu_margins(store):
-    """Record each relu's distance from its kink into ``store`` (a list);
-    gradient-check case selection uses this to reject near-kink inputs.
-    Returns a context manager."""
-    import contextlib
-
-    @contextlib.contextmanager
-    def ctx():
-        global _RELU_TRACE
-        prev, _RELU_TRACE = _RELU_TRACE, store
-        try:
-            yield store
-        finally:
-            _RELU_TRACE = prev
-
-    return ctx()
-
-
-def trace_norm_variances(store):
-    """Record each normalization's smallest per-slice variance into
-    ``store``; near-zero variances make the 1/sigma curvature large enough
-    to defeat finite differencing, so check cases filter on this too."""
-    import contextlib
-
-    @contextlib.contextmanager
-    def ctx():
-        global _VAR_TRACE
-        prev, _VAR_TRACE = _VAR_TRACE, store
-        try:
-            yield store
-        finally:
-            _VAR_TRACE = prev
-
-    return ctx()
+@contextlib.contextmanager
+def trace_smoothness():
+    """Record, while active, each relu's smallest distance from its kink
+    (``"relu"``) and each normalization's smallest per-slice variance
+    (``"var"``). Gradient-check case selection rejects inputs near a kink
+    or with a near-zero variance, whose 1/sigma curvature defeats finite
+    differencing. Yields the dict of lists being filled."""
+    global _SMOOTHNESS
+    prev, _SMOOTHNESS = _SMOOTHNESS, {"relu": [], "var": []}
+    try:
+        yield _SMOOTHNESS
+    finally:
+        _SMOOTHNESS = prev
 
 
 def relu(x):
-    if _RELU_TRACE is not None:
-        _RELU_TRACE.append(float(np.abs(x.data).min()))
+    if _SMOOTHNESS is not None:
+        _SMOOTHNESS["relu"].append(float(np.abs(x.data).min()))
     mask = x.data > 0
     def backward(g):
         return ((x, g * mask),)
@@ -280,6 +247,37 @@ def _sigmoid_raw(v):
 # convolutions
 # ---------------------------------------------------------------------------
 
+def _contract(op, x, cols, weight, bias, fold=None):
+    """The channel contraction out[b,k] = sum_c w[k,c] cols[b,c] (+ bias[k])
+    as a tape node over ``x``, ``weight`` and ``bias``.
+
+    ``cols`` is ``x``'s data or, for a spatial kernel, its patches
+    flattened to (B, C*kh*kw, Ho, Wo); ``weight`` is flattened to (K, -1)
+    to match, and ``fold`` maps the gradient of ``cols`` back onto ``x``.
+    """
+    k = weight.shape[0]
+    w2 = weight.data.reshape(k, -1)
+    out = np.einsum("kc,bchw->bkhw", w2, cols)
+    parents = [x, weight]
+    if bias is not None:
+        if bias.shape != (k,):
+            raise DimensionError(f"{op}: bias: expected shape ({k},), got {bias.shape}")
+        out += bias.data[None, :, None, None]
+        parents.append(bias)
+
+    def backward(g):
+        gcols = np.einsum("kc,bkhw->bchw", w2, g)
+        grads = [
+            (x, gcols if fold is None else fold(gcols)),
+            (weight, np.einsum("bkhw,bchw->kc", g, cols).reshape(weight.shape)),
+        ]
+        if bias is not None:
+            grads.append((bias, g.sum(axis=(0, 2, 3))))
+        return grads
+
+    return _node(out, parents, backward)
+
+
 def conv1x1(x, weight, bias=None):
     """Pointwise convolution: out[b,k] = sum_c weight[k,c] * x[b,c] (+ bias[k]).
 
@@ -292,25 +290,7 @@ def conv1x1(x, weight, bias=None):
     if weight.shape[1] != x.shape[1]:
         raise DimensionError(
             f"conv1x1: channels: weight expects C={weight.shape[1]}, input has C={x.shape[1]}")
-    out = np.einsum("kc,bchw->bkhw", weight.data, x.data)
-    parents = [x, weight]
-    if bias is not None:
-        if bias.shape != (weight.shape[0],):
-            raise DimensionError(
-                f"conv1x1: bias: expected shape ({weight.shape[0]},), got {bias.shape}")
-        out += bias.data[None, :, None, None]
-        parents.append(bias)
-
-    def backward(g):
-        grads = [
-            (x, np.einsum("kc,bkhw->bchw", weight.data, g)),
-            (weight, np.einsum("bkhw,bchw->kc", g, x.data)),
-        ]
-        if bias is not None:
-            grads.append((bias, g.sum(axis=(0, 2, 3))))
-        return grads
-
-    return _node(out, parents, backward)
+    return _contract("conv1x1", x, x.data, weight, bias)
 
 
 def conv_out_size(size, kernel, stride, padding):
@@ -318,14 +298,33 @@ def conv_out_size(size, kernel, stride, padding):
     return (size + 2 * padding - kernel) // stride + 1
 
 
-def _im2col(xp, kh, kw, stride, ho, wo):
-    """View the padded input as (B, C, kh, kw, Ho, Wo) patch slices."""
-    b, c = xp.shape[:2]
-    cols = np.empty((b, c, kh, kw, ho, wo), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
-    return cols
+def _patches(op, x, kh, kw, stride, padding, fill=0):
+    """The (B, C, kh, kw, Ho, Wo) patches of ``x`` padded with ``fill``, and
+    their adjoint ``fold``: it scatter-adds a tensor of that size back
+    onto the unpadded (B, C, H, W) input."""
+    b, c, h, w = x.shape
+    ho = conv_out_size(h, kh, stride, padding)
+    wo = conv_out_size(w, kw, stride, padding)
+    if ho < 1 or wo < 1:
+        raise DimensionError(f"{op}: spatial: {h}x{w} too small for kernel {kh}x{kw}")
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
+                constant_values=fill)
+    cols = np.empty((b, c, kh, kw, ho, wo), dtype=x.dtype)
+    windows = [(i, j, (slice(None), slice(None), slice(i, i + stride * ho, stride),
+                       slice(j, j + stride * wo, stride)))
+               for i in range(kh) for j in range(kw)]
+    for i, j, window in windows:
+        cols[:, :, i, j] = xp[window]
+    padded_shape, dtype = xp.shape, x.dtype
+
+    def fold(gcols):
+        gcols = gcols.reshape(b, c, kh, kw, ho, wo)
+        gxp = np.zeros(padded_shape, dtype=dtype)
+        for i, j, window in windows:
+            gxp[window] += gcols[:, :, i, j]
+        return gxp[:, :, padding:padding + h, padding:padding + w]
+
+    return cols, fold
 
 
 def conv2d(x, weight, stride=1, padding=0, bias=None):
@@ -333,61 +332,30 @@ def conv2d(x, weight, stride=1, padding=0, bias=None):
     _check_rank4(x, "conv2d")
     if weight.ndim != 4:
         raise DimensionError(f"conv2d: weight must be rank-4 (K,C,kh,kw), got {weight.shape}")
-    k, c, kh, kw = weight.shape
+    _, c, kh, kw = weight.shape
     if c != x.shape[1]:
         raise DimensionError(
             f"conv2d: channels: weight expects C={c}, input has C={x.shape[1]}")
-    b, _, h, w = x.shape
-    ho = conv_out_size(h, kh, stride, padding)
-    wo = conv_out_size(w, kw, stride, padding)
-    if ho < 1 or wo < 1:
-        raise DimensionError(f"conv2d: spatial: {h}x{w} too small for kernel {kh}x{kw}")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = _im2col(xp, kh, kw, stride, ho, wo)
-    out = np.einsum("kcij,bcijhw->bkhw", weight.data, cols)
-    parents = [x, weight]
-    if bias is not None:
-        if bias.shape != (k,):
-            raise DimensionError(f"conv2d: bias: expected shape ({k},), got {bias.shape}")
-        out += bias.data[None, :, None, None]
-        parents.append(bias)
-
-    def backward(g):
-        gw = np.einsum("bkhw,bcijhw->kcij", g, cols)
-        gcols = np.einsum("kcij,bkhw->bcijhw", weight.data, g)
-        gxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[:, :, i, j]
-        gx = gxp[:, :, padding:padding + h, padding:padding + w]
-        grads = [(x, gx), (weight, gw)]
-        if bias is not None:
-            grads.append((bias, g.sum(axis=(0, 2, 3))))
-        return grads
-
-    return _node(out, parents, backward)
+    cols, fold = _patches("conv2d", x.data, kh, kw, stride, padding)
+    b, _, _, _, ho, wo = cols.shape
+    return _contract("conv2d", x, cols.reshape(b, c * kh * kw, ho, wo), weight, bias, fold)
 
 
 def max_pool2d(x, kernel=3, stride=2, padding=1):
     """Max pooling; ties go to the first window cell in row-major order."""
     _check_rank4(x, "max_pool2d")
-    b, c, h, w = x.shape
-    ho = conv_out_size(h, kernel, stride, padding)
-    wo = conv_out_size(w, kernel, stride, padding)
-    pad_value = np.finfo(x.dtype).min
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-                constant_values=pad_value)
-    cols = _im2col(xp, kernel, kernel, stride, ho, wo)
+    cols, fold = _patches("max_pool2d", x.data, kernel, kernel, stride, padding,
+                          fill=np.finfo(x.dtype).min)
+    b, c, _, _, ho, wo = cols.shape
     flat = cols.reshape(b, c, kernel * kernel, ho, wo)
-    arg = flat.argmax(axis=2)
-    out = np.take_along_axis(flat, arg[:, :, None], axis=2)[:, :, 0]
+    arg = flat.argmax(axis=2)[:, :, None]
+    out = np.take_along_axis(flat, arg, axis=2)[:, :, 0]
+    flat_shape = flat.shape
 
     def backward(g):
-        gxp = np.zeros_like(xp)
-        for idx in range(kernel * kernel):
-            i, j = divmod(idx, kernel)
-            gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += g * (arg == idx)
-        return ((x, gxp[:, :, padding:padding + h, padding:padding + w]),)
+        gflat = np.zeros(flat_shape, dtype=x.dtype)
+        np.put_along_axis(gflat, arg, g[:, :, None], axis=2)
+        return ((x, fold(gflat)),)
 
     return _node(out, (x,), backward)
 
@@ -412,6 +380,45 @@ def upsample_nearest2x(x):
 EPS = 1e-5
 
 
+def _normalize(op, x, gamma, beta, view, axes, eps, stats=None):
+    """gamma * xhat + beta as a tape node, where xhat normalizes ``x``
+    reshaped to ``view`` over ``axes``. ``stats`` fixes (mean, var) in
+    the keep-dims shape of that reduction; without it they are taken from
+    ``x`` and differentiated through. Returns the node, mean and var."""
+    c = x.shape[1]
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise DimensionError(
+            f"{op}: channels: scale/offset need shape ({c},), "
+            f"got {gamma.shape}/{beta.shape}")
+    xv = x.data.reshape(view)
+    if stats is None:
+        mean = xv.mean(axis=axes, keepdims=True)
+        var = xv.var(axis=axes, keepdims=True)
+    else:
+        mean, var = stats
+    if _SMOOTHNESS is not None:
+        _SMOOTHNESS["var"].append(float(var.min()))
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = ((xv - mean) * inv_std).reshape(x.shape)
+    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+
+    def backward(g):
+        ggamma = (g * xhat).sum(axis=(0, 2, 3))
+        gbeta = g.sum(axis=(0, 2, 3))
+        gxhat = (g * gamma.data[None, :, None, None]).reshape(view)
+        if stats is not None:
+            gx = gxhat * inv_std
+        else:
+            xhatv = xhat.reshape(view)
+            n = xhatv.size // inv_std.size
+            s1 = gxhat.sum(axis=axes, keepdims=True)
+            s2 = (gxhat * xhatv).sum(axis=axes, keepdims=True)
+            gx = (gxhat - s1 / n - xhatv * s2 / n) * inv_std
+        return ((x, gx.reshape(x.shape)), (gamma, ggamma), (beta, gbeta))
+
+    return _node(out, (x, gamma, beta), backward), mean, var
+
+
 def batch_norm(x, gamma, beta, running_mean, running_var, mode, momentum=0.1, eps=EPS):
     """Per-channel batch normalization.
 
@@ -420,79 +427,28 @@ def batch_norm(x, gamma, beta, running_mean, running_var, mode, momentum=0.1, ep
     average (biased variance, matching the statistics used to normalize).
     """
     _check_rank4(x, "batch_norm")
-    c = x.shape[1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise DimensionError(
-            f"batch_norm: channels: scale/offset need shape ({c},), "
-            f"got {gamma.shape}/{beta.shape}")
     if mode not in ("train", "eval"):
         raise ValueError(f"batch_norm: unknown mode {mode!r}")
-
+    stats = None
+    if mode == "eval":
+        stats = tuple(s.astype(x.dtype)[None, :, None, None]
+                      for s in (running_mean, running_var))
+    out, mean, var = _normalize("batch_norm", x, gamma, beta, x.shape, (0, 2, 3),
+                                eps, stats)
     if mode == "train":
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
-        running_mean += momentum * (mean - running_mean)
-        running_var += momentum * (var - running_var)
-    else:
-        mean = running_mean.astype(x.dtype)
-        var = running_var.astype(x.dtype)
-    if _VAR_TRACE is not None:
-        _VAR_TRACE.append(float(var.min()))
-
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
-
-    def backward(g):
-        ggamma = (g * xhat).sum(axis=(0, 2, 3))
-        gbeta = g.sum(axis=(0, 2, 3))
-        gxhat = g * gamma.data[None, :, None, None]
-        if mode == "eval":
-            gx = gxhat * inv_std[None, :, None, None]
-        else:
-            n = x.shape[0] * x.shape[2] * x.shape[3]
-            s1 = gxhat.sum(axis=(0, 2, 3))[None, :, None, None]
-            s2 = (gxhat * xhat).sum(axis=(0, 2, 3))[None, :, None, None]
-            gx = (gxhat - s1 / n - xhat * s2 / n) * inv_std[None, :, None, None]
-        return ((x, gx), (gamma, ggamma), (beta, gbeta))
-
-    return _node(out, (x, gamma, beta), backward)
+        running_mean += momentum * (mean.ravel() - running_mean)
+        running_var += momentum * (var.ravel() - running_var)
+    return out
 
 
 def group_norm(x, gamma, beta, groups, eps=EPS):
     """Group normalization over (channels/groups, H, W) slices per sample."""
-    from .errors import ConfigError
-
     _check_rank4(x, "group_norm")
     b, c, h, w = x.shape
     if c % groups != 0:
         raise ConfigError("group_norm.groups", f"{groups} does not divide {c} channels")
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise DimensionError(
-            f"group_norm: channels: scale/offset need shape ({c},), "
-            f"got {gamma.shape}/{beta.shape}")
-
-    xg = x.data.reshape(b, groups, c // groups, h, w)
-    mean = xg.mean(axis=(2, 3, 4), keepdims=True)
-    var = xg.var(axis=(2, 3, 4), keepdims=True)
-    if _VAR_TRACE is not None:
-        _VAR_TRACE.append(float(var.min()))
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = ((xg - mean) * inv_std).reshape(b, c, h, w)
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
-
-    def backward(g):
-        ggamma = (g * xhat).sum(axis=(0, 2, 3))
-        gbeta = g.sum(axis=(0, 2, 3))
-        gxhat = (g * gamma.data[None, :, None, None]).reshape(b, groups, c // groups, h, w)
-        xhatg = xhat.reshape(b, groups, c // groups, h, w)
-        n = (c // groups) * h * w
-        s1 = gxhat.sum(axis=(2, 3, 4), keepdims=True)
-        s2 = (gxhat * xhatg).sum(axis=(2, 3, 4), keepdims=True)
-        gx = ((gxhat - s1 / n - xhatg * s2 / n) * inv_std).reshape(b, c, h, w)
-        return ((x, gx), (gamma, ggamma), (beta, gbeta))
-
-    return _node(out, (x, gamma, beta), backward)
+    return _normalize("group_norm", x, gamma, beta, (b, groups, c // groups, h, w),
+                      (2, 3, 4), eps)[0]
 
 
 def default_groups(channels):

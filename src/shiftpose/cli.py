@@ -4,7 +4,8 @@ Commands: train, eval, synth, gradcheck, count, analyze
 (offsets|erf|kp-scores), oracle-check. Each writes its artifact and
 exits 0 on success; errors print one machine-parseable line to stderr
 (`error: <category>: <detail>`) with exit code 2 for configuration
-problems, 3 for numeric divergence during training, and 1 otherwise.
+problems, 3 for numeric divergence during training, and 1 otherwise
+(a failed allocation included).
 
 The only environment variable consulted is SHIFTPOSE_OUT_DIR, which
 overrides the default artifact directory.
@@ -151,14 +152,12 @@ def cmd_gradcheck(args):
 def cmd_count(args):
     if args.config:
         cfg = load_run_config(args.config)
-        graph = build_network(cfg)
-        input_hw = cfg.network.input_size
     else:
-        rng = np.random.default_rng(0)
-        h, w = (int(v) for v in args.input_size.split("x"))
-        graph = net.build_3block3fsm((h, w), args.shift_channels,
-                                     args.keypoints, rng=rng)
-        input_hw = (h, w)
+        cfg = parse_run_config({"network": {
+            "builder": "3block3fsm", "input_size": args.input_size.split("x"),
+            "shift_channels": args.shift_channels, "keypoints": args.keypoints}})
+    graph = build_network(cfg)
+    input_hw = cfg.network.input_size
     params = net.count_params(graph)
     report = net.count_flops(graph)
     print(f"input {input_hw[0]}x{input_hw[1]}")
@@ -283,6 +282,9 @@ def main(argv=None):
         return 1
     except ShiftPoseError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: memory: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -59,12 +59,14 @@ class RunConfig:
 # By dotted field path: inclusive (low, high) bounds, or a string's choices.
 LIMITS = {
     "network.builder": ("toy", "3block3fsm", "fpn"),
+    "network.input_size": (1, None),
     "network.ca_variant": (CA_SIGMOID, CA_SOFTPLUS),
     "network.shift_channels": (1, None),
     "network.keypoints": (1, None),
     "network.in_channels": (1, None),
     "network.width": (4, None),
     "network.base_channels": (4, None),
+    "dataset.image_size": (1, None),
     "dataset.blob_sigma": (0.3, None),
     "dataset.distractors": (0, None),
     "dataset.noise_std": (0.0, None),

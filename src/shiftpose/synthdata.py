@@ -19,7 +19,7 @@ from .errors import GenerationError
 __all__ = [
     "SynthSpec", "SynthSample", "AugmentRanges", "generate_dataset",
     "generate_sample", "augment_sample", "heatmap_target", "decode_heatmap",
-    "matched_filter_locate", "bilinear_warp", "smooth_field",
+    "matched_filter_locate", "bilinear_warp",
 ]
 
 CUE_AMPLITUDE = 0.5     # weaker than targets so it never wins a local argmax
@@ -195,33 +195,6 @@ def matched_filter_locate(image, blob_sigma):
     idx = resp.argmax()
     y, x = divmod(idx, w)
     return np.array([x, y], dtype=np.float64)
-
-
-def _gaussian_smooth(rng, h, w, sigma):
-    pad = int(3 * sigma) + 1
-    noise = rng.standard_normal((h + 2 * pad, w + 2 * pad))
-    r = np.arange(-pad, pad + 1)
-    ker = np.exp(-r ** 2 / (2.0 * sigma ** 2))
-    ker /= ker.sum()
-    sm = np.apply_along_axis(lambda v: np.convolve(v, ker, "same"), 0, noise)
-    sm = np.apply_along_axis(lambda v: np.convolve(v, ker, "same"), 1, sm)
-    return sm[pad:pad + h, pad:pad + w]
-
-
-def smooth_field(rng, size, broad_sigma=3.0, fine_sigma=1.2, broad_weight=0.7,
-                 amplitude=0.25, mean=0.5):
-    """Band-limited random field in [0, 1]: smoothed noise at two scales.
-
-    The broad component makes alignment losses informative over several
-    pixels; the fine component sharpens their optimum. Used as the
-    stimulus for translation-regression experiments.
-    """
-    h, w = size
-    broad = _gaussian_smooth(rng, h, w, broad_sigma)
-    fine = _gaussian_smooth(rng, h, w, fine_sigma)
-    f = broad_weight * broad / broad.std() + (1.0 - broad_weight) * fine / fine.std()
-    f = f / f.std() * amplitude + mean
-    return np.clip(f, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

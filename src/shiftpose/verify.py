@@ -133,13 +133,12 @@ def _is_smooth_case(fn, inputs):
     """Accept only cases where finite differences are trustworthy: relu
     inputs clear of the kink and normalization variances away from the
     ill-conditioned 1/sigma regime."""
-    margins, variances = [], []
-    with ad.trace_relu_margins(margins), ad.trace_norm_variances(variances):
+    with ad.trace_smoothness() as trace:
         out = fn(*inputs)
     if not np.isfinite(out.data).all():
         return False
-    return (all(m > _RELU_MARGIN for m in margins)
-            and all(v > _VAR_FLOOR for v in variances))
+    return (all(m > _RELU_MARGIN for m in trace["relu"])
+            and all(v > _VAR_FLOOR for v in trace["var"]))
 
 
 def gradcheck_suite(quotas=DEFAULT_QUOTAS, step=1e-3, tolerance=1e-4, base_seed=0):

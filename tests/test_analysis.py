@@ -5,6 +5,7 @@ import pytest
 
 from shiftpose import analysis as ana
 from shiftpose import network as net
+from shiftpose.errors import ConfigError
 from shiftpose.fsm import CA_SIGMOID, FeatureShiftModule, OFFSET_INIT_RANGE, parse_offset_table
 from shiftpose.network import ConvBlock, FsmLayer, NetworkGraph
 
@@ -153,9 +154,9 @@ class TestErfMap:
 
     def test_out_of_bounds_position_rejected(self):
         g, _ = single_fsm_graph(seed=26)
-        with pytest.raises(ValueError, match="position"):
+        with pytest.raises(ConfigError, match="position"):
             ana.erf_map(g, batch(b=1, seed=27), "fsm1", 0, (99, 0))
-        with pytest.raises(ValueError, match="channel"):
+        with pytest.raises(ConfigError, match="channel"):
             ana.erf_map(g, batch(b=1, seed=27), "fsm1", 17, (1, 1))
 
 

@@ -121,6 +121,18 @@ class TestNormalization:
             lambda *t: ad.group_norm(*t, groups=2), [x, gamma, beta])
         assert report.passed, str(report)
 
+    def test_batchnorm_eval_gradcheck(self):
+        x = ad.tensor(rand((3, 2, 3, 3), 20), requires_grad=True)
+        gamma = ad.Parameter(np.array([1.1, 0.9]))
+        beta = ad.Parameter(np.array([0.2, -0.1]))
+
+        def run(x_, g_, b_):
+            return ad.batch_norm(x_, g_, b_, np.array([0.3, -0.2]),
+                                 np.array([0.8, 1.5]), "eval")
+
+        report = finite_diff_gradcheck(run, [x, gamma, beta])
+        assert report.passed, str(report)
+
     def test_running_stats_update(self):
         x = ad.tensor(np.full((1, 1, 2, 2), 10.0))
         rm, rv = np.zeros(1), np.ones(1)
@@ -149,7 +161,59 @@ class TestActivations:
         assert report.passed, str(report)
 
 
+def conv2d_reference(x, w, b, g, stride, padding):
+    """Output and the three gradients of a conv2d from the 6-axis einsum
+    over a strided window view; the input gradient scatters through
+    ``np.add.at`` on the windows of an index map."""
+    kh, kw = w.shape[2:]
+    h, wd = x.shape[2:]
+    pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    xp = np.pad(x, pad)
+
+    def windows(a):  # (B, C, Ho, Wo, kh, kw)
+        view = np.lib.stride_tricks.sliding_window_view(a, (kh, kw), axis=(2, 3))
+        return view[:, :, ::stride, ::stride]
+
+    cols = windows(xp)
+    out = np.einsum("kcij,bchwij->bkhw", w, cols) + b[None, :, None, None]
+    gw = np.einsum("bkhw,bchwij->kcij", g, cols)
+    gxp = np.zeros(xp.size)
+    np.add.at(gxp, windows(np.arange(xp.size).reshape(xp.shape)),
+              np.einsum("kcij,bkhw->bchwij", w, g))
+    gx = gxp.reshape(xp.shape)[:, :, padding:padding + h, padding:padding + wd]
+    return out, gx, gw, g.sum(axis=(0, 2, 3))
+
+
 class TestPoolAndConv2d:
+    @pytest.mark.parametrize("kernel", [1, 3, 7])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1, 3])
+    def test_conv2d_matches_einsum_reference(self, kernel, stride, padding):
+        x = ad.tensor(rand((2, 3, 9, 8), 21), requires_grad=True)
+        w = ad.Parameter(rand((4, 3, kernel, kernel), 22))
+        b = ad.Parameter(rand(4, 23))
+        out = ad.conv2d(x, w, stride=stride, padding=padding, bias=b)
+        g = rand(out.shape, 24)
+        out.backward(g)
+        ref = conv2d_reference(x.data, w.data, b.data, g, stride, padding)
+        for got, want in zip((out.data, x.grad, w.grad, b.grad), ref):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_maxpool_constant_map_sends_gradient_to_first_cell(self, padding):
+        # every cell ties, so each window's gradient lands on its first
+        # in-bounds cell in row-major order
+        x = ad.tensor(np.full((1, 2, 7, 7), 3.0), requires_grad=True)
+        out = ad.max_pool2d(x, kernel=3, stride=2, padding=padding)
+        g = rand(out.shape, 25)
+        out.backward(g)
+        expect = np.zeros(x.shape)
+        for r in range(out.shape[2]):
+            for c in range(out.shape[3]):
+                expect[:, :, max(2 * r - padding, 0), max(2 * c - padding, 0)] += g[:, :, r, c]
+        np.testing.assert_array_equal(x.grad, expect)
+
+
     def test_maxpool_shape_and_values(self):
         x = ad.tensor(np.arange(16.0).reshape(1, 1, 4, 4))
         out = ad.max_pool2d(x, kernel=3, stride=2, padding=1)

@@ -59,6 +59,44 @@ def test_count_succeeds(config, capsys):
     assert out.out.startswith("input 32x32\n")
 
 
+def test_count_default_flags_give_paper_figures(capsys):
+    code, out = run(capsys, "count")
+    assert (code, out.err) == (0, "")
+    assert "parameters 775650 " in out.out and "flops 4959737856 " in out.out
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--input-size", "abc"], "network.input_size: expected a list of 2 values"),
+    (["--input-size", "32x32x3"], "network.input_size: expected a list of 2 values"),
+    (["--input-size", "0x0"], "network.input_size: must be >= 1"),
+    (["--shift-channels", "-1"], "network.shift_channels: must be >= 1"),
+])
+def test_bad_count_flags_are_one_error_line(capsys, flags, message):
+    code, out = run(capsys, "count", *flags)
+    assert (code, out.err) == (2, f"error: config: {message}\n")
+
+
+def test_memory_error_is_one_error_line(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 11.9 GiB")
+
+    monkeypatch.setattr(cli, "cmd_count", exhausted)
+    code, out = run(capsys, "count")
+    assert (code, out.err) == (1, "error: memory: Unable to allocate 11.9 GiB\n")
+
+
+@pytest.mark.parametrize("position", [[100, 100], [-1, 2]])
+def test_erf_position_out_of_range_is_one_error_line(tmp_path, checkpoint, capsys,
+                                                     position):
+    path = tmp_path / "erf.json"
+    path.write_text(json.dumps({**TINY, "analysis": {"position": position}}))
+    code, out = run(capsys, "analyze", "erf", "--checkpoint", checkpoint,
+                    "--config", path)
+    lines = out.err.splitlines()
+    assert code == 2 and len(lines) == 1, out.err
+    assert lines[0].startswith("error: config: analysis.position: "), out.err
+
+
 @pytest.mark.parametrize("doc,message", [
     ({"network": {"widht": 8}}, "network.widht: unknown key"),
     ({"network": {"fsm_active": "false"}}, "network.fsm_active: expected true or false"),

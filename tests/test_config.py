@@ -88,11 +88,13 @@ def test_top_level_must_be_a_mapping(doc):
 
 # (dotted path, the bound itself, a value just past it)
 BOUND_CASES = [
+    ("network.input_size", (1, 1), (1, 0)),
     ("network.shift_channels", 1, 0),
     ("network.keypoints", 1, 0),
     ("network.in_channels", 1, 0),
     ("network.width", 4, 3),
     ("network.base_channels", 4, 3),
+    ("dataset.image_size", (1, 1), (-4, 32)),
     ("dataset.blob_sigma", 0.3, 0.29),
     ("dataset.distractors", 0, -1),
     ("dataset.noise_std", 0.0, -0.01),

@@ -138,12 +138,3 @@ class TestAugmentation:
                                    s.target_heatmaps.shape[2:], s.heatmap_sigma,
                                    s.image.dtype)
         np.testing.assert_array_equal(out.target_heatmaps[0], expect)
-
-
-class TestSmoothField:
-    def test_range_and_determinism(self):
-        f1 = sd.smooth_field(np.random.default_rng(11), (20, 20))
-        f2 = sd.smooth_field(np.random.default_rng(11), (20, 20))
-        assert np.array_equal(f1, f2)
-        assert f1.min() >= 0.0 and f1.max() <= 1.0
-        assert 0.1 < f1.std() < 0.4
