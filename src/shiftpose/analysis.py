@@ -16,8 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError
-from .fsm import format_offset_rows
-from .network import FsmLayer
+from .fsm import FeatureShiftModule, format_offset_rows
 
 __all__ = [
     "ScoreMatrix", "ErfMap", "keypoint_offset_scores", "contribution_counts",
@@ -45,11 +44,10 @@ class ErfMap:
 
 
 def _fsm_module(graph, module_id):
-    node = graph.node(module_id)
-    if not isinstance(node.layer, FsmLayer):
+    module = graph.node(module_id).layer
+    if not isinstance(module, FeatureShiftModule):
         raise ConfigError("analysis.module_id",
                           f"layer {module_id!r} is not a shifting module")
-    module = node.layer.module
     if not module.active:
         raise ConfigError("analysis.module_id",
                           f"shifting module {module_id!r} is bypassed")
@@ -119,7 +117,7 @@ def erf_map(graph, image, module_id, channel, position, mode="eval"):
     else:
         image.requires_grad = True
     _, outputs = graph.forward(image, mode=mode)
-    if isinstance(node.layer, FsmLayer):
+    if isinstance(node.layer, FeatureShiftModule):
         nonlocal_maps = _fsm_module(graph, module_id).cache["nonlocal"]
     else:
         nonlocal_maps = outputs[module_id]

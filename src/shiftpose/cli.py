@@ -46,17 +46,13 @@ def _load_config(path):
 # ---------------------------------------------------------------------------
 
 def cmd_train(args):
-    header = blobs = None
     if args.resume:
-        header, blobs = checkpoint_load(args.resume)
+        graph, cfg, header, blobs = _restore(args.resume, args.config)
         if header["optimizer"] is None or header["rng_state"] is None:
             raise CheckpointError("no optimizer or generator state to resume from")
-    if args.config is not None:
-        cfg = load_run_config(args.config)
-    elif header is not None:
-        cfg = parse_run_config(header.get("extra", {}).get("run_config", {}))
     else:
-        cfg = RunConfig()
+        cfg = _load_config(args.config)
+        graph = build_network(cfg)
     if args.iterations is not None:
         from dataclasses import replace
         cfg.trainer = replace(cfg.trainer, iterations=args.iterations)
@@ -64,16 +60,11 @@ def cmd_train(args):
     os.makedirs(out_dir, exist_ok=True)
 
     train_ds, eval_ds = build_datasets(cfg)
+    trainer = Trainer(graph, cfg.trainer, train_ds, eval_ds)
     if args.resume:
-        graph = net.NetworkGraph.from_spec(header["graph"])
-        restore_graph_state(graph, blobs)
-        trainer = Trainer(graph, cfg.trainer, train_ds, eval_ds)
         trainer.optimizer.load_state(header["optimizer"], blobs)
         trainer.rng = restore_rng(header["rng_state"])
         trainer.iteration = header["iteration"]
-    else:
-        graph = build_network(cfg)
-        trainer = Trainer(graph, cfg.trainer, train_ds, eval_ds)
 
     result = trainer.run()
 
@@ -95,7 +86,10 @@ def cmd_train(args):
     return 0
 
 
-def _restore_for_analysis(checkpoint_path, config_path=None):
+def _restore(checkpoint_path, config_path=None):
+    """Graph rebuilt from a checkpoint with its state restored, the run
+    config (the file at ``config_path``, else the embedded one), and the
+    checkpoint's header and blobs."""
     header, blobs = checkpoint_load(checkpoint_path)
     graph = net.NetworkGraph.from_spec(header["graph"])
     restore_graph_state(graph, blobs)
@@ -103,11 +97,11 @@ def _restore_for_analysis(checkpoint_path, config_path=None):
         cfg = load_run_config(config_path)
     else:
         cfg = parse_run_config(header.get("extra", {}).get("run_config", {}))
-    return graph, cfg, header
+    return graph, cfg, header, blobs
 
 
 def cmd_eval(args):
-    graph, cfg, _ = _restore_for_analysis(args.checkpoint, args.config)
+    graph, cfg, *_ = _restore(args.checkpoint, args.config)
     _, eval_ds = build_datasets(cfg)
     trainer = Trainer(graph, cfg.trainer, eval_ds, eval_ds)
     loss = trainer.evaluate()
@@ -116,13 +110,17 @@ def cmd_eval(args):
 
 
 def cmd_synth(args):
-    from .synthdata import generate_dataset
+    from .synthdata import generate_dataset, heatmap_target
 
     cfg = _load_config(args.config)
     samples = generate_dataset(cfg.dataset)
     images = np.concatenate([s.image for s in samples], axis=0)
     keypoints = np.stack([s.keypoints for s in samples], axis=0)
-    heatmaps = np.concatenate([s.target_heatmaps for s in samples], axis=0)
+    h, w = cfg.dataset.image_size
+    down = cfg.dataset.heatmap_downscale
+    heatmaps = np.stack([heatmap_target(s.keypoints / down, (h // down, w // down),
+                                        s.heatmap_sigma, images.dtype)
+                         for s in samples])
     cues = np.stack([s.cue for s in samples], axis=0)
     meta = json.dumps(run_config_to_dict(cfg)["dataset"])
     np.savez(args.out, images=images, keypoints=keypoints, heatmaps=heatmaps,
@@ -170,7 +168,7 @@ def cmd_count(args):
 
 
 def cmd_analyze(args):
-    graph, cfg, _ = _restore_for_analysis(args.checkpoint, args.config)
+    graph, cfg, *_ = _restore(args.checkpoint, args.config)
     opts = cfg.analysis
     if args.what == "offsets":
         text = ana.export_offsets(graph)

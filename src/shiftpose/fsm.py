@@ -15,7 +15,7 @@ factored fast path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -282,37 +282,61 @@ def fsm_param_count(channels, shift_channels):
     }
 
 
+@dataclass(eq=False)
 class FeatureShiftModule:
-    """Stateful wrapper: parameters, bypass state, last-forward tensors.
+    """Graph layer holding a module's parameters, bypass state and
+    last-forward tensors.
 
     A module built for delayed insertion starts in bypass, acting as an
     exact identity with frozen parameters; :meth:`insert` activates it.
     The tensors of the most recent active forward (pre-shift, post-shift,
-    attention, branch output) stay accessible for analyses.
+    attention, branch output) stay accessible for analyses. The graph sets
+    ``name`` and ``clamp_bound`` when the module is added.
     """
 
-    def __init__(self, channels, shift_channels, ca_variant=CA_SOFTPLUS,
-                 rng=None, dtype=np.float32, active=True, name="fsm"):
-        self.name = name
-        self.params = init_fsm_params(channels, shift_channels, ca_variant,
-                                      rng, dtype, zero_out_weight=active)
-        self.active = active
+    channels: int
+    shift_channels: int
+    ca_variant: str = CA_SOFTPLUS
+    rng: InitVar = None
+    dtype: InitVar = np.float32
+    active: bool = True
+
+    kind = "fsm"
+
+    def __post_init__(self, rng, dtype):
+        self.name = "fsm"
+        self.params = init_fsm_params(self.channels, self.shift_channels,
+                                      self.ca_variant, rng, dtype,
+                                      zero_out_weight=self.active)
         self.clamp_bound = None
         self.cache = {}
-
-    @property
-    def channels(self):
-        return self.params.channels
-
-    @property
-    def shift_channels(self):
-        return self.params.shift_channels
 
     def forward(self, p, mode="train"):
         if not self.active:
             return p
         out, self.cache = _fsm_graph(p, self.params, mode)
         return out
+
+    def out_shape(self, in_shape):
+        c = in_shape[0]
+        if c != self.channels:
+            raise DimensionError(
+                f"fsm: channels: module expects C={self.channels}, input has C={c}")
+        return in_shape
+
+    def cost_ops(self, in_shape):
+        c, h, w = in_shape
+        k = self.shift_channels
+        px = h * w
+        ops = 3 * (2 * k * c * px)       # the three pointwise projections
+        ops += 7 * k * px                # shifting: 4 mul + 3 add per pixel/channel
+        ops += k * px                    # attention gating multiply
+        ops += 2 * k * px               # attention activation
+        if self.ca_variant == CA_SOFTPLUS:
+            ops += 2 * k * px           # spatial normalization
+        ops += c * px                    # residual add
+        ops += 4 * c * px               # branch norm + final relu
+        return ops
 
     def insert(self, rng):
         """Activate a bypassed module: zero the output projection, draw
@@ -341,8 +365,12 @@ class FeatureShiftModule:
     def offset_parameters(self):
         return [("dx", self.params.offsets.dx), ("dy", self.params.offsets.dy)]
 
-    def parameters(self):
+    def named_params(self):
         return self.weight_parameters() + self.offset_parameters()
+
+    def buffers(self):
+        return [("norm.running_mean", self.params.running_mean),
+                ("norm.running_var", self.params.running_var)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ head nodes (early-stage predictors) branch off named layers.
 
 from __future__ import annotations
 
+import inspect
+from dataclasses import InitVar, asdict, dataclass, fields
+
 import numpy as np
 
 from . import autodiff as ad
@@ -17,7 +20,7 @@ from .errors import ConfigError, DimensionError, NumericError
 from .fsm import CA_SIGMOID, CA_SOFTPLUS, FeatureShiftModule
 
 __all__ = [
-    "NetworkGraph", "ConvBlock", "Bottleneck", "MaxPool", "FsmLayer",
+    "NetworkGraph", "ConvBlock", "Bottleneck", "MaxPool",
     "UpsampleAdd", "build_3block3fsm", "build_toy_fsm_net", "build_fpn_ssn",
     "attach_esp", "count_params", "count_flops", "CostReport",
     "validate_fsm_placement", "GRAPH_FORMAT_VERSION",
@@ -65,25 +68,35 @@ class _Norm:
         return []
 
 
+@dataclass(eq=False)
 class ConvBlock:
     """Convolution with optional norm and ReLU (one Table-style row)."""
 
+    in_ch: int
+    out_ch: int
+    kernel: int
+    stride: int = 1
+    padding: int = 0
+    norm: str = None
+    act: str = None
+    bias: bool = False
+    rng: InitVar = None
+    dtype: InitVar = np.float32
+
     kind = "conv"
 
-    def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0,
-                 norm=None, act=None, bias=False, rng=None, dtype=np.float32):
+    def __post_init__(self, rng, dtype):
         rng = rng or np.random.default_rng()
-        self.in_ch, self.out_ch = in_ch, out_ch
-        self.kernel, self.stride, self.padding = kernel, stride, padding
-        self.act = act
-        self.weight = _he_conv(rng, out_ch, in_ch, kernel, kernel, dtype)
-        self.bias = Parameter(np.zeros(out_ch, dtype=dtype)) if bias else None
-        self.norm = _Norm(norm, out_ch, dtype) if norm else None
+        k = self.kernel
+        self.weight = _he_conv(rng, self.out_ch, self.in_ch, k, k, dtype)
+        self.bias_param = (Parameter(np.zeros(self.out_ch, dtype=dtype))
+                           if self.bias else None)
+        self.norm_layer = _Norm(self.norm, self.out_ch, dtype) if self.norm else None
 
     def forward(self, x, mode):
-        out = ad.conv2d(x, self.weight, self.stride, self.padding, self.bias)
-        if self.norm:
-            out = self.norm.forward(out, mode)
+        out = ad.conv2d(x, self.weight, self.stride, self.padding, self.bias_param)
+        if self.norm_layer:
+            out = self.norm_layer.forward(out, mode)
         if self.act == "relu":
             out = ad.relu(out)
         return out
@@ -99,14 +112,14 @@ class ConvBlock:
 
     def named_params(self):
         out = [("weight", self.weight)]
-        if self.bias is not None:
-            out.append(("bias", self.bias))
-        if self.norm:
-            out += self.norm.named_params("norm")
+        if self.bias_param is not None:
+            out.append(("bias", self.bias_param))
+        if self.norm_layer:
+            out += self.norm_layer.named_params("norm")
         return out
 
     def buffers(self):
-        return self.norm.buffers("norm") if self.norm else []
+        return self.norm_layer.buffers("norm") if self.norm_layer else []
 
     def cost_ops(self, in_shape):
         _, ho, wo = self.out_shape(in_shape)
@@ -118,18 +131,14 @@ class ConvBlock:
             ops += 2 * elems
         return ops
 
-    def config(self):
-        return {"in_ch": self.in_ch, "out_ch": self.out_ch, "kernel": self.kernel,
-                "stride": self.stride, "padding": self.padding,
-                "norm": self.norm.kind if self.norm else None,
-                "act": self.act, "bias": self.bias is not None}
 
-
+@dataclass(eq=False)
 class MaxPool:
-    kind = "maxpool"
+    kernel: int = 3
+    stride: int = 2
+    padding: int = 1
 
-    def __init__(self, kernel=3, stride=2, padding=1):
-        self.kernel, self.stride, self.padding = kernel, stride, padding
+    kind = "maxpool"
 
     def forward(self, x, mode):
         return ad.max_pool2d(x, self.kernel, self.stride, self.padding)
@@ -149,10 +158,8 @@ class MaxPool:
         c, ho, wo = self.out_shape(in_shape)
         return self.kernel * self.kernel * c * ho * wo
 
-    def config(self):
-        return {"kernel": self.kernel, "stride": self.stride, "padding": self.padding}
 
-
+@dataclass(eq=False)
 class Bottleneck:
     """Residual block: 1x1 reduce, 3x3, 1x1 expand, shortcut, ReLU.
 
@@ -160,14 +167,20 @@ class Bottleneck:
     differ (channel change or stride).
     """
 
+    in_ch: int
+    mid_ch: int
+    out_ch: int
+    stride: int = 1
+    norm: str = "gn"
+    rng: InitVar = None
+    dtype: InitVar = np.float32
+
     kind = "bottleneck"
 
-    def __init__(self, in_ch, mid_ch, out_ch, stride=1, norm="gn",
-                 rng=None, dtype=np.float32):
+    def __post_init__(self, rng, dtype):
         rng = rng or np.random.default_rng()
-        self.in_ch, self.mid_ch, self.out_ch = in_ch, mid_ch, out_ch
-        self.stride = stride
-        self.norm_kind = norm
+        in_ch, mid_ch, out_ch = self.in_ch, self.mid_ch, self.out_ch
+        stride, norm = self.stride, self.norm
         self.reduce = ConvBlock(in_ch, mid_ch, 1, norm=norm, act="relu",
                                 rng=rng, dtype=dtype)
         self.spatial = ConvBlock(mid_ch, mid_ch, 3, stride=stride, padding=1,
@@ -225,58 +238,8 @@ class Bottleneck:
         ops += 3 * c * ho * wo  # residual add + final relu
         return ops
 
-    def config(self):
-        return {"in_ch": self.in_ch, "mid_ch": self.mid_ch, "out_ch": self.out_ch,
-                "stride": self.stride, "norm": self.norm_kind}
 
-
-class FsmLayer:
-    """Graph wrapper around a :class:`FeatureShiftModule`."""
-
-    kind = "fsm"
-
-    def __init__(self, module):
-        self.module = module
-
-    def forward(self, x, mode):
-        return self.module.forward(x, mode)
-
-    def out_shape(self, in_shape):
-        c = in_shape[0]
-        if c != self.module.channels:
-            raise DimensionError(
-                f"fsm: channels: module expects C={self.module.channels}, "
-                f"input has C={c}")
-        return in_shape
-
-    def named_params(self):
-        return [(f"{n}", p) for n, p in self.module.parameters()]
-
-    def buffers(self):
-        return [("norm.running_mean", self.module.params.running_mean),
-                ("norm.running_var", self.module.params.running_var)]
-
-    def cost_ops(self, in_shape):
-        c, h, w = in_shape
-        k = self.module.shift_channels
-        px = h * w
-        ops = 3 * (2 * k * c * px)       # the three pointwise projections
-        ops += 7 * k * px                # shifting: 4 mul + 3 add per pixel/channel
-        ops += k * px                    # attention gating multiply
-        ops += 2 * k * px               # attention activation
-        if self.module.params.ca_variant == CA_SOFTPLUS:
-            ops += 2 * k * px           # spatial normalization
-        ops += c * px                    # residual add
-        ops += 4 * c * px               # branch norm + final relu
-        return ops
-
-    def config(self):
-        return {"channels": self.module.channels,
-                "shift_channels": self.module.shift_channels,
-                "ca_variant": self.module.params.ca_variant,
-                "active": self.module.active}
-
-
+@dataclass(eq=False)
 class UpsampleAdd:
     """2x nearest upsample of the second input added to the first (top-down merge)."""
 
@@ -302,9 +265,6 @@ class UpsampleAdd:
     def cost_ops(self, lateral_shape, deeper_shape):
         c, h, w = lateral_shape
         return c * h * w
-
-    def config(self):
-        return {}
 
 
 class _Node:
@@ -335,9 +295,10 @@ class NetworkGraph:
             inputs = (self.nodes[-1].name,) if self.nodes else ("input",)
         shapes = [self.shape_of(i) for i in inputs]
         out_shape = layer.out_shape(*shapes)
-        if isinstance(layer, FsmLayer):
+        if isinstance(layer, FeatureShiftModule):
+            layer.name = name
             # beyond the larger side an offset moves the whole map out of view
-            layer.module.clamp_bound = float(max(shapes[0][1:]))
+            layer.clamp_bound = float(max(shapes[0][1:]))
         node = _Node(name, layer, inputs, out_shape, is_head)
         self.nodes.append(node)
         self._by_name[name] = node
@@ -346,11 +307,7 @@ class NetworkGraph:
         return node
 
     def shape_of(self, name):
-        if name == "input":
-            return self.input_shape
-        if name not in self._by_name:
-            raise ConfigError("graph.layer", f"unknown layer id {name!r}")
-        return self._by_name[name].out_shape
+        return self.input_shape if name == "input" else self.node(name).out_shape
 
     def node(self, name):
         if name not in self._by_name:
@@ -397,13 +354,13 @@ class NetworkGraph:
         return out
 
     def fsm_layers(self):
-        return [(n.name, n.layer.module) for n in self.nodes
-                if isinstance(n.layer, FsmLayer)]
+        return [(n.name, n.layer) for n in self.nodes
+                if isinstance(n.layer, FeatureShiftModule)]
 
     def backbone_parameters(self):
         out = []
         for node in self.nodes:
-            if isinstance(node.layer, FsmLayer):
+            if isinstance(node.layer, FeatureShiftModule):
                 continue
             out += [(f"{node.name}.{n}", p) for n, p in node.layer.named_params()]
         return out
@@ -415,7 +372,7 @@ class NetworkGraph:
         for n in self.nodes:
             nodes.append({"name": n.name, "kind": n.layer.kind,
                           "inputs": list(n.inputs), "is_head": n.is_head,
-                          "config": n.layer.config()})
+                          "config": asdict(n.layer)})
         return {"format": "shiftpose-graph", "version": GRAPH_FORMAT_VERSION,
                 "input_shape": list(self.input_shape), "dtype": str(self.dtype),
                 "nodes": nodes}
@@ -442,7 +399,7 @@ class NetworkGraph:
         for i, nd in enumerate(nodes):
             name = nd.get("name", f"#{i}") if isinstance(nd, dict) else f"#{i}"
             try:
-                graph.add(nd["name"], _layer_from_spec(nd, rng, graph.dtype),
+                graph.add(nd["name"], _layer_from_spec(nd, name, rng, graph.dtype),
                           nd["inputs"], nd["is_head"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"graph.nodes.{name}",
@@ -450,25 +407,27 @@ class NetworkGraph:
         return graph
 
 
-def _layer_from_spec(nd, rng, dtype):
-    cfg = nd["config"]
-    kind = nd["kind"]
-    if kind == "conv":
-        return ConvBlock(cfg["in_ch"], cfg["out_ch"], cfg["kernel"],
-                         cfg["stride"], cfg["padding"], cfg["norm"],
-                         cfg["act"], cfg["bias"], rng, dtype)
-    if kind == "maxpool":
-        return MaxPool(cfg["kernel"], cfg["stride"], cfg["padding"])
-    if kind == "bottleneck":
-        return Bottleneck(cfg["in_ch"], cfg["mid_ch"], cfg["out_ch"],
-                          cfg["stride"], cfg["norm"], rng, dtype)
-    if kind == "fsm":
-        return FsmLayer(FeatureShiftModule(cfg["channels"], cfg["shift_channels"],
-                                           cfg["ca_variant"], rng, dtype,
-                                           active=cfg["active"], name=nd["name"]))
-    if kind == "upsample_add":
-        return UpsampleAdd()
-    raise ConfigError("graph.kind", f"unknown layer kind {kind!r}")
+# kind -> (layer class, its config keys, whether it draws weights from rng)
+_LAYER_KINDS = {cls.kind: (cls, {f.name for f in fields(cls)},
+                           "rng" in inspect.signature(cls).parameters)
+                for cls in (ConvBlock, MaxPool, Bottleneck, FeatureShiftModule,
+                            UpsampleAdd)}
+
+
+def _layer_from_spec(nd, name, rng, dtype):
+    """The node's layer, built from a config whose keys are exactly the
+    layer's fields."""
+    if nd["kind"] not in _LAYER_KINDS:
+        raise ConfigError("graph.kind", f"unknown layer kind {nd['kind']!r}")
+    cls, keys, seeded = _LAYER_KINDS[nd["kind"]]
+    cfg = dict(nd["config"])
+    if set(cfg) != keys:
+        missing, unknown = sorted(keys - set(cfg)), sorted(set(cfg) - keys)
+        raise ConfigError(f"graph.nodes.{name}",
+                          f"config keys: missing {missing}, unknown {unknown}")
+    if seeded:
+        cfg.update(rng=rng, dtype=dtype)
+    return cls(**cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +451,8 @@ def build_3block3fsm(input_size=(256, 192), shift_channels=256, keypoints=17,
     g.add("pool", MaxPool(3, 2, 1))
     for i in range(3):
         in_ch = 64 if i == 0 else 256
-        g.add(f"fsm{i + 1}", FsmLayer(FeatureShiftModule(
-            in_ch, shift_channels, ca_variant, rng, dtype,
-            active=fsm_active, name=f"fsm{i + 1}")))
+        g.add(f"fsm{i + 1}", FeatureShiftModule(in_ch, shift_channels, ca_variant,
+                                                rng, dtype, active=fsm_active))
         g.add(f"block{i + 1}", Bottleneck(in_ch, 64, 256, norm="gn",
                                           rng=rng, dtype=dtype))
     g.add("neck", ConvBlock(256, 256, 1, norm="gn", act="relu", rng=rng, dtype=dtype))
@@ -518,9 +476,8 @@ def build_toy_fsm_net(input_size=(32, 32), in_channels=1, keypoints=1,
                             norm="gn", act="relu", rng=rng, dtype=dtype))
     g.add("stem2", ConvBlock(half, width, 3, stride=2, padding=1,
                              norm="gn", act="relu", rng=rng, dtype=dtype))
-    g.add("fsm1", FsmLayer(FeatureShiftModule(width, shift_channels, ca_variant,
-                                              rng, dtype, active=fsm_active,
-                                              name="fsm1")))
+    g.add("fsm1", FeatureShiftModule(width, shift_channels, ca_variant, rng, dtype,
+                                     active=fsm_active))
     g.add("block1", Bottleneck(width, half, width, norm="gn", rng=rng, dtype=dtype))
     g.add("neck", ConvBlock(width, width, 1, norm="gn", act="relu",
                             rng=rng, dtype=dtype))
@@ -565,9 +522,8 @@ def build_fpn_ssn(input_size=(64, 48), keypoints=17, base_channels=8,
             after_downsample = s > 0 and bidx == 1
             if not after_downsample:
                 k = shift_channels // 2 if s == 0 and bidx == 0 else shift_channels
-                g.add(f"s{s + 1}_fsm{bidx + 1}", FsmLayer(FeatureShiftModule(
-                    in_ch, k, ca_variant, rng, dtype, active=fsm_active,
-                    name=f"s{s + 1}_fsm{bidx + 1}")))
+                g.add(f"s{s + 1}_fsm{bidx + 1}", FeatureShiftModule(
+                    in_ch, k, ca_variant, rng, dtype, active=fsm_active))
             g.add(f"s{s + 1}_block{bidx + 1}",
                   Bottleneck(in_ch, mid, out_ch, stride=stride, norm="gn",
                              rng=rng, dtype=dtype))
@@ -631,40 +587,27 @@ class CostReport:
         return f"CostReport(flops={self.flops:.3e}, macs={self.macs:.3e})"
 
 
-def count_flops(graph, input_size=None):
-    """Per-layer operation counts; ``input_size`` overrides the graph's
-    built (H, W) if given."""
-    if input_size is None:
-        shapes = {"input": graph.input_shape}
-    else:
-        h, w = input_size
-        shapes = {"input": (graph.input_shape[0], h, w)}
-    total = 0
-    by_layer = {}
-    for node in graph.nodes:
-        in_shapes = [shapes[i] for i in node.inputs]
-        shapes[node.name] = node.layer.out_shape(*in_shapes)
-        ops = node.layer.cost_ops(*in_shapes)
-        by_layer[node.name] = ops
-        total += ops
-    return CostReport(total, by_layer)
+def count_flops(graph):
+    """Per-layer operation counts at the input shapes the graph was built
+    for."""
+    by_layer = {node.name: node.layer.cost_ops(*map(graph.shape_of, node.inputs))
+                for node in graph.nodes}
+    return CostReport(sum(by_layer.values()), by_layer)
 
 
-def validate_fsm_placement(graph, forbid_after_maxpool=False):
+def validate_fsm_placement(graph):
     """Reject shifting modules placed immediately after a downsampling
-    block (optionally also after max-pool layers), where they tend to
-    lock onto compensating for pooling loss."""
+    block, where they tend to lock onto compensating for the lost
+    resolution."""
     violations = []
     for node in graph.nodes:
-        if not isinstance(node.layer, FsmLayer):
+        if not isinstance(node.layer, FeatureShiftModule):
             continue
         for src in node.inputs:
             if src == "input":
                 continue
             prev = graph.node(src).layer
             if isinstance(prev, Bottleneck) and prev.stride > 1:
-                violations.append((node.name, src))
-            elif forbid_after_maxpool and isinstance(prev, MaxPool):
                 violations.append((node.name, src))
     if violations:
         detail = ", ".join(f"{f} after {p}" for f, p in violations)

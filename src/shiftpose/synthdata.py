@@ -51,8 +51,6 @@ class SynthSpec:
 class SynthSample:
     image: np.ndarray             # (1, C, H, W)
     keypoints: np.ndarray         # (M, 2) as (x, y) in image pixels
-    target_heatmaps: np.ndarray   # (1, M, H', W'), peak value 1
-    heatmap_downscale: int = 4
     heatmap_sigma: float = 1.0
     cue: np.ndarray = None        # (2,) cue position, kept for diagnostics
 
@@ -85,7 +83,7 @@ def _place(rng, lo_x, hi_x, lo_y, hi_y, taken, min_sep):
 
 
 def generate_sample(spec, rng, dtype=np.float32):
-    """One cue/target/distractor image with its single-keypoint heatmap."""
+    """One cue/target/distractor image with its single keypoint."""
     h, w = spec.image_size
     dx, dy = spec.displacement
     margin = max(2.0, 2.5 * spec.blob_sigma)
@@ -115,15 +113,9 @@ def generate_sample(spec, rng, dtype=np.float32):
     img = _render_blobs(h, w, centers, amplitudes, spec.blob_sigma, np.float64)
     if spec.noise_std > 0:
         img = img + rng.normal(0.0, spec.noise_std, img.shape)
-    keypoints = target[None, :]
-    hm = heatmap_target(keypoints / spec.heatmap_downscale,
-                        (h // spec.heatmap_downscale, w // spec.heatmap_downscale),
-                        spec.heatmap_sigma, dtype)
     return SynthSample(
         image=img[None, None].astype(dtype),
-        keypoints=keypoints.astype(np.float64),
-        target_heatmaps=hm[None],
-        heatmap_downscale=spec.heatmap_downscale,
+        keypoints=target[None, :].astype(np.float64),
         heatmap_sigma=spec.heatmap_sigma,
         cue=cue,
     )
@@ -248,7 +240,7 @@ def augment_sample(sample, ranges, rng):
     """Random rotation/scale/shift about the image center.
 
     The image is inverse-warp resampled; keypoints get the identical
-    affine exactly, and heatmaps are regenerated from the moved keypoints.
+    affine exactly.
     """
     _, c, h, w = sample.image.shape
     angle = np.deg2rad(rng.uniform(-ranges.rotation_deg, ranges.rotation_deg))
@@ -258,9 +250,5 @@ def augment_sample(sample, ranges, rng):
     mat = _affine_about_center(angle, scl, shift, (h, w))
     image = bilinear_warp(sample.image[0], _invert_affine(mat))[None]
     keypoints = apply_affine_to_points(mat, sample.keypoints)
-    hm = heatmap_target(keypoints / sample.heatmap_downscale,
-                        (h // sample.heatmap_downscale, w // sample.heatmap_downscale),
-                        sample.heatmap_sigma, sample.image.dtype)
     cue = None if sample.cue is None else apply_affine_to_points(mat, sample.cue[None])[0]
-    return replace(sample, image=image, keypoints=keypoints,
-                   target_heatmaps=hm[None], cue=cue)
+    return replace(sample, image=image, keypoints=keypoints, cue=cue)

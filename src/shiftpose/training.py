@@ -178,9 +178,8 @@ class Trainer:
 
     # -- stepping -----------------------------------------------------------
 
-    def epoch(self, iteration=None):
-        it = self.iteration if iteration is None else iteration
-        return it // self.iters_per_epoch
+    def epoch(self):
+        return self.iteration // self.iters_per_epoch
 
     def _losses(self, heads, samples):
         shapes = self._head_shapes()
@@ -253,9 +252,9 @@ class Trainer:
 
         return export_offsets(self.graph)
 
-    def evaluate(self, dataset=None):
-        """Mean main-head loss over a dataset, eval mode, no augmentation."""
-        data = self.eval_dataset if dataset is None else dataset
+    def evaluate(self):
+        """Mean main-head loss over the eval set, eval mode, no augmentation."""
+        data = self.eval_dataset
         cfg = self.config
         total, batches = 0.0, 0
         for start in range(0, len(data), cfg.batch_size):

@@ -7,20 +7,19 @@ from shiftpose import analysis as ana
 from shiftpose import network as net
 from shiftpose.errors import ConfigError
 from shiftpose.fsm import CA_SIGMOID, FeatureShiftModule, OFFSET_INIT_RANGE, parse_offset_table
-from shiftpose.network import ConvBlock, FsmLayer, NetworkGraph
+from shiftpose.network import ConvBlock, NetworkGraph
 
 
 def single_fsm_graph(c=2, k=5, keypoints=1, hw=(8, 8), seed=0, offsets=None):
     """Input -> shifting module -> pointwise head, eval-identity norm."""
     rng = np.random.default_rng(seed)
     g = NetworkGraph((c, hw[0], hw[1]), dtype=np.float64)
-    module = FeatureShiftModule(c, k, CA_SIGMOID, rng, np.float64, active=True,
-                                name="fsm1")
+    module = FeatureShiftModule(c, k, CA_SIGMOID, rng, np.float64, active=True)
     module.params.out_weight.data[...] = rng.standard_normal((c, k)) * 0.4
     if offsets is not None:
         module.params.offsets.dx.data[...] = offsets[0]
         module.params.offsets.dy.data[...] = offsets[1]
-    g.add("fsm1", FsmLayer(module))
+    g.add("fsm1", module)
     g.add("head", ConvBlock(c, keypoints, 1, bias=True, rng=rng, dtype=np.float64))
     return g, module
 
@@ -186,7 +185,7 @@ class TestOffsetAndEnergyExport:
         g, _ = single_fsm_graph(c=3, k=4, seed=31)
         images = batch(c=3, b=1, seed=32)
         a = ana.window_energy(g, images, "fsm1", 1, (2, 3))
-        module = g.node("fsm1").layer.module
+        module = g.node("fsm1").layer
         b = ana.explicit_window_energies(module.params.out_weight.data[1],
                                          module.params.in_weight.data,
                                          module.cache["attention"].data[0, :, 3, 2])

@@ -8,6 +8,7 @@ import pytest
 
 from shiftpose import cli
 from shiftpose.checkpoint import FORMAT_VERSION, MAGIC, checkpoint_load
+from shiftpose.synthdata import heatmap_target
 
 TINY = {"trainer": {"iterations": 3, "batch_size": 2, "insertion_iteration": 1},
         "dataset": {"count": 4}, "eval_count": 2}
@@ -51,6 +52,17 @@ def test_checkpoint_commands_succeed(tmp_path, checkpoint, capsys, argv):
     argv = [a.format(tmp=tmp_path) for a in argv]
     code, out = run(capsys, *argv, "--checkpoint", checkpoint)
     assert (code, out.err) == (0, "")
+
+
+def test_synth_writes_heatmaps_of_its_keypoints(tmp_path, config, capsys):
+    path = tmp_path / "synth.npz"
+    code, out = run(capsys, "synth", "--config", config, "--out", path)
+    assert (code, out.err) == (0, "")
+    data = np.load(path)
+    assert data["images"].shape == (4, 1, 32, 32)
+    assert data["heatmaps"].shape == (4, 1, 8, 8)
+    for keypoints, maps in zip(data["keypoints"], data["heatmaps"]):
+        np.testing.assert_array_equal(maps, heatmap_target(keypoints / 4, (8, 8), 1.0))
 
 
 def test_count_succeeds(config, capsys):

@@ -37,7 +37,6 @@ class TestGeneration:
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.image, sb.image)
             assert np.array_equal(sa.keypoints, sb.keypoints)
-            assert np.array_equal(sa.target_heatmaps, sb.target_heatmaps)
 
     def test_target_sits_at_cue_plus_displacement(self):
         spec = sd.SynthSpec(image_size=(32, 32), displacement=(7.0, -4.0), seed=3)
@@ -131,10 +130,15 @@ class TestAugmentation:
             np.testing.assert_allclose(sd.bilinear_warp(image, inverse), shifted,
                                        rtol=0, atol=1e-12)
 
-    def test_heatmaps_regenerated_from_moved_keypoints(self):
+    def test_training_targets_follow_moved_keypoints(self):
+        from shiftpose.network import build_toy_fsm_net
+        from shiftpose.training import TrainConfig, Trainer
+
         s = self._sample()
         out = sd.augment_sample(s, sd.AugmentRanges(), np.random.default_rng(10))
-        expect = sd.heatmap_target(out.keypoints / s.heatmap_downscale,
-                                   s.target_heatmaps.shape[2:], s.heatmap_sigma,
-                                   s.image.dtype)
-        np.testing.assert_array_equal(out.target_heatmaps[0], expect)
+        graph = build_toy_fsm_net((24, 24))
+        trainer = Trainer(graph, TrainConfig(), [s])
+        head = graph.shape_of(graph.main_head)
+        expect = sd.heatmap_target(out.keypoints / 4, head[1:], s.heatmap_sigma,
+                                   graph.dtype)
+        np.testing.assert_array_equal(trainer._targets_for([out], head)[0], expect)
