@@ -5,8 +5,10 @@ order; parameters are rank-1/2/4. Every forward operation records a
 closure that propagates gradients to its inputs, and ``Tensor.backward``
 replays those closures in reverse topological order exactly once.
 
-Reductions always run in numpy's fixed internal order, so repeated
-backward passes from the same loss produce bit-identical gradients.
+Channel contractions run as BLAS matrix products, in an order that is
+fixed for a given BLAS build and thread count; other reductions run in
+numpy's fixed internal order. So repeated backward passes from the same
+loss produce bit-identical gradients.
 There is no general broadcasting: each op accepts exactly the shapes it
 documents and raises :class:`DimensionError` otherwise.
 """
@@ -254,10 +256,16 @@ def _contract(op, x, cols, weight, bias, fold=None):
     ``cols`` is ``x``'s data or, for a spatial kernel, its patches
     flattened to (B, C*kh*kw, Ho, Wo); ``weight`` is flattened to (K, -1)
     to match, and ``fold`` maps the gradient of ``cols`` back onto ``x``.
+    Each product is one batched GEMM over (B, C, Ho*Wo).
     """
     k = weight.shape[0]
-    w2 = weight.data.reshape(k, -1)
-    out = np.einsum("kc,bchw->bkhw", w2, cols)
+    b, c, h, w = cols.shape
+    w2 = weight.data.reshape(k, c)
+    cols3 = cols.reshape(b, c, h * w)
+    # a non-finite operand is reported by the training guard; BLAS would
+    # add a warning of its own
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = (w2 @ cols3).reshape(b, k, h, w)
     parents = [x, weight]
     if bias is not None:
         if bias.shape != (k,):
@@ -266,14 +274,17 @@ def _contract(op, x, cols, weight, bias, fold=None):
         parents.append(bias)
 
     def backward(g):
-        gcols = np.einsum("kc,bkhw->bchw", w2, g)
-        grads = [
-            (x, gcols if fold is None else fold(gcols)),
-            (weight, np.einsum("bkhw,bchw->kc", g, cols).reshape(weight.shape)),
-        ]
-        if bias is not None:
-            grads.append((bias, g.sum(axis=(0, 2, 3))))
-        return grads
+        g3 = g.reshape(b, k, h * w)
+        with np.errstate(invalid="ignore", over="ignore"):
+            gcols = (w2.T @ g3).reshape(b, c, h, w)
+            gw = (g3 @ cols3.transpose(0, 2, 1)).sum(axis=0)
+            grads = [
+                (x, gcols if fold is None else fold(gcols)),
+                (weight, gw.reshape(weight.shape)),
+            ]
+            if bias is not None:
+                grads.append((bias, g.sum(axis=(0, 2, 3))))
+            return grads
 
     return _node(out, parents, backward)
 
@@ -303,6 +314,9 @@ def _patches(op, x, kh, kw, stride, padding, fill=0):
     their adjoint ``fold``: it scatter-adds a tensor of that size back
     onto the unpadded (B, C, H, W) input."""
     b, c, h, w = x.shape
+    if (kh, kw, stride, padding) == (1, 1, 1, 0):
+        # each patch is one input cell: no copy, and fold is a reshape
+        return x[:, :, None, None], lambda gcols: gcols.reshape(b, c, h, w)
     ho = conv_out_size(h, kh, stride, padding)
     wo = conv_out_size(w, kw, stride, padding)
     if ho < 1 or wo < 1:

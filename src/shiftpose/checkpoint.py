@@ -3,9 +3,9 @@
 Layout: magic ``SSNC``, little-endian u32 format version, u64 header
 length, a JSON header (graph spec, iteration, generator state, optimizer
 metadata, blob index, free-form extras), then the raw blob payload.
-Values serialize as 32-bit little-endian floats regardless of the
-training dtype; loading restores them into whatever dtype the rebuilt
-graph uses. Writes go to a temp file renamed into place.
+Values serialize as 32-bit little-endian floats. Saving refuses state
+of any other dtype, which could not be restored exactly (a float64 graph
+would resume rounded). Writes go to a temp file renamed into place.
 """
 
 from __future__ import annotations
@@ -61,6 +61,9 @@ def checkpoint_save(path, graph, optimizer=None, rng=None, iteration=0, extra=No
     index = []
     payload = bytearray()
     for name in blobs:
+        if blobs[name].dtype != np.float32:
+            raise CheckpointError(f"{name}: cannot store {blobs[name].dtype} state "
+                                  "exactly; checkpoints hold float32 only")
         arr = np.ascontiguousarray(blobs[name], dtype="<f4")
         index.append({"name": name, "shape": list(arr.shape),
                       "offset": len(payload), "nbytes": arr.nbytes})

@@ -407,24 +407,41 @@ class NetworkGraph:
         return graph
 
 
-# kind -> (layer class, its config keys, whether it draws weights from rng)
-_LAYER_KINDS = {cls.kind: (cls, {f.name for f in fields(cls)},
-                           "rng" in inspect.signature(cls).parameters)
+# kind -> (layer class, its fields, whether it draws weights from rng)
+_LAYER_KINDS = {cls.kind: (cls, fields(cls), "rng" in inspect.signature(cls).parameters)
                 for cls in (ConvBlock, MaxPool, Bottleneck, FeatureShiftModule,
                             UpsampleAdd)}
+
+# a layer field's annotation -> the type its spec value must have
+_FIELD_TYPES = {"int": int, "bool": bool, "str": str}
+
+
+def _value_fits(field, value):
+    """Whether a spec value has its field's type: a bool is not an int,
+    and a ``str`` field whose default is None also takes None."""
+    if value is None:
+        return field.type == "str" and field.default is None
+    if isinstance(value, bool):
+        return field.type == "bool"
+    return isinstance(value, _FIELD_TYPES[field.type])
 
 
 def _layer_from_spec(nd, name, rng, dtype):
     """The node's layer, built from a config whose keys are exactly the
-    layer's fields."""
+    layer's fields and whose values have the fields' types."""
     if nd["kind"] not in _LAYER_KINDS:
         raise ConfigError("graph.kind", f"unknown layer kind {nd['kind']!r}")
-    cls, keys, seeded = _LAYER_KINDS[nd["kind"]]
+    cls, flds, seeded = _LAYER_KINDS[nd["kind"]]
     cfg = dict(nd["config"])
+    keys = {f.name for f in flds}
     if set(cfg) != keys:
         missing, unknown = sorted(keys - set(cfg)), sorted(set(cfg) - keys)
         raise ConfigError(f"graph.nodes.{name}",
                           f"config keys: missing {missing}, unknown {unknown}")
+    for f in flds:
+        if not _value_fits(f, cfg[f.name]):
+            raise ConfigError(f"graph.nodes.{name}",
+                              f"{f.name}: expected {f.type}, got {cfg[f.name]!r}")
     if seeded:
         cfg.update(rng=rng, dtype=dtype)
     return cls(**cfg)

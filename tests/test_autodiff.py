@@ -13,6 +13,12 @@ def rand(shape, seed=0, dtype=np.float64):
     return np.random.default_rng(seed).standard_normal(shape).astype(dtype)
 
 
+def strided_copy(a):
+    """The values of a rank-4 ``a`` as a non-contiguous view: stored
+    channels-last, transposed back to (B, C, H, W)."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
 class TestConv1x1:
     def test_identity_weights(self):
         x = ad.tensor(rand((1, 2, 3, 3), 1))
@@ -46,6 +52,22 @@ class TestConv1x1:
         w = ad.Parameter(np.zeros((4, 2)))
         with pytest.raises(DimensionError, match="channels"):
             ad.conv1x1(x, w)
+
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_matches_einsum_reference(self, strided):
+        x = rand((2, 3, 5, 4), 6)
+        x = ad.tensor(strided_copy(x) if strided else x, requires_grad=True)
+        w = ad.Parameter(rand((4, 3), 7))
+        b = ad.Parameter(rand(4, 8))
+        out = ad.conv1x1(x, w, b)
+        g = rand(out.shape, 9)
+        out.backward(g)
+        ref = (np.einsum("kc,bchw->bkhw", w.data, x.data) + b.data[None, :, None, None],
+               np.einsum("kc,bkhw->bchw", w.data, g),
+               np.einsum("bkhw,bchw->kc", g, x.data),
+               g.sum(axis=(0, 2, 3)))
+        for got, want in zip((out.data, x.grad, w.grad, b.grad), ref):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_linearity_exact(self):
         rng = np.random.default_rng(5)
@@ -185,11 +207,9 @@ def conv2d_reference(x, w, b, g, stride, padding):
 
 
 class TestPoolAndConv2d:
-    @pytest.mark.parametrize("kernel", [1, 3, 7])
-    @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("padding", [0, 1, 3])
-    def test_conv2d_matches_einsum_reference(self, kernel, stride, padding):
-        x = ad.tensor(rand((2, 3, 9, 8), 21), requires_grad=True)
+    @staticmethod
+    def _check_against_reference(x, kernel, stride, padding):
+        x = ad.tensor(x, requires_grad=True)
         w = ad.Parameter(rand((4, 3, kernel, kernel), 22))
         b = ad.Parameter(rand(4, 23))
         out = ad.conv2d(x, w, stride=stride, padding=padding, bias=b)
@@ -198,6 +218,20 @@ class TestPoolAndConv2d:
         ref = conv2d_reference(x.data, w.data, b.data, g, stride, padding)
         for got, want in zip((out.data, x.grad, w.grad, b.grad), ref):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel", [1, 3, 7])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1, 3])
+    def test_conv2d_matches_einsum_reference(self, kernel, stride, padding):
+        self._check_against_reference(rand((2, 3, 9, 8), 21), kernel, stride, padding)
+
+    @pytest.mark.parametrize("kernel", [1, 3, 7])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1, 3])
+    def test_conv2d_strided_input_matches_einsum_reference(self, kernel, stride, padding):
+        x = strided_copy(rand((2, 3, 9, 8), 21))
+        assert not x.flags.c_contiguous
+        self._check_against_reference(x, kernel, stride, padding)
 
     @pytest.mark.parametrize("padding", [0, 1])
     def test_maxpool_constant_map_sends_gradient_to_first_cell(self, padding):

@@ -104,6 +104,13 @@ class TestRejection:
                     escaped.append((pos, value, type(exc).__name__))
         assert escaped == []
 
+    def test_float64_state_refused_on_save(self, tmp_path):
+        graph = net.build_toy_fsm_net((16, 16), 1, 1, 4, 8, dtype=np.float64)
+        path = tmp_path / "model.ssnc"
+        with pytest.raises(CheckpointError, match="float64"):
+            checkpoint_save(path, graph)
+        assert os.listdir(tmp_path) == []
+
     def test_missing_blob_rejected(self, tmp_path):
         path = self._saved(tmp_path)
         header, blobs = checkpoint_load(path)

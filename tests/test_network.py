@@ -185,6 +185,16 @@ class TestSerialization:
         with pytest.raises(ConfigError, match=re.escape(f"graph.nodes.{node}: ")):
             net.NetworkGraph.from_spec(spec)
 
+    @pytest.mark.parametrize("node,key,value", [
+        ("fsm1", "active", "false"), ("fsm1", "shift_channels", 4.0),
+        ("stem", "kernel", True), ("stem", "bias", 0), ("stem", "norm", 3),
+        ("block1", "norm", None), ("head", "act", ["relu"]),
+    ])
+    def test_wrong_value_type_rejected(self, node, key, value):
+        spec = self._edited_spec(node, lambda cfg: cfg.update({key: value}))
+        with pytest.raises(ConfigError, match=re.escape(f"graph.nodes.{node}: {key}: ")):
+            net.NetworkGraph.from_spec(spec)
+
     def test_unique_parameter_owners(self):
         g = net.build_3block3fsm((32, 32), 8, 2)
         names = [n for n, _ in g.named_parameters()]

@@ -166,6 +166,7 @@ class TestDeterminismAndDescent:
         first = lines[1].split(",")
         assert first[0] == "0" and float(first[1]) > 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_guard_names_layer(self):
         from shiftpose.errors import NumericError
 
