@@ -6,9 +6,8 @@ from .autodiff import (Parameter, Tensor, bilinear_sample, conv1x1, conv2d,
                        tensor)
 from .errors import (CheckpointError, ConfigError, DimensionError,
                      GenerationError, NumericError, ShiftPoseError, StateError)
-from .fsm import (CA_SIGMOID, CA_SOFTPLUS, FeatureShiftModule, FsmParams,
-                  ShiftOffsets, ca_forward, fsm_forward, fsm_oracle,
-                  fsm_param_count, shift)
+from .fsm import (CA_SIGMOID, CA_SOFTPLUS, FeatureShiftModule, ca_forward,
+                  fsm_oracle, fsm_param_count, shift)
 from .gradcheck import finite_diff_gradcheck
 from .network import (NetworkGraph, attach_esp, build_3block3fsm,
                       build_fpn_ssn, build_toy_fsm_net, count_flops,

@@ -142,7 +142,7 @@ def export_offsets(graph):
     format ``module_id,k,dx,dy``."""
     parts = []
     for name, module in graph.fsm_layers():
-        table = format_offset_rows(name, module.params.offsets)
+        table = format_offset_rows(name, module)
         if parts:
             table = "\n".join(table.splitlines()[1:]) + "\n"
         parts.append(table)
@@ -177,7 +177,5 @@ def window_energy(graph, images, module_id, out_channel, position, mode="eval"):
     graph.forward(images, mode=mode)
     gate = module.cache["attention"].data
     x, y = position
-    params = module.params
-    fk = gate[0, :, y, x]
-    return factored_window_energies(params.out_weight.data[out_channel],
-                                    params.in_weight.data, fk)
+    return factored_window_energies(module.out_weight.data[out_channel],
+                                    module.in_weight.data, gate[0, :, y, x])

@@ -5,7 +5,9 @@ length, a JSON header (graph spec, iteration, generator state, optimizer
 metadata, blob index, free-form extras), then the raw blob payload.
 Values serialize as 32-bit little-endian floats. Saving refuses state
 of any other dtype, which could not be restored exactly (a float64 graph
-would resume rounded). Writes go to a temp file renamed into place.
+would resume rounded), and state holding a NaN or an infinity, which no
+run can resume from; loading refuses a non-finite payload too. Writes go
+to a temp file renamed into place.
 """
 
 from __future__ import annotations
@@ -43,6 +45,19 @@ def restore_rng(state):
     return rng
 
 
+def _nonfinite_blob(payload, index):
+    """Name of the first blob in ``index`` holding a NaN or an infinity, or
+    None. A finite payload costs one pass; index offsets are multiples of 4."""
+    values = np.frombuffer(payload, dtype="<f4")
+    if np.isfinite(values).all():
+        return None
+    for entry in index:
+        start = entry["offset"] // 4
+        if not np.isfinite(values[start:start + entry["nbytes"] // 4]).all():
+            return entry["name"]
+    return None
+
+
 def _collect_blobs(graph, optimizer=None):
     blobs = {}
     for name, p in graph.named_parameters():
@@ -68,6 +83,10 @@ def checkpoint_save(path, graph, optimizer=None, rng=None, iteration=0, extra=No
         index.append({"name": name, "shape": list(arr.shape),
                       "offset": len(payload), "nbytes": arr.nbytes})
         payload += arr.tobytes()
+    bad = _nonfinite_blob(payload, index)
+    if bad is not None:
+        raise CheckpointError(f"{bad}: holds non-finite values; refusing to save "
+                              "state no run can resume from")
     header = {
         "graph": graph.spec(),
         "iteration": int(iteration),
@@ -105,16 +124,18 @@ def _index_entry_ok(entry):
             and set(entry) == {"name", "shape", "offset", "nbytes"}
             and isinstance(entry["name"], str)
             and isinstance(entry["shape"], list)
-            and all(map(count, [entry["offset"], entry["nbytes"], *entry["shape"]])))
+            and all(map(count, [entry["offset"], entry["nbytes"], *entry["shape"]]))
+            and entry["offset"] % 4 == 0)
 
 
 def checkpoint_load(path):
     """Parse and validate a checkpoint; returns (header, {blob name: array}).
 
-    Rejects bad magic, unknown versions, truncated files (with the
-    expected/actual byte counts), headers that are not a JSON mapping or
-    lack a field of the type ``checkpoint_save`` writes, and blob-index
-    entries that do not describe a float32 array inside the payload.
+    Rejects bad magic, unknown versions, truncated or overlong files (with
+    the expected/actual byte counts), headers that are not a JSON mapping or
+    lack a field of the type ``checkpoint_save`` writes, blob-index entries
+    that do not describe an aligned float32 array inside the payload, and
+    blobs holding a NaN or an infinity.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -146,8 +167,8 @@ def checkpoint_load(path):
     payload = raw[16 + header_len:]
     expected = sum(b["nbytes"] for b in index)
     if len(payload) != expected:
-        raise CheckpointError(
-            f"truncated payload: expected {expected} bytes, got {len(payload)}")
+        what = "truncated payload" if len(payload) < expected else "overlong payload"
+        raise CheckpointError(f"{what}: expected {expected} bytes, got {len(payload)}")
     blobs = {}
     for entry in index:
         name, shape = entry["name"], entry["shape"]
@@ -162,6 +183,9 @@ def checkpoint_load(path):
                 f"blob {name}: shape {shape} needs {need} bytes, index says {n}")
         arr = np.frombuffer(payload[start:start + n], dtype="<f4")
         blobs[name] = arr.reshape(shape).copy()
+    bad = _nonfinite_blob(payload, index)
+    if bad is not None:
+        raise CheckpointError(f"blob {bad}: holds non-finite values")
     return header, blobs
 
 

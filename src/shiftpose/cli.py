@@ -110,17 +110,15 @@ def cmd_eval(args):
 
 
 def cmd_synth(args):
-    from .synthdata import generate_dataset, heatmap_target
+    from .synthdata import generate_dataset, heatmap_targets
 
     cfg = _load_config(args.config)
     samples = generate_dataset(cfg.dataset)
     images = np.concatenate([s.image for s in samples], axis=0)
     keypoints = np.stack([s.keypoints for s in samples], axis=0)
-    h, w = cfg.dataset.image_size
-    down = cfg.dataset.heatmap_downscale
-    heatmaps = np.stack([heatmap_target(s.keypoints / down, (h // down, w // down),
-                                        s.heatmap_sigma, images.dtype)
-                         for s in samples])
+    graph = build_network(cfg)
+    heatmaps = heatmap_targets(samples, graph.shape_of(graph.main_head),
+                               graph.input_shape[1], images.dtype)
     cues = np.stack([s.cue for s in samples], axis=0)
     meta = json.dumps(run_config_to_dict(cfg)["dataset"])
     np.savez(args.out, images=images, keypoints=keypoints, heatmaps=heatmaps,

@@ -71,7 +71,6 @@ LIMITS = {
     "dataset.distractors": (0, None),
     "dataset.noise_std": (0.0, None),
     "dataset.count": (1, None),
-    "dataset.heatmap_downscale": (1, None),
     "dataset.heatmap_sigma": (0.1, None),
     "trainer.batch_size": (1, None),
     "trainer.insertion_iteration": (0, None),

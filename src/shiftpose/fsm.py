@@ -24,8 +24,8 @@ from .autodiff import Parameter, Tensor
 from .errors import DimensionError, StateError
 
 __all__ = [
-    "CA_SOFTPLUS", "CA_SIGMOID", "ShiftOffsets", "FsmParams",
-    "shift", "ca_forward", "fsm_forward", "fsm_oracle", "fsm_param_count",
+    "CA_SOFTPLUS", "CA_SIGMOID",
+    "shift", "ca_forward", "fsm_oracle", "fsm_param_count",
     "FeatureShiftModule", "format_offset_rows", "parse_offset_table",
     "OFFSET_INIT_RANGE",
 ]
@@ -38,73 +38,10 @@ CA_SIGMOID = "sigmoid-unnormalized"
 OFFSET_INIT_RANGE = 1.0
 
 
-@dataclass
-class ShiftOffsets:
-    """Per-channel translation in pixels; positive dx moves content toward +x."""
-    dx: Parameter
-    dy: Parameter
-
-    @property
-    def k(self):
-        return self.dx.shape[0]
-
-    def clamp(self, bound):
-        np.clip(self.dx.data, -bound, bound, out=self.dx.data)
-        np.clip(self.dy.data, -bound, bound, out=self.dy.data)
-
-
-@dataclass
-class FsmParams:
-    """Learnables of one module.
-
-    ``in_weight`` (K,C) feeds the shifting channels, ``gate_weight`` (K,C)
-    feeds the attention branch, ``out_weight`` (C,K) projects back;
-    the branch norm is a batch norm over the C output channels.
-    """
-    in_weight: Parameter
-    gate_weight: Parameter
-    out_weight: Parameter
-    offsets: ShiftOffsets
-    norm_scale: Parameter
-    norm_offset: Parameter
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    ca_variant: str = CA_SOFTPLUS
-
-    @property
-    def channels(self):
-        return self.in_weight.shape[1]
-
-    @property
-    def shift_channels(self):
-        return self.in_weight.shape[0]
-
-
-def init_fsm_params(channels, shift_channels, ca_variant=CA_SOFTPLUS, rng=None,
-                    dtype=np.float32, zero_out_weight=True):
-    """Fresh parameters; ``out_weight`` starts at zero so a newly inserted
-    module initially leaves the shortcut path undisturbed."""
-    rng = rng or np.random.default_rng()
-    c, k = channels, shift_channels
-    std = np.sqrt(2.0 / c)
-    in_w = Parameter((rng.standard_normal((k, c)) * std).astype(dtype))
-    gate_w = Parameter((rng.standard_normal((k, c)) * std).astype(dtype))
-    if zero_out_weight:
-        out_w = Parameter(np.zeros((c, k), dtype=dtype))
-    else:
-        out_w = Parameter((rng.standard_normal((c, k)) * np.sqrt(2.0 / k)).astype(dtype))
-    off = ShiftOffsets(
-        dx=Parameter(rng.uniform(-OFFSET_INIT_RANGE, OFFSET_INIT_RANGE, k).astype(dtype)),
-        dy=Parameter(rng.uniform(-OFFSET_INIT_RANGE, OFFSET_INIT_RANGE, k).astype(dtype)),
-    )
-    return FsmParams(
-        in_weight=in_w, gate_weight=gate_w, out_weight=out_w, offsets=off,
-        norm_scale=Parameter(np.ones(c, dtype=dtype)),
-        norm_offset=Parameter(np.zeros(c, dtype=dtype)),
-        running_mean=np.zeros(c, dtype=dtype),
-        running_var=np.ones(c, dtype=dtype),
-        ca_variant=ca_variant,
-    )
+def _draw_offsets(rng, k, dtype):
+    """Fresh (dx, dy) for K shifting channels, uniform in the init range."""
+    return tuple(rng.uniform(-OFFSET_INIT_RANGE, OFFSET_INIT_RANGE, k).astype(dtype)
+                 for _ in range(2))
 
 
 # ---------------------------------------------------------------------------
@@ -210,82 +147,20 @@ def ca_forward(p, gate_weight, variant=CA_SOFTPLUS):
 
 
 # ---------------------------------------------------------------------------
-# module forward and oracle
+# the module and its oracle
 # ---------------------------------------------------------------------------
-
-def _fsm_graph(p, params, mode):
-    """Factored fast path: project, shift, gate, project back, add shortcut,
-    batch-norm the sum, ReLU. Returns the output and the intermediates the
-    analyses read (pre-shift, post-shift, attention, branch output)."""
-    if p.ndim != 4 or p.shape[1] != params.channels:
-        raise DimensionError(
-            f"fsm_forward: channels: module expects C={params.channels}, "
-            f"input has {p.shape[1] if p.ndim == 4 else p.shape}")
-    pre_shift = ad.conv1x1(p, params.in_weight)
-    post_shift = shift(pre_shift, params.offsets.dx, params.offsets.dy)
-    gate = ca_forward(p, params.gate_weight, params.ca_variant)
-    nonlocal_maps = ad.conv1x1(ad.mul(gate, post_shift), params.out_weight)
-    normed = ad.batch_norm(ad.add(p, nonlocal_maps), params.norm_scale,
-                           params.norm_offset, params.running_mean,
-                           params.running_var, mode)
-    return ad.relu(normed), {"pre_shift": pre_shift, "post_shift": post_shift,
-                             "attention": gate, "nonlocal": nonlocal_maps}
-
-
-def fsm_forward(p, params, mode="train"):
-    """Module forward on explicit parameters; returns the output tensor."""
-    return _fsm_graph(p, params, mode)[0]
-
-
-def fsm_oracle(p, params, mode="train"):
-    """Direct evaluation of the induced convolution.
-
-    Materializes the full position-dependent kernel
-    ``w[c,k,c'](x,y) = out_weight[c,k] * in_weight[k,c'] * gate[k](x,y)``
-    and contracts it against the input maps resampled at each offset by
-    ``bilinear_sample``, one pixel at a time. Quadratic in channels and
-    interpreted per pixel; intended for small tensors as a correctness
-    reference only. Running statistics are left untouched.
-    """
-    pv = p.data if isinstance(p, Tensor) else np.asarray(p)
-    b, c, h, w = pv.shape
-    k = params.shift_channels
-    gate = ca_forward(Tensor(pv), params.gate_weight, params.ca_variant).data
-
-    # input maps resampled at every offset, one scalar bilinear sample per
-    # pixel so that the fast path's translation kernel is not involved:
-    # (B, K, C', H, W)
-    dx, dy = params.offsets.dx.data, params.offsets.dy.data
-    p_shift = np.empty((b, k, c, h, w), dtype=pv.dtype)
-    for i, j, d, y, x in np.ndindex(p_shift.shape):
-        p_shift[i, j, d, y, x] = ad.bilinear_sample(pv[i, d], x - dx[j], y - dy[j])
-
-    kernel = np.einsum("ck,kd,bkhw->bckdhw", params.out_weight.data,
-                       params.in_weight.data, gate)
-    pre = pv + np.einsum("bckdhw,bkdhw->bchw", kernel, p_shift)
-
-    normed = ad.batch_norm(Tensor(pre), params.norm_scale, params.norm_offset,
-                           params.running_mean.copy(), params.running_var.copy(),
-                           mode)
-    return ad.relu(normed)
-
-
-def fsm_param_count(channels, shift_channels):
-    """Learnable-parameter counts (norm and biases excluded) for covering
-    K window positions: this module versus single layers of active or
-    deformable convolution with C input and output channels."""
-    c, k = channels, shift_channels
-    return {
-        "fsm": 3 * k * c + 2 * k,
-        "active_conv": k * c * c + 2 * k,
-        "deformable_conv": k * c * c + 2 * k * c,
-    }
-
 
 @dataclass(eq=False)
 class FeatureShiftModule:
     """Graph layer holding a module's parameters, bypass state and
     last-forward tensors.
+
+    ``in_weight`` (K,C) feeds the shifting channels, ``gate_weight`` (K,C)
+    feeds the attention branch, ``out_weight`` (C,K) projects back, and
+    ``dx``/``dy`` (K,) translate each shifting channel in pixels (positive
+    dx moves content toward +x). The branch norm is a batch norm over the
+    C output channels (``norm_scale``, ``norm_offset``, ``running_mean``,
+    ``running_var``).
 
     A module built for delayed insertion starts in bypass, acting as an
     exact identity with frozen parameters; :meth:`insert` activates it.
@@ -304,17 +179,51 @@ class FeatureShiftModule:
     kind = "fsm"
 
     def __post_init__(self, rng, dtype):
+        rng = rng or np.random.default_rng()
+        c, k = self.channels, self.shift_channels
+        std = np.sqrt(2.0 / c)
+        self.in_weight = Parameter((rng.standard_normal((k, c)) * std).astype(dtype))
+        self.gate_weight = Parameter((rng.standard_normal((k, c)) * std).astype(dtype))
+        # an active module starts with the branch silent; a bypassed one
+        # draws a random projection that insert() zeroes
+        if self.active:
+            self.out_weight = Parameter(np.zeros((c, k), dtype=dtype))
+        else:
+            self.out_weight = Parameter(
+                (rng.standard_normal((c, k)) * np.sqrt(2.0 / k)).astype(dtype))
+        self.dx, self.dy = (Parameter(d) for d in _draw_offsets(rng, k, dtype))
+        self.norm_scale = Parameter(np.ones(c, dtype=dtype))
+        self.norm_offset = Parameter(np.zeros(c, dtype=dtype))
+        self.running_mean = np.zeros(c, dtype=dtype)
+        self.running_var = np.ones(c, dtype=dtype)
         self.name = "fsm"
-        self.params = init_fsm_params(self.channels, self.shift_channels,
-                                      self.ca_variant, rng, dtype,
-                                      zero_out_weight=self.active)
         self.clamp_bound = None
+        # The tensors of the last active forward keep that step's whole tape
+        # alive until the next forward replaces them. That is deliberate:
+        # freeing the tape after each step let the allocator return its
+        # pages and fault them in again (mid-train: 3x the minor faults,
+        # a slower step) and lowered no peak RSS.
         self.cache = {}
 
     def forward(self, p, mode="train"):
+        """Project, shift, gate, project back, add the shortcut, batch-norm
+        the sum, ReLU; a bypassed module returns its input."""
         if not self.active:
             return p
-        out, self.cache = _fsm_graph(p, self.params, mode)
+        if p.ndim != 4 or p.shape[1] != self.channels:
+            raise DimensionError(
+                f"{self.name}: channels: module expects C={self.channels}, "
+                f"input has {p.shape[1] if p.ndim == 4 else p.shape}")
+        pre_shift = ad.conv1x1(p, self.in_weight)
+        post_shift = shift(pre_shift, self.dx, self.dy)
+        gate = ca_forward(p, self.gate_weight, self.ca_variant)
+        nonlocal_maps = ad.conv1x1(ad.mul(gate, post_shift), self.out_weight)
+        normed = ad.batch_norm(ad.add(p, nonlocal_maps), self.norm_scale,
+                               self.norm_offset, self.running_mean,
+                               self.running_var, mode)
+        out = ad.relu(normed)
+        self.cache = {"pre_shift": pre_shift, "post_shift": post_shift,
+                      "attention": gate, "nonlocal": nonlocal_maps}
         return out
 
     def out_shape(self, in_shape):
@@ -343,34 +252,74 @@ class FeatureShiftModule:
         fresh offsets, unfreeze."""
         if self.active:
             raise StateError(f"{self.name}: already inserted")
-        k = self.shift_channels
-        dtype = self.params.out_weight.dtype
-        self.params.out_weight.data[...] = 0
-        self.params.offsets.dx.data[...] = rng.uniform(
-            -OFFSET_INIT_RANGE, OFFSET_INIT_RANGE, k).astype(dtype)
-        self.params.offsets.dy.data[...] = rng.uniform(
-            -OFFSET_INIT_RANGE, OFFSET_INIT_RANGE, k).astype(dtype)
+        self.out_weight.data[...] = 0
+        self.dx.data[...], self.dy.data[...] = _draw_offsets(
+            rng, self.shift_channels, self.dx.dtype)
         self.active = True
 
     def clamp_offsets(self):
         if self.clamp_bound is not None:
-            self.params.offsets.clamp(self.clamp_bound)
+            for d in (self.dx, self.dy):
+                np.clip(d.data, -self.clamp_bound, self.clamp_bound, out=d.data)
 
     def weight_parameters(self):
-        p = self.params
-        return [("in_weight", p.in_weight), ("gate_weight", p.gate_weight),
-                ("out_weight", p.out_weight), ("norm_scale", p.norm_scale),
-                ("norm_offset", p.norm_offset)]
+        return [(n, getattr(self, n)) for n in
+                ("in_weight", "gate_weight", "out_weight", "norm_scale", "norm_offset")]
 
     def offset_parameters(self):
-        return [("dx", self.params.offsets.dx), ("dy", self.params.offsets.dy)]
+        return [("dx", self.dx), ("dy", self.dy)]
 
     def named_params(self):
         return self.weight_parameters() + self.offset_parameters()
 
     def buffers(self):
-        return [("norm.running_mean", self.params.running_mean),
-                ("norm.running_var", self.params.running_var)]
+        return [("norm.running_mean", self.running_mean),
+                ("norm.running_var", self.running_var)]
+
+
+def fsm_oracle(p, module, mode="train"):
+    """Direct evaluation of the induced convolution of an active module.
+
+    Materializes the full position-dependent kernel
+    ``w[c,k,c'](x,y) = out_weight[c,k] * in_weight[k,c'] * gate[k](x,y)``
+    and contracts it against the input maps resampled at each offset by
+    ``bilinear_sample``, one pixel at a time. Quadratic in channels and
+    interpreted per pixel; intended for small tensors as a correctness
+    reference only. Running statistics are left untouched.
+    """
+    pv = p.data if isinstance(p, Tensor) else np.asarray(p)
+    b, c, h, w = pv.shape
+    k = module.shift_channels
+    gate = ca_forward(Tensor(pv), module.gate_weight, module.ca_variant).data
+
+    # input maps resampled at every offset, one scalar bilinear sample per
+    # pixel so that the fast path's translation kernel is not involved:
+    # (B, K, C', H, W)
+    dx, dy = module.dx.data, module.dy.data
+    p_shift = np.empty((b, k, c, h, w), dtype=pv.dtype)
+    for i, j, d, y, x in np.ndindex(p_shift.shape):
+        p_shift[i, j, d, y, x] = ad.bilinear_sample(pv[i, d], x - dx[j], y - dy[j])
+
+    kernel = np.einsum("ck,kd,bkhw->bckdhw", module.out_weight.data,
+                       module.in_weight.data, gate)
+    pre = pv + np.einsum("bckdhw,bkdhw->bchw", kernel, p_shift)
+
+    normed = ad.batch_norm(Tensor(pre), module.norm_scale, module.norm_offset,
+                           module.running_mean.copy(), module.running_var.copy(),
+                           mode)
+    return ad.relu(normed)
+
+
+def fsm_param_count(channels, shift_channels):
+    """Learnable-parameter counts (norm and biases excluded) for covering
+    K window positions: this module versus single layers of active or
+    deformable convolution with C input and output channels."""
+    c, k = channels, shift_channels
+    return {
+        "fsm": 3 * k * c + 2 * k,
+        "active_conv": k * c * c + 2 * k,
+        "deformable_conv": k * c * c + 2 * k * c,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +329,13 @@ class FeatureShiftModule:
 OFFSET_HEADER = "module_id,k,dx,dy"
 
 
-def format_offset_rows(module_id, offsets):
-    """Comma-separated offset table: one row per shifting channel, values
-    printed with 9 significant digits (lossless for float32)."""
+def format_offset_rows(module_id, module):
+    """Comma-separated offset table of a module: one row per shifting
+    channel, values printed with 9 significant digits (lossless for
+    float32)."""
     lines = [OFFSET_HEADER]
-    dx, dy = offsets.dx.data, offsets.dy.data
-    for i in range(offsets.k):
+    dx, dy = module.dx.data, module.dy.data
+    for i in range(module.shift_channels):
         lines.append(f"{module_id},{i},{dx[i]:.9g},{dy[i]:.9g}")
     return "\n".join(lines) + "\n"
 

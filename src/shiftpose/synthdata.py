@@ -18,7 +18,8 @@ from .errors import GenerationError
 
 __all__ = [
     "SynthSpec", "SynthSample", "AugmentRanges", "generate_dataset",
-    "generate_sample", "augment_sample", "heatmap_target", "decode_heatmap",
+    "generate_sample", "augment_sample", "heatmap_target", "heatmap_targets",
+    "decode_heatmap",
     "matched_filter_locate", "bilinear_warp",
 ]
 
@@ -36,7 +37,6 @@ class SynthSpec:
     noise_std: float = 0.0
     count: int = 256
     seed: int = 0
-    heatmap_downscale: int = 4
     heatmap_sigma: float = 1.0
 
     def validate(self):
@@ -145,6 +145,18 @@ def heatmap_target(keypoints, map_size, sigma, dtype=np.float32):
     for m, (cx, cy) in enumerate(kp):
         maps[m] = np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * sigma ** 2))
     return maps
+
+
+def heatmap_targets(samples, head_shape, input_height, dtype=np.float32):
+    """Targets of ``samples`` at a head's (M, h, w) output shape, stacked to
+    (N, M, h, w). This is the one map from image pixels to heatmap pixels:
+    keypoints scale by the head's height over the input height."""
+    m, hh, hw = head_shape
+    scale = input_height / hh
+    out = np.empty((len(samples), m, hh, hw), dtype=dtype)
+    for i, s in enumerate(samples):
+        out[i] = heatmap_target(s.keypoints / scale, (hh, hw), s.heatmap_sigma, dtype)
+    return out
 
 
 def decode_heatmap(maps):

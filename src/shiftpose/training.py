@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import NumericError, StateError
 from .optim import Adam
-from .synthdata import AugmentRanges, augment_sample, heatmap_target
+from .synthdata import AugmentRanges, augment_sample, heatmap_targets
 
 __all__ = [
     "LrDecay", "TrainConfig", "base_lr_schedule", "offset_lr_schedule",
@@ -116,7 +116,7 @@ def _add_fsm_groups(optimizer, modules, weight_lr, offset_lr):
 @dataclass
 class TrainResult:
     iterations_run: int
-    metrics: list                  # rows of (iteration, losses dict, lrs)
+    metrics: list                  # one mapping per step, keyed as the CSV columns
     final_eval_loss: float
     offset_snapshots: list         # (epoch, table text)
 
@@ -158,14 +158,8 @@ class Trainer:
         return shapes
 
     def _targets_for(self, samples, head_shape):
-        m, hh, hw = head_shape
-        in_h = self.graph.input_shape[1]
-        scale = in_h / hh
-        out = np.empty((len(samples), m, hh, hw), dtype=self.graph.dtype)
-        for i, s in enumerate(samples):
-            out[i] = heatmap_target(s.keypoints / scale, (hh, hw),
-                                    s.heatmap_sigma, self.graph.dtype)
-        return out
+        return heatmap_targets(samples, head_shape, self.graph.input_shape[1],
+                               self.graph.dtype)
 
     def _draw_batch(self):
         idx = self.rng.integers(0, len(self.dataset), self.config.batch_size)
@@ -228,13 +222,16 @@ class Trainer:
             if module.active:
                 module.clamp_offsets()
 
-        row = {name: float(l.data) for name, l in losses.items()}
-        self.metrics.append((self.iteration,
-                             row,
-                             base_lr_schedule(self.iteration, cfg),
-                             offset_lr_schedule(self.epoch(), cfg)))
+        values = {name: float(l.data) for name, l in losses.items()}
+        self.metrics.append({
+            "iteration": self.iteration,
+            **{f"loss_{n}": values[n]
+               for n in ["main"] + sorted(n for n in values if n != "main")},
+            "base_lr": base_lr_schedule(self.iteration, cfg),
+            "offset_lr": offset_lr_schedule(self.epoch(), cfg),
+        })
         self.iteration += 1
-        return row
+        return values
 
     def run(self):
         while self.iteration < self.config.iterations:
@@ -267,16 +264,13 @@ class Trainer:
         return total / max(batches, 1)
 
     def metrics_csv(self):
-        """Comma-separated log: iteration, per-head losses, both rates."""
-        esp_names = sorted({n for _, row, _, _ in self.metrics for n in row
-                            if n != "main"})
-        header = "iteration,loss_main"
-        header += "".join(f",loss_{n}" for n in esp_names)
-        header += ",base_lr,offset_lr"
-        lines = [header]
-        for it, row, blr, olr in self.metrics:
-            vals = [str(it), f"{row['main']:.9g}"]
-            vals += [f"{row[n]:.9g}" if n in row else "" for n in esp_names]
-            vals += [f"{blr:.9g}", f"{olr:.9g}"]
-            lines.append(",".join(vals))
+        """Comma-separated log with one column per metrics key; floats print
+        with 9 significant digits."""
+        def cell(row, key):
+            value = row.get(key, "")
+            return f"{value:.9g}" if isinstance(value, float) else str(value)
+
+        keys = list(dict.fromkeys(k for row in self.metrics for k in row))
+        lines = [",".join(keys)] + [",".join(cell(row, k) for k in keys)
+                                    for row in self.metrics]
         return "\n".join(lines) + "\n"

@@ -40,7 +40,21 @@ def _push_from_integer(values, margin=0.12):
 def _rand_offsets(rng, k):
     dx = _push_from_integer(rng.uniform(-2.5, 2.5, k))
     dy = _push_from_integer(rng.uniform(-2.5, 2.5, k))
-    return ad.Parameter(dx), ad.Parameter(dy)
+    return dx, dy
+
+
+def _module_holding(c, k, variant, values):
+    """An active double-precision module whose learnables hold ``values``,
+    given in the order in_weight, gate_weight, out_weight, dx, dy, then
+    optionally norm_scale, norm_offset; returns it and those parameters.
+    Its own initial draws come from a separate generator, so a case's
+    stream holds exactly the case's draws."""
+    module = fsm.FeatureShiftModule(c, k, variant, np.random.default_rng(0), np.float64)
+    slots = [module.in_weight, module.gate_weight, module.out_weight, module.dx,
+             module.dy, module.norm_scale, module.norm_offset][:len(values)]
+    for slot, value in zip(slots, values):
+        slot.data[...] = value
+    return module, slots
 
 
 def _case_conv1x1(rng):
@@ -56,7 +70,7 @@ def _case_shift(rng):
     b, k = rng.integers(1, 3), rng.integers(1, 4)
     h, w = rng.integers(4, 7), rng.integers(4, 7)
     maps = ad.tensor(rng.standard_normal((b, k, h, w)), requires_grad=True)
-    dx, dy = _rand_offsets(rng, k)
+    dx, dy = map(ad.Parameter, _rand_offsets(rng, k))
     return lambda m, a, b_: fsm.shift(m, a, b_), [maps, dx, dy]
 
 
@@ -75,19 +89,11 @@ def _case_fsm(rng):
     h, w = rng.integers(4, 7), rng.integers(4, 7)
     variant = fsm.CA_SOFTPLUS if rng.integers(0, 2) else fsm.CA_SIGMOID
     p = ad.tensor(rng.standard_normal((b, c, h, w)), requires_grad=True)
-    in_w = ad.Parameter(rng.standard_normal((k, c)) * 0.7)
-    gate_w = ad.Parameter(rng.standard_normal((k, c)) * 0.7)
-    out_w = ad.Parameter(rng.standard_normal((c, k)) * 0.7)
-    dx, dy = _rand_offsets(rng, k)
-    scale = ad.Parameter(rng.uniform(0.7, 1.3, c))
-    offset = ad.Parameter(rng.uniform(0.3, 0.8, c))
-
-    def run(p_, iw, gw, ow, dx_, dy_, sc, of):
-        params = fsm.FsmParams(iw, gw, ow, fsm.ShiftOffsets(dx_, dy_), sc, of,
-                               np.zeros(c), np.ones(c), variant)
-        return fsm.fsm_forward(p_, params, "train")
-
-    return run, [p, in_w, gate_w, out_w, dx, dy, scale, offset]
+    values = [rng.standard_normal((k, c)) * 0.7 for _ in range(2)]
+    values += [rng.standard_normal((c, k)) * 0.7, *_rand_offsets(rng, k),
+               rng.uniform(0.7, 1.3, c), rng.uniform(0.3, 0.8, c)]
+    module, params = _module_holding(int(c), int(k), variant, values)
+    return lambda p_, *_: module.forward(p_, "train"), [p] + params
 
 
 def _case_bottleneck(rng):
@@ -182,14 +188,15 @@ def oracle_trials(trials=20, tolerance=1e-6, base_seed=100):
         k = int(rng.integers(1, 6))
         h, w = int(rng.integers(3, 8)), int(rng.integers(3, 8))
         variant = fsm.CA_SOFTPLUS if trial % 2 == 0 else fsm.CA_SIGMOID
-        params = fsm.init_fsm_params(c, k, variant, rng, np.float64,
-                                     zero_out_weight=False)
-        params.offsets.dx.data[...] = rng.uniform(-2.5, 2.5, k)
-        params.offsets.dy.data[...] = rng.uniform(-2.5, 2.5, k)
+        values = [rng.standard_normal((k, c)) * np.sqrt(2.0 / c) for _ in range(2)]
+        values.append(rng.standard_normal((c, k)) * np.sqrt(2.0 / k))
+        rng.uniform(-1.0, 1.0, 2 * k)  # initial offsets the trials replace
+        values += [rng.uniform(-2.5, 2.5, k), rng.uniform(-2.5, 2.5, k)]
+        module, _ = _module_holding(c, k, variant, values)
         p = ad.tensor(rng.standard_normal((b, c, h, w)))
         for mode in ("train", "eval"):
-            fast = fsm.fsm_forward(p, params, mode).data
-            slow = fsm.fsm_oracle(p, params, mode).data
+            fast = module.forward(p, mode).data
+            slow = fsm.fsm_oracle(p, module, mode).data
             rel = float(np.abs(fast - slow).max() / max(np.abs(slow).max(), 1e-12))
             results.append((base_seed + trial, variant, mode, rel))
             all_pass &= rel < tolerance

@@ -15,10 +15,10 @@ def single_fsm_graph(c=2, k=5, keypoints=1, hw=(8, 8), seed=0, offsets=None):
     rng = np.random.default_rng(seed)
     g = NetworkGraph((c, hw[0], hw[1]), dtype=np.float64)
     module = FeatureShiftModule(c, k, CA_SIGMOID, rng, np.float64, active=True)
-    module.params.out_weight.data[...] = rng.standard_normal((c, k)) * 0.4
+    module.out_weight.data[...] = rng.standard_normal((c, k)) * 0.4
     if offsets is not None:
-        module.params.offsets.dx.data[...] = offsets[0]
-        module.params.offsets.dy.data[...] = offsets[1]
+        module.dx.data[...] = offsets[0]
+        module.dy.data[...] = offsets[1]
     g.add("fsm1", module)
     g.add("head", ConvBlock(c, keypoints, 1, bias=True, rng=rng, dtype=np.float64))
     return g, module
@@ -32,8 +32,8 @@ class TestKeypointOffsetScores:
     def test_single_path_model_scores_one_channel(self):
         g, module = single_fsm_graph(seed=2)
         wired = 3
-        module.params.out_weight.data[...] = 0.0
-        module.params.out_weight.data[:, wired] = 1.0
+        module.out_weight.data[...] = 0.0
+        module.out_weight.data[:, wired] = 1.0
         scores = ana.keypoint_offset_scores(g, batch(seed=3), "fsm1")
         assert scores.values.shape == (1, 5)
         assert scores.values[0, wired] == 1.0
@@ -42,7 +42,7 @@ class TestKeypointOffsetScores:
 
     def test_severed_branch_scores_all_zero(self):
         g, module = single_fsm_graph(seed=4)
-        module.params.out_weight.data[...] = 0.0
+        module.out_weight.data[...] = 0.0
         scores = ana.keypoint_offset_scores(g, batch(seed=5), "fsm1")
         np.testing.assert_array_equal(scores.values, 0.0)
 
@@ -65,7 +65,7 @@ class TestKeypointOffsetScores:
 
     def test_degenerate_all_zero_predictions_warn(self):
         g, module = single_fsm_graph(seed=10)
-        module.params.out_weight.data[...] = 0.0
+        module.out_weight.data[...] = 0.0
         head = dict(g.node("head").layer.named_params())
         head["weight"].data[...] = 0.0
         head["bias"].data[...] = 0.0
@@ -97,8 +97,8 @@ class TestContributionCounts:
 
     def test_single_path_counts_exactly_one(self):
         g, module = single_fsm_graph(seed=16)
-        module.params.out_weight.data[...] = 0.0
-        module.params.out_weight.data[:, 2] = 1.0
+        module.out_weight.data[...] = 0.0
+        module.out_weight.data[:, 2] = 1.0
         scores = ana.keypoint_offset_scores(g, batch(seed=17), "fsm1")
         np.testing.assert_array_equal(ana.contribution_counts(scores, 0.5), [1])
 
@@ -118,9 +118,9 @@ class TestErfMap:
         d = 3
         g, module = single_fsm_graph(c=1, k=1, hw=(9, 9), seed=20,
                                      offsets=([float(d)], [0.0]))
-        module.params.gate_weight.data[...] = 0.0  # constant gate, single path
-        module.params.out_weight.data[...] = 1.0
-        module.params.in_weight.data[...] = 1.0
+        module.gate_weight.data[...] = 0.0  # constant gate, single path
+        module.out_weight.data[...] = 1.0
+        module.in_weight.data[...] = 1.0
         seed_xy = (5, 4)
         emap = ana.erf_map(g, batch(c=1, hw=(9, 9), b=1, seed=21), "fsm1", 0, seed_xy)
         peak_y, peak_x = np.unravel_index(emap.values.argmax(), emap.values.shape)
@@ -128,9 +128,9 @@ class TestErfMap:
 
     def test_zero_weight_model_erf_is_zero(self):
         g, module = single_fsm_graph(c=1, k=2, hw=(6, 6), seed=22)
-        module.params.out_weight.data[...] = 0.0
-        module.params.in_weight.data[...] = 0.0
-        module.params.gate_weight.data[...] = 0.0
+        module.out_weight.data[...] = 0.0
+        module.in_weight.data[...] = 0.0
+        module.gate_weight.data[...] = 0.0
         emap = ana.erf_map(g, batch(c=1, hw=(6, 6), b=1, seed=23), "fsm1", 0, (1, 1))
         np.testing.assert_array_equal(emap.values, 0.0)
 
@@ -186,8 +186,8 @@ class TestOffsetAndEnergyExport:
         images = batch(c=3, b=1, seed=32)
         a = ana.window_energy(g, images, "fsm1", 1, (2, 3))
         module = g.node("fsm1").layer
-        b = ana.explicit_window_energies(module.params.out_weight.data[1],
-                                         module.params.in_weight.data,
+        b = ana.explicit_window_energies(module.out_weight.data[1],
+                                         module.in_weight.data,
                                          module.cache["attention"].data[0, :, 3, 2])
         np.testing.assert_allclose(a, b, atol=1e-9)
         assert a.max() > 0

@@ -1,5 +1,6 @@
 """Checkpoint format: round-trips, rejection paths, bit-exact resume."""
 
+import json
 import os
 
 import numpy as np
@@ -18,6 +19,11 @@ from shiftpose.training import LrDecay, TrainConfig, Trainer
 def small_graph(seed=0, fsm_active=True):
     return net.build_toy_fsm_net((16, 16), 1, 1, 4, 8, fsm_active=fsm_active,
                                  rng=np.random.default_rng(seed))
+
+
+def payload_start(raw):
+    """Offset of the payload: the preamble's 16 bytes plus the header."""
+    return 16 + int(np.frombuffer(raw[8:16], dtype="<u8")[0])
 
 
 def all_params(graph):
@@ -103,6 +109,64 @@ class TestRejection:
                 except Exception as exc:
                     escaped.append((pos, value, type(exc).__name__))
         assert escaped == []
+
+    def _sections(self, raw):
+        """Cut points at every section boundary: inside and at the end of
+        the preamble, at the end of the header, and at each blob's start."""
+        payload_at = payload_start(raw)
+        header = json.loads(raw[16:payload_at])
+        return ([0, 4, 8, 15, 16, payload_at - 1, payload_at]
+                + [payload_at + b["offset"] for b in header["blobs"]][1:]
+                + [len(raw) - 1])
+
+    def _rejects(self, tmp_path, raw):
+        bad = tmp_path / "bad.ssnc"
+        bad.write_bytes(raw)
+        try:
+            checkpoint_load(bad)
+        except CheckpointError:
+            return True
+        except Exception as exc:
+            return type(exc).__name__
+        return False
+
+    def test_truncation_at_every_section_boundary(self, tmp_path):
+        raw = self._saved(tmp_path).read_bytes()
+        cuts = self._sections(raw)
+        assert len(cuts) > 10
+        assert {n: self._rejects(tmp_path, raw[:n]) for n in cuts} == \
+            {n: True for n in cuts}
+
+    def test_truncation_inside_the_payload(self, tmp_path):
+        raw = self._saved(tmp_path).read_bytes()
+        cuts = np.random.default_rng(0).integers(payload_start(raw), len(raw), 40).tolist()
+        assert {n: self._rejects(tmp_path, raw[:n]) for n in cuts} == \
+            {n: True for n in cuts}
+
+    @pytest.mark.parametrize("extra", [b"\x00", b"\x00" * 4, b"SSNC" * 9])
+    def test_appended_bytes_rejected(self, tmp_path, extra):
+        raw = self._saved(tmp_path).read_bytes()
+        assert self._rejects(tmp_path, raw + extra) is True
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_payload_names_its_blob(self, tmp_path, value):
+        path = self._saved(tmp_path)
+        raw = bytearray(path.read_bytes())
+        header, _ = checkpoint_load(path)
+        entry = header["blobs"][len(header["blobs"]) // 2]
+        at = payload_start(raw) + entry["offset"]
+        raw[at:at + 4] = np.float32(value).astype("<f4").tobytes()
+        path.write_bytes(raw)
+        with pytest.raises(CheckpointError, match=rf"blob {entry['name']}: .*non-finite"):
+            checkpoint_load(path)
+
+    def test_nonfinite_state_refused_on_save(self, tmp_path):
+        graph = small_graph()
+        name, weight = graph.named_parameters()[2]
+        weight.data.flat[-1] = np.nan
+        with pytest.raises(CheckpointError, match=rf"param\.{name}: .*non-finite"):
+            checkpoint_save(tmp_path / "model.ssnc", graph)
+        assert os.listdir(tmp_path) == []
 
     def test_float64_state_refused_on_save(self, tmp_path):
         graph = net.build_toy_fsm_net((16, 16), 1, 1, 4, 8, dtype=np.float64)

@@ -65,6 +65,15 @@ def test_synth_writes_heatmaps_of_its_keypoints(tmp_path, config, capsys):
         np.testing.assert_array_equal(maps, heatmap_target(keypoints / 4, (8, 8), 1.0))
 
 
+def test_stock_verify_suites_pass(capsys):
+    code, out = run(capsys, "gradcheck")
+    assert (code, out.err) == (0, "")
+    assert "gradcheck: 100/100 cases pass" in out.out
+    code, out = run(capsys, "oracle-check")
+    assert (code, out.err) == (0, "")
+    assert out.out.endswith(": pass\n")
+
+
 def test_count_succeeds(config, capsys):
     code, out = run(capsys, "count", "--config", config)
     assert (code, out.err) == (0, "")
@@ -160,6 +169,10 @@ def null_field(key):
     return rewritten(lambda header, blobs: header.update({key: None}))
 
 
+def nan_in_first_blob(header, blobs):
+    next(iter(blobs.values())).flat[0] = np.nan
+
+
 EVAL = ["eval"]
 RESUME = ["train", "--iterations", "5", "--out", "{tmp}/resumed", "--resume"]
 
@@ -175,8 +188,11 @@ RESUME = ["train", "--iterations", "5", "--out", "{tmp}/resumed", "--resume"]
     (RESUME, drop_blob("opt.m.")),
     (RESUME, null_field("optimizer")),
     (RESUME, null_field("rng_state")),
+    (EVAL, rewritten(nan_in_first_blob)),
+    (RESUME, rewritten(nan_in_first_blob)),
 ], ids=["graph-key", "kernel-key", "input-shape", "param-blob", "buffer-blob",
-        "optimizer-group", "rng-state", "moment-blob", "no-optimizer", "no-rng"])
+        "optimizer-group", "rng-state", "moment-blob", "no-optimizer", "no-rng",
+        "nan-blob-eval", "nan-blob-resume"])
 def test_unusable_checkpoint_is_one_error_line(tmp_path, checkpoint, capsys,
                                                argv, corrupt):
     bad = tmp_path / "bad.ssnc"

@@ -21,7 +21,7 @@ def non_default_config():
                             esp=("s1_block3", "s2_block4"), seed=4),
         dataset=SynthSpec(image_size=(64, 96), displacement=(6.5, -2.0),
                           blob_sigma=1.5, distractors=2, noise_std=0.05, count=40,
-                          seed=7, heatmap_downscale=2, heatmap_sigma=1.5),
+                          seed=7, heatmap_sigma=1.5),
         trainer=TrainConfig(base_lr=1e-3, offset_lr=2e-3, offset_decay_per_epoch=0.2,
                             batch_size=4, insertion_iteration=10, iterations=50,
                             lr_decay=LrDecay(after_iter=30, factor=0.25, every=5),
@@ -99,7 +99,6 @@ BOUND_CASES = [
     ("dataset.distractors", 0, -1),
     ("dataset.noise_std", 0.0, -0.01),
     ("dataset.count", 1, 0),
-    ("dataset.heatmap_downscale", 1, 0),
     ("dataset.heatmap_sigma", 0.1, 0.09),
     ("trainer.batch_size", 1, 0),
     ("trainer.insertion_iteration", 0, -1),

@@ -13,11 +13,14 @@ def tmap(values):
     return ad.tensor(np.asarray(values, dtype=np.float64)[None, None])
 
 
-def identity_norm_params(c, k, variant=fsm.CA_SIGMOID, seed=0):
-    rng = np.random.default_rng(seed)
-    params = fsm.init_fsm_params(c, k, variant, rng, np.float64,
-                                 zero_out_weight=False)
-    return params
+def module_with_branch(c, k, variant=fsm.CA_SIGMOID, rng=0):
+    """Active double-precision module with a random output projection and
+    eval-identity norm: a bypassed module's draws, switched on without
+    ``insert`` (which would zero the projection)."""
+    module = fsm.FeatureShiftModule(c, k, variant, np.random.default_rng(rng),
+                                    np.float64, active=False)
+    module.active = True
+    return module
 
 
 def mixed_offsets(rng, k, size):
@@ -177,72 +180,64 @@ class TestCorrelationAttention:
 class TestModuleForward:
     def test_dead_branch_reduces_to_relu(self):
         rng = np.random.default_rng(8)
-        params = identity_norm_params(3, 4, seed=8)
-        params.out_weight.data[...] = 0.0
+        module = module_with_branch(3, 4, rng=8)
+        module.out_weight.data[...] = 0.0
         p = ad.tensor(rng.standard_normal((2, 3, 4, 4)))
-        out = fsm.fsm_forward(p, params, mode="eval")
+        out = module.forward(p, mode="eval")
         np.testing.assert_allclose(out.data, np.maximum(p.data, 0.0), atol=1e-4)
 
     def test_hand_evaluated_chain(self):
         # K=1, C=1, unit projections, constant 0.5 gate, offset (1, 0)
-        params = identity_norm_params(1, 1)
-        params.in_weight.data[...] = 1.0
-        params.out_weight.data[...] = 1.0
-        params.gate_weight.data[...] = 0.0
-        params.offsets.dx.data[...] = 1.0
-        params.offsets.dy.data[...] = 0.0
+        module = module_with_branch(1, 1)
+        module.in_weight.data[...] = 1.0
+        module.out_weight.data[...] = 1.0
+        module.gate_weight.data[...] = 0.0
+        module.dx.data[...] = 1.0
+        module.dy.data[...] = 0.0
 
-        out = fsm.fsm_forward(tmap([[0.0, 2.0], [0.0, 4.0]]), params, mode="eval")
+        out = module.forward(tmap([[0.0, 2.0], [0.0, 4.0]]), mode="eval")
         np.testing.assert_allclose(out.data[0, 0], [[0.0, 2.0], [0.0, 4.0]], atol=1e-4)
 
-        out = fsm.fsm_forward(tmap([[1.0, 2.0], [3.0, 4.0]]), params, mode="eval")
+        out = module.forward(tmap([[1.0, 2.0], [3.0, 4.0]]), mode="eval")
         np.testing.assert_allclose(out.data[0, 0], [[1.0, 2.5], [3.0, 5.5]], atol=1e-4)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(9)
-        params = identity_norm_params(3, 4, fsm.CA_SOFTPLUS, seed=9)
-        params.offsets.dx.data[...] = rng.uniform(-2, 2, 4)
-        params.offsets.dy.data[...] = rng.uniform(-2, 2, 4)
+        module = module_with_branch(3, 4, fsm.CA_SOFTPLUS, rng=9)
+        module.dx.data[...] = rng.uniform(-2, 2, 4)
+        module.dy.data[...] = rng.uniform(-2, 2, 4)
         p = ad.tensor(rng.standard_normal((1, 3, 6, 5)))
-        fast = fsm.fsm_forward(p, params, mode="train").data
-        slow = fsm.fsm_oracle(p, params, mode="train").data
+        fast = module.forward(p, mode="train").data
+        slow = fsm.fsm_oracle(p, module, mode="train").data
         np.testing.assert_allclose(fast, slow, rtol=1e-6, atol=1e-9)
 
     def test_full_gradcheck_including_offsets(self):
         rng = np.random.default_rng(10)
         c, k = 2, 3
         p = ad.tensor(rng.standard_normal((2, c, 5, 5)), requires_grad=True)
-        params = fsm.init_fsm_params(c, k, fsm.CA_SOFTPLUS, rng, np.float64,
-                                     zero_out_weight=False)
-        params.offsets.dx.data[...] = [0.31, -1.42, 1.27]
-        params.offsets.dy.data[...] = [-0.56, 0.44, 2.18]
-
-        def run(p_, iw, gw, ow, dx, dy, sc, of):
-            pr = fsm.FsmParams(iw, gw, ow, fsm.ShiftOffsets(dx, dy), sc, of,
-                               np.zeros(c), np.ones(c), fsm.CA_SOFTPLUS)
-            return fsm.fsm_forward(p_, pr, "train")
-
-        inputs = [p, params.in_weight, params.gate_weight, params.out_weight,
-                  params.offsets.dx, params.offsets.dy, params.norm_scale,
-                  params.norm_offset]
-        report = finite_diff_gradcheck(run, inputs)
+        module = module_with_branch(c, k, fsm.CA_SOFTPLUS, rng)
+        module.dx.data[...] = [0.31, -1.42, 1.27]
+        module.dy.data[...] = [-0.56, 0.44, 2.18]
+        inputs = [p] + [t for _, t in module.named_params()]
+        report = finite_diff_gradcheck(lambda p_, *_: module.forward(p_, "train"),
+                                       inputs)
         assert report.passed, str(report)
         # offsets must carry real signal, not vacuous zeros
-        assert np.abs(params.offsets.dx.grad).max() > 0
+        assert np.abs(module.dx.grad).max() > 0
 
     def test_channel_mismatch(self):
-        params = identity_norm_params(3, 2)
+        module = module_with_branch(3, 2)
         with pytest.raises(DimensionError, match="channels"):
-            fsm.fsm_forward(ad.tensor(np.zeros((1, 4, 3, 3))), params)
+            module.forward(ad.tensor(np.zeros((1, 4, 3, 3))))
 
 
 class TestOracle:
     def test_zero_out_weight_is_relu_norm(self):
         rng = np.random.default_rng(11)
-        params = identity_norm_params(2, 3, seed=11)
-        params.out_weight.data[...] = 0.0
+        module = module_with_branch(2, 3, rng=11)
+        module.out_weight.data[...] = 0.0
         p = ad.tensor(rng.standard_normal((1, 2, 4, 4)))
-        out = fsm.fsm_oracle(p, params, mode="eval")
+        out = fsm.fsm_oracle(p, module, mode="eval")
         np.testing.assert_allclose(out.data, np.maximum(p.data, 0.0), atol=1e-4)
 
     def test_constant_gate_reduces_to_translated_rank1_conv(self):
@@ -251,16 +246,16 @@ class TestOracle:
         # pure integer translation
         rng = np.random.default_rng(12)
         c = 3
-        params = identity_norm_params(c, 1, seed=12)
-        params.gate_weight.data[...] = 0.0
-        params.offsets.dx.data[...] = 2.0
-        params.offsets.dy.data[...] = -1.0
+        module = module_with_branch(c, 1, rng=12)
+        module.gate_weight.data[...] = 0.0
+        module.dx.data[...] = 2.0
+        module.dy.data[...] = -1.0
         pv = rng.standard_normal((1, c, 6, 6))
         shifted = fsm.shift_values(pv, np.full(c, 2.0), np.full(c, -1.0))
         rank1 = np.einsum("ck,kd,bdhw->bchw",
-                          params.out_weight.data, params.in_weight.data, shifted)
+                          module.out_weight.data, module.in_weight.data, shifted)
         expect = pv + 0.5 * rank1
-        out = fsm.fsm_oracle(ad.tensor(pv), params, mode="eval")
+        out = fsm.fsm_oracle(ad.tensor(pv), module, mode="eval")
         np.testing.assert_allclose(out.data, np.maximum(expect, 0.0), atol=1e-4)
 
     def test_equivalence_sweep(self):
@@ -287,15 +282,15 @@ class TestGateProperty:
     def test_zeroing_gate_removes_channel_contribution(self):
         rng = np.random.default_rng(13)
         c, k = 3, 4
-        params = identity_norm_params(c, k, seed=13)
+        module = module_with_branch(c, k, rng=13)
         p = ad.tensor(rng.standard_normal((1, c, 5, 5)))
-        pre = fsm.shift(ad.conv1x1(p, params.in_weight),
-                        params.offsets.dx, params.offsets.dy).data
-        gate = fsm.ca_forward(p, params.gate_weight, fsm.CA_SIGMOID).data.copy()
+        pre = fsm.shift(ad.conv1x1(p, module.in_weight),
+                        module.dx, module.dy).data
+        gate = fsm.ca_forward(p, module.gate_weight, fsm.CA_SIGMOID).data.copy()
         kk, y, x = 2, 3, 1
         gate_mod = gate.copy()
         gate_mod[0, kk, y, x] = 0.0
-        contrib = params.out_weight.data[:, kk, None, None] * (gate_mod[0, kk] * pre[0, kk])
+        contrib = module.out_weight.data[:, kk, None, None] * (gate_mod[0, kk] * pre[0, kk])
         assert np.abs(contrib[:, y, x]).max() == 0.0
         # untouched positions keep the exact same gated values
         gated, gated_mod = gate * pre, gate_mod * pre
@@ -319,26 +314,26 @@ class TestParamCount:
             c = int(rng.integers(1, 40))
             k = int(rng.integers(1, 40))
             module = fsm.FeatureShiftModule(c, k, rng=rng)
-            slots = (module.params.in_weight.size + module.params.gate_weight.size
-                     + module.params.out_weight.size + module.params.offsets.dx.size
-                     + module.params.offsets.dy.size)
+            slots = (module.in_weight.size + module.gate_weight.size
+                     + module.out_weight.size + module.dx.size
+                     + module.dy.size)
             assert slots == fsm.fsm_param_count(c, k)["fsm"]
 
 
 class TestOffsetTable:
     def test_round_trip_float32_exact(self):
         rng = np.random.default_rng(15)
-        offsets = fsm.ShiftOffsets(
-            ad.Parameter(rng.uniform(-9, 9, 6).astype(np.float32)),
-            ad.Parameter(rng.uniform(-9, 9, 6).astype(np.float32)))
-        text = fsm.format_offset_rows("fsm1", offsets)
+        module = fsm.FeatureShiftModule(2, 6, rng=rng)
+        module.dx.data[...] = rng.uniform(-9, 9, 6)
+        module.dy.data[...] = rng.uniform(-9, 9, 6)
+        text = fsm.format_offset_rows("fsm1", module)
         rows = fsm.parse_offset_table(text)
         assert [r[0] for r in rows] == ["fsm1"] * 6
         assert [r[1] for r in rows] == list(range(6))
         back_dx = np.array([r[2] for r in rows], dtype=np.float32)
         back_dy = np.array([r[3] for r in rows], dtype=np.float32)
-        assert np.array_equal(back_dx, offsets.dx.data)
-        assert np.array_equal(back_dy, offsets.dy.data)
+        assert np.array_equal(back_dx, module.dx.data)
+        assert np.array_equal(back_dy, module.dy.data)
 
     def test_missing_header_rejected(self):
         with pytest.raises(ValueError, match="header"):
@@ -358,12 +353,12 @@ class TestBypassAndInsertion:
         rng = np.random.default_rng(17)
         module.insert(rng)
         assert module.active
-        assert np.all(module.params.out_weight.data == 0.0)
-        assert np.abs(module.params.offsets.dx.data).max() <= fsm.OFFSET_INIT_RANGE
+        assert np.all(module.out_weight.data == 0.0)
+        assert np.abs(module.dx.data).max() <= fsm.OFFSET_INIT_RANGE
         with pytest.raises(StateError):
             module.insert(rng)
 
     def test_fresh_offsets_within_init_range(self):
         module = fsm.FeatureShiftModule(2, 64, rng=np.random.default_rng(18))
-        for arr in (module.params.offsets.dx.data, module.params.offsets.dy.data):
+        for arr in (module.dx.data, module.dy.data):
             assert np.abs(arr).max() <= fsm.OFFSET_INIT_RANGE

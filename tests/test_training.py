@@ -101,7 +101,7 @@ class TestInsertion:
         for _ in range(12):
             trainer.step()
             if module.active:
-                seen = max(seen, float(np.abs(module.params.offsets.dx.grad).max()))
+                seen = max(seen, float(np.abs(module.dx.grad).max()))
         assert seen > 0.0
 
     def test_double_insertion_raises(self):
@@ -128,7 +128,7 @@ class TestDeterminismAndDescent:
             graph, cfg, data = tiny_setup(seed=3, iterations=15, insertion=4)
             trainer = Trainer(graph, cfg, data)
             res = trainer.run()
-            losses = [row["main"] for _, row, _, _ in res.metrics]
+            losses = [row["loss_main"] for row in res.metrics]
             params = np.concatenate([p.data.ravel()
                                      for _, p in graph.named_parameters()])
             results.append((losses, params))
@@ -153,7 +153,7 @@ class TestDeterminismAndDescent:
             first = trainer.step()["main"]
             while trainer.iteration < 2000:
                 trainer.step()
-            last = trainer.metrics[-1][1]["main"]
+            last = trainer.metrics[-1]["loss_main"]
             assert last < first, (seed, first, last)
 
     def test_metrics_csv_layout(self):
