@@ -276,12 +276,13 @@ def _contract(op, x, cols, weight, bias, fold=None):
     def backward(g):
         g3 = g.reshape(b, k, h * w)
         with np.errstate(invalid="ignore", over="ignore"):
-            gcols = (w2.T @ g3).reshape(b, c, h, w)
             gw = (g3 @ cols3.transpose(0, 2, 1)).sum(axis=0)
-            grads = [
-                (x, gcols if fold is None else fold(gcols)),
-                (weight, gw.reshape(weight.shape)),
-            ]
+            grads = [(weight, gw.reshape(weight.shape))]
+            # the tape would drop this gradient when ``x`` (the graph input)
+            # requires none: skip its GEMM and, for a spatial kernel, fold
+            if x.requires_grad:
+                gcols = (w2.T @ g3).reshape(b, c, h, w)
+                grads.append((x, gcols if fold is None else fold(gcols)))
             if bias is not None:
                 grads.append((bias, g.sum(axis=(0, 2, 3))))
             return grads
@@ -309,24 +310,36 @@ def conv_out_size(size, kernel, stride, padding):
     return (size + 2 * padding - kernel) // stride + 1
 
 
-def _patches(op, x, kh, kw, stride, padding, fill=0):
-    """The (B, C, kh, kw, Ho, Wo) patches of ``x`` padded with ``fill``, and
-    their adjoint ``fold``: it scatter-adds a tensor of that size back
-    onto the unpadded (B, C, H, W) input."""
-    b, c, h, w = x.shape
-    if (kh, kw, stride, padding) == (1, 1, 1, 0):
-        # each patch is one input cell: no copy, and fold is a reshape
-        return x[:, :, None, None], lambda gcols: gcols.reshape(b, c, h, w)
+def _windows(op, h, w, kh, kw, stride, padding):
+    """The output size (Ho, Wo) of a kh x kw window sliding over an (H, W)
+    map padded by ``padding``, and for each kernel cell (i, j), in
+    row-major order, the index of its strided (B, C, Ho, Wo) view of the
+    padded map."""
     ho = conv_out_size(h, kh, stride, padding)
     wo = conv_out_size(w, kw, stride, padding)
     if ho < 1 or wo < 1:
         raise DimensionError(f"{op}: spatial: {h}x{w} too small for kernel {kh}x{kw}")
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-                constant_values=fill)
+    return ho, wo, [(i, j, (slice(None), slice(None), slice(i, i + stride * ho, stride),
+                            slice(j, j + stride * wo, stride)))
+                    for i in range(kh) for j in range(kw)]
+
+
+def _pad(x, padding, fill=0):
+    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
+                  constant_values=fill)
+
+
+def _patches(op, x, kh, kw, stride, padding):
+    """The (B, C, kh, kw, Ho, Wo) patches of ``x`` zero-padded, and their
+    adjoint ``fold``: it scatter-adds a tensor of that size back onto the
+    unpadded (B, C, H, W) input."""
+    b, c, h, w = x.shape
+    if (kh, kw, stride, padding) == (1, 1, 1, 0):
+        # each patch is one input cell: no copy, and fold is a reshape
+        return x[:, :, None, None], lambda gcols: gcols.reshape(b, c, h, w)
+    ho, wo, windows = _windows(op, h, w, kh, kw, stride, padding)
+    xp = _pad(x, padding)
     cols = np.empty((b, c, kh, kw, ho, wo), dtype=x.dtype)
-    windows = [(i, j, (slice(None), slice(None), slice(i, i + stride * ho, stride),
-                       slice(j, j + stride * wo, stride)))
-               for i in range(kh) for j in range(kw)]
     for i, j, window in windows:
         cols[:, :, i, j] = xp[window]
     padded_shape, dtype = xp.shape, x.dtype
@@ -356,20 +369,34 @@ def conv2d(x, weight, stride=1, padding=0, bias=None):
 
 
 def max_pool2d(x, kernel=3, stride=2, padding=1):
-    """Max pooling; ties go to the first window cell in row-major order."""
+    """Max pooling; ties go to the first window cell in row-major order,
+    and a NaN anywhere in a window is its maximum (the first NaN wins).
+
+    A running maximum over the windows' strided views of the padded
+    input, with a uint8 map of the cell that won; backward adds ``g``
+    into each window's view where that map picks it.
+    """
     _check_rank4(x, "max_pool2d")
-    cols, fold = _patches("max_pool2d", x.data, kernel, kernel, stride, padding,
-                          fill=np.finfo(x.dtype).min)
-    b, c, _, _, ho, wo = cols.shape
-    flat = cols.reshape(b, c, kernel * kernel, ho, wo)
-    arg = flat.argmax(axis=2)[:, :, None]
-    out = np.take_along_axis(flat, arg, axis=2)[:, :, 0]
-    flat_shape = flat.shape
+    _, _, h, w = x.shape
+    _, _, windows = _windows("max_pool2d", h, w, kernel, kernel, stride, padding)
+    xp = _pad(x.data, padding, fill=np.finfo(x.dtype).min)
+    out = xp[windows[0][2]].copy()
+    arg = np.zeros(out.shape, dtype=np.min_scalar_type(len(windows) - 1))
+    for cell, (_, _, window) in enumerate(windows[1:], 1):
+        v = xp[window]
+        # greater, or a NaN, while the maximum so far is not a NaN
+        take = ~(v <= out)
+        take &= out == out
+        np.copyto(out, v, where=take)
+        np.copyto(arg, cell, where=take)
+    padded_shape = xp.shape
 
     def backward(g):
-        gflat = np.zeros(flat_shape, dtype=x.dtype)
-        np.put_along_axis(gflat, arg, g[:, :, None], axis=2)
-        return ((x, fold(gflat)),)
+        gxp = np.zeros(padded_shape, dtype=x.dtype)
+        for cell, (_, _, window) in enumerate(windows):
+            dst = gxp[window]
+            np.add(dst, g, out=dst, where=arg == cell)
+        return ((x, gxp[:, :, padding:padding + h, padding:padding + w]),)
 
     return _node(out, (x,), backward)
 
@@ -396,39 +423,61 @@ EPS = 1e-5
 
 def _normalize(op, x, gamma, beta, view, axes, eps, stats=None):
     """gamma * xhat + beta as a tape node, where xhat normalizes ``x``
-    reshaped to ``view`` over ``axes``. ``stats`` fixes (mean, var) in
-    the keep-dims shape of that reduction; without it they are taken from
-    ``x`` and differentiated through. Returns the node, mean and var."""
-    c = x.shape[1]
+    reshaped to ``view`` over ``axes``; the last two axes of ``view`` are
+    (H, W) and both are reduced. ``stats`` fixes (mean, var) in the
+    keep-dims shape of that reduction; without it they are taken from
+    ``x`` and differentiated through. Returns the node, mean and var.
+
+    Every sum is an einsum to per-(b, c) sums over (H, W), then a sum of
+    those over the rest of ``axes``, so no product array is made. Only the
+    centred ``x - mean`` is kept: xhat = (x - mean) * inv_std is folded
+    into per-(b, c) coefficients, forward and backward.
+    """
+    b, c, h, w = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise DimensionError(
             f"{op}: channels: scale/offset need shape ({c},), "
             f"got {gamma.shape}/{beta.shape}")
-    xv = x.data.reshape(view)
+    slice_shape = view[:-2] + (1, 1)
+
+    def over_slices(bc):
+        # (B, C) sums -> the keep-dims shape of the reduction
+        return bc.reshape(slice_shape).sum(axis=axes, keepdims=True)
+
+    def per_channel(stat):
+        # the keep-dims shape of the reduction -> (B, C)
+        return np.broadcast_to(stat, slice_shape).reshape(b, c)
+
+    def spread(bc):
+        return bc[:, :, None, None]
+
+    n = int(np.prod([view[a] for a in axes]))
     if stats is None:
-        mean = xv.mean(axis=axes, keepdims=True)
-        var = xv.var(axis=axes, keepdims=True)
+        mean = over_slices(np.einsum("bchw->bc", x.data)) / n
     else:
         mean, var = stats
+    xc = (x.data.reshape(view) - mean).reshape(x.shape)
+    if stats is None:
+        var = over_slices(np.einsum("bchw,bchw->bc", xc, xc)) / n
     if _SMOOTHNESS is not None:
         _SMOOTHNESS["var"].append(float(var.min()))
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = ((xv - mean) * inv_std).reshape(x.shape)
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    inv_std = per_channel(1.0 / np.sqrt(var + eps))
+    scale = gamma.data * inv_std
+    out = xc * spread(scale)
+    out += beta.data[None, :, None, None]
 
     def backward(g):
-        ggamma = (g * xhat).sum(axis=(0, 2, 3))
-        gbeta = g.sum(axis=(0, 2, 3))
-        gxhat = (g * gamma.data[None, :, None, None]).reshape(view)
-        if stats is not None:
-            gx = gxhat * inv_std
-        else:
-            xhatv = xhat.reshape(view)
-            n = xhatv.size // inv_std.size
-            s1 = gxhat.sum(axis=axes, keepdims=True)
-            s2 = (gxhat * xhatv).sum(axis=axes, keepdims=True)
-            gx = (gxhat - s1 / n - xhatv * s2 / n) * inv_std
-        return ((x, gx.reshape(x.shape)), (gamma, ggamma), (beta, gbeta))
+        sum_g = np.einsum("bchw->bc", g)
+        sum_gxhat = np.einsum("bchw,bchw->bc", g, xc) * inv_std
+        gx = g * spread(scale)
+        if stats is None:
+            # gx = (gamma g - s1 / n - xhat s2 / n) * inv_std, with s1 and
+            # s2 the slice sums of gamma g and of gamma g xhat
+            s1 = per_channel(over_slices(gamma.data * sum_g) / n)
+            s2 = per_channel(over_slices(gamma.data * sum_gxhat) / n)
+            gx -= xc * spread(s2 * inv_std * inv_std)
+            gx -= spread(s1 * inv_std)
+        return ((x, gx), (gamma, sum_gxhat.sum(axis=0)), (beta, sum_g.sum(axis=0)))
 
     return _node(out, (x, gamma, beta), backward), mean, var
 

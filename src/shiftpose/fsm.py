@@ -55,20 +55,25 @@ def _translate_axis(maps, d, axis, difference=False):
     columns): with ``o = floor(-d)`` and ``f = -d - o`` that is the two-tap
     blend ``(1 - f) * maps[i + o] + f * maps[i + o + 1]``, reading zero
     outside the view. ``difference`` swaps the taps for (-1, +1), the
-    derivative of the blend with respect to the sample coordinate. Each
-    run of adjacent channels sharing ``o`` is one pair of slice updates.
+    derivative of the blend with respect to the sample coordinate. The
+    channels are gathered in the stable order of ``o``, so each distinct
+    ``o`` is one run and one pair of slice updates; the result is
+    scattered back to the original channel order.
     """
     n = maps.shape[axis]
     m = -np.asarray(d, dtype=np.float64)
     o = np.floor(m)
     f = (m - o).astype(maps.dtype)
     o = o.astype(np.int64)
+    order = np.argsort(o, kind="stable")
+    o, f = o[order], f[order]
+    src = maps[:, order]
     lead = (slice(None),) * (axis - 2)
 
     def view(a, channels, lo, hi):
         return a[(slice(None), channels) + lead + (slice(lo, hi),)]
 
-    out = np.zeros_like(maps)
+    out = np.zeros_like(src)
     cuts = (np.flatnonzero(np.diff(o)) + 1).tolist()
     for k0, k1 in zip([0] + cuts, cuts + [len(o)]):
         ch = slice(k0, k1)
@@ -78,8 +83,10 @@ def _translate_axis(maps, d, axis, difference=False):
             lo, hi = max(0, -t), min(n, n - t)
             if lo < hi:
                 dst = view(out, ch, lo, hi)
-                dst += wgt * view(maps, ch, lo + t, hi + t)
-    return out
+                dst += wgt * view(src, ch, lo + t, hi + t)
+    result = np.empty_like(out)
+    result[:, order] = out
+    return result
 
 
 def shift_values(maps, dx, dy):

@@ -317,10 +317,15 @@ class NetworkGraph:
     def forward(self, x, mode="train", check_finite=False):
         """Run all nodes; returns (head outputs, every node output).
 
-        Head outputs are keyed "main" plus each ESP node name.
+        Head outputs are keyed "main" plus each ESP node name. An ndarray
+        input is copied to the graph dtype, and its subnormal values (below
+        that dtype's smallest normal magnitude) are read as zero, so the
+        first layer multiplies no subnormal floats: on common CPUs such a
+        product runs many times slower than one of normal floats.
         """
         if isinstance(x, np.ndarray):
-            x = Tensor(np.ascontiguousarray(x, dtype=self.dtype))
+            x = np.ascontiguousarray(x, dtype=self.dtype)
+            x = Tensor(np.where(np.abs(x) < np.finfo(self.dtype).tiny, 0, x))
         expect = tuple(self.input_shape)
         if x.ndim != 4 or tuple(x.shape[1:]) != expect:
             raise DimensionError(

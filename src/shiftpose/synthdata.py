@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import GenerationError
+from .errors import ConfigError, GenerationError
 
 __all__ = [
     "SynthSpec", "SynthSample", "AugmentRanges", "generate_dataset",
@@ -150,11 +150,16 @@ def heatmap_target(keypoints, map_size, sigma, dtype=np.float32):
 def heatmap_targets(samples, head_shape, input_height, dtype=np.float32):
     """Targets of ``samples`` at a head's (M, h, w) output shape, stacked to
     (N, M, h, w). This is the one map from image pixels to heatmap pixels:
-    keypoints scale by the head's height over the input height."""
+    keypoints scale by the head's height over the input height. A sample
+    whose keypoint count is not the head's channel count M is refused."""
     m, hh, hw = head_shape
     scale = input_height / hh
     out = np.empty((len(samples), m, hh, hw), dtype=dtype)
     for i, s in enumerate(samples):
+        if len(s.keypoints) != m:
+            raise ConfigError("network.keypoints",
+                              f"the head has {m} channels, but sample {i} has "
+                              f"{len(s.keypoints)} keypoint(s)")
         out[i] = heatmap_target(s.keypoints / scale, (hh, hw), s.heatmap_sigma, dtype)
     return out
 

@@ -103,6 +103,33 @@ class TestBilinearSample:
             assert jump <= delta * value_range + 1e-12
 
 
+def normalize_reference(x, gamma, beta, g, view, axes, stats=None, eps=ad.EPS):
+    """Output, the three gradients and (mean, var) of gamma * xhat + beta
+    from the textbook formula: mean and biased variance over ``axes`` of
+    ``x`` reshaped to ``view``, or the fixed ``stats``; without ``stats``
+    the input gradient runs through the statistics."""
+    xv = x.reshape(view)
+    if stats is None:
+        mean = xv.mean(axis=axes, keepdims=True)
+        var = xv.var(axis=axes, keepdims=True)
+    else:
+        mean, var = stats
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = ((xv - mean) * inv_std).reshape(x.shape)
+    out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    gxhat = (g * gamma[None, :, None, None]).reshape(view)
+    if stats is None:
+        xhatv = xhat.reshape(view)
+        n = xhatv.size // inv_std.size
+        s1 = gxhat.sum(axis=axes, keepdims=True)
+        s2 = (gxhat * xhatv).sum(axis=axes, keepdims=True)
+        gx = (gxhat - s1 / n - xhatv * s2 / n) * inv_std
+    else:
+        gx = gxhat * inv_std
+    return (out, gx.reshape(x.shape), (g * xhat).sum(axis=(0, 2, 3)),
+            g.sum(axis=(0, 2, 3))), (mean, var)
+
+
 class TestNormalization:
     def test_eval_batchnorm_near_identity(self):
         x = ad.tensor(rand((2, 3, 4, 4), 8))
@@ -154,6 +181,35 @@ class TestNormalization:
 
         report = finite_diff_gradcheck(run, [x, gamma, beta])
         assert report.passed, str(report)
+
+    @pytest.mark.parametrize("case", ["bn-train", "bn-eval", "gn-1", "gn-2", "gn-4"])
+    def test_matches_the_textbook_formula(self, case):
+        x = rand((3, 4, 5, 6), 30) * 2.0 + 3.0
+        gamma, beta = rand(4, 31), rand(4, 32)
+        g = rand(x.shape, 33)
+        running = (rand(4, 34), np.exp(rand(4, 35)))
+        tx, tg, tb = (ad.tensor(x, requires_grad=True), ad.Parameter(gamma),
+                      ad.Parameter(beta))
+        rm, rv = (r.copy() for r in running)
+        if case.startswith("gn"):
+            groups = int(case[3:])
+            out = ad.group_norm(tx, tg, tb, groups)
+            view, axes, stats = (3, groups, 4 // groups, 5, 6), (2, 3, 4), None
+        else:
+            mode = case[3:]
+            out = ad.batch_norm(tx, tg, tb, rm, rv, mode, momentum=0.25)
+            view, axes = x.shape, (0, 2, 3)
+            stats = (None if mode == "train"
+                     else tuple(r[None, :, None, None] for r in running))
+        out.backward(g)
+        want, (mean, var) = normalize_reference(x, gamma, beta, g, view, axes, stats)
+        for got, ref in zip((out.data, tx.grad, tg.grad, tb.grad), want):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+        if case == "bn-train":
+            np.testing.assert_allclose(rm, running[0] + 0.25 * (mean.ravel() - running[0]),
+                                       rtol=1e-12)
+            np.testing.assert_allclose(rv, running[1] + 0.25 * (var.ravel() - running[1]),
+                                       rtol=1e-12)
 
     def test_running_stats_update(self):
         x = ad.tensor(np.full((1, 1, 2, 2), 10.0))
@@ -248,6 +304,19 @@ class TestPoolAndConv2d:
         np.testing.assert_array_equal(x.grad, expect)
 
 
+    def test_maxpool_nan_in_a_later_window_cell_reaches_the_output(self):
+        # (1, 1) is the last cell of window (0, 0), a middle cell of
+        # windows (0, 1) and (1, 0), and the first cell of window (1, 1)
+        vals = np.arange(16.0).reshape(1, 1, 4, 4)
+        vals[0, 0, 1, 1] = np.nan
+        x = ad.tensor(vals, requires_grad=True)
+        out = ad.max_pool2d(x, kernel=3, stride=2, padding=1)
+        assert np.isnan(out.data).all()
+        out.backward(np.ones(out.shape))
+        expect = np.zeros(x.shape)
+        expect[0, 0, 1, 1] = 4.0
+        np.testing.assert_array_equal(x.grad, expect)
+
     def test_maxpool_shape_and_values(self):
         x = ad.tensor(np.arange(16.0).reshape(1, 1, 4, 4))
         out = ad.max_pool2d(x, kernel=3, stride=2, padding=1)
@@ -261,6 +330,29 @@ class TestPoolAndConv2d:
         x = ad.tensor(vals, requires_grad=True)
         report = finite_diff_gradcheck(lambda t: ad.max_pool2d(t, 3, 2, 1), [x])
         assert report.passed, str(report)
+
+    def test_conv2d_builds_no_gradient_for_a_constant_input(self, monkeypatch):
+        patches, folds = ad._patches, []
+
+        def counted_patches(*args):
+            cols, fold = patches(*args)
+
+            def counted_fold(gcols):
+                folds.append(1)
+                return fold(gcols)
+
+            return cols, counted_fold
+
+        monkeypatch.setattr(ad, "_patches", counted_patches)
+        weight_grads = []
+        for requires_grad in (True, False):
+            x = ad.tensor(rand((2, 3, 9, 8), 21), requires_grad=requires_grad)
+            w = ad.Parameter(rand((4, 3, 3, 3), 22))
+            out = ad.conv2d(x, w, stride=2, padding=1)
+            out.backward(rand(out.shape, 24))
+            weight_grads.append(w.grad)
+        assert folds == [1]
+        np.testing.assert_array_equal(weight_grads[0], weight_grads[1])
 
     def test_conv2d_stride_halves_odd_sizes(self):
         x = ad.tensor(np.zeros((1, 1, 7, 9)))

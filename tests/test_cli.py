@@ -130,6 +130,16 @@ def test_bad_config_is_one_error_line(tmp_path, capsys, doc, message):
     assert (code, out.err) == (2, f"error: config: {message}\n")
 
 
+@pytest.mark.parametrize("command", ["train", "synth"])
+def test_keypoint_count_unlike_the_samples_is_one_error_line(tmp_path, capsys, command):
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps({**TINY, "network": {"keypoints": 3}}))
+    code, out = run(capsys, command, "--config", path, "--out", tmp_path / "out")
+    lines = out.err.splitlines()
+    assert code == 2 and len(lines) == 1, out.err
+    assert lines[0].startswith("error: config: network.keypoints: "), out.err
+
+
 # -- checkpoints the CLI cannot use -----------------------------------------------
 # Each corruption maps the path of a good checkpoint to the bytes of a bad one.
 

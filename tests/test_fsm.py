@@ -95,6 +95,54 @@ class TestShiftForward:
         np.testing.assert_allclose(composed[interior], direct[interior], atol=1e-9)
 
 
+def translate_axis_by_adjacent_runs(maps, d, axis, difference=False):
+    """``fsm._translate_axis`` without the grouping: channels stay in
+    order and each run of adjacent channels sharing ``o`` gets its own
+    pair of slice updates."""
+    n = maps.shape[axis]
+    m = -np.asarray(d, dtype=np.float64)
+    o = np.floor(m)
+    f = (m - o).astype(maps.dtype)
+    o = o.astype(np.int64)
+    lead = (slice(None),) * (axis - 2)
+
+    def view(a, channels, lo, hi):
+        return a[(slice(None), channels) + lead + (slice(lo, hi),)]
+
+    out = np.zeros_like(maps)
+    cuts = (np.flatnonzero(np.diff(o)) + 1).tolist()
+    for k0, k1 in zip([0] + cuts, cuts + [len(o)]):
+        ch = slice(k0, k1)
+        fk = f[ch].reshape(-1, 1, 1)
+        taps = (-1, 1) if difference else (1 - fk, fk)
+        for t, wgt in zip((int(o[k0]), int(o[k0]) + 1), taps):
+            lo, hi = max(0, -t), min(n, n - t)
+            if lo < hi:
+                dst = view(out, ch, lo, hi)
+                dst += wgt * view(maps, ch, lo + t, hi + t)
+    return out
+
+
+class TestTranslateAxis:
+    @pytest.mark.parametrize("pattern", ["equal", "alternating", "spread", "single"])
+    @pytest.mark.parametrize("difference", [False, True])
+    @pytest.mark.parametrize("axis", [2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_grouped_runs_equal_adjacent_runs_bitwise(self, pattern, difference, axis,
+                                                      dtype):
+        rng = np.random.default_rng(41)
+        k = 1 if pattern == "single" else 16
+        d = {"equal": np.full(k, 0.3),
+             "alternating": np.where(np.arange(k) % 2, -1.4, 0.6),
+             "spread": rng.uniform(-8.0, 8.0, k),
+             "single": rng.uniform(-2.0, 2.0, k)}[pattern]
+        maps = rng.standard_normal((2, k, 9, 11)).astype(dtype)
+        got = fsm._translate_axis(maps, d, axis, difference)
+        want = translate_axis_by_adjacent_runs(maps, d, axis, difference)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
 class TestShiftBackward:
     def test_integer_offset_ones_upstream(self):
         maps = tmap([[1.0, 2.0], [3.0, 4.0]])

@@ -266,3 +266,26 @@ class TestShapeAudit:
         g = net.build_toy_fsm_net((16, 16), 1, 1, 4, 8)
         with pytest.raises(DimensionError, match="input"):
             g.forward(np.zeros((1, 2, 16, 16), dtype=np.float32))
+
+
+class TestGraphInput:
+    def test_subnormal_pixels_read_as_zero(self):
+        g = net.build_toy_fsm_net((16, 16), 1, 1, 4, 8, fsm_active=True)
+        rng = np.random.default_rng(5)
+        tiny = np.finfo(np.float32).tiny
+        images = rng.standard_normal((2, 1, 16, 16)).astype(np.float32)
+        subnormal = rng.uniform(-0.9, 0.9, images.shape).astype(np.float32) * tiny
+        # the second image holds only subnormals, the first a sprinkling
+        images[1] = subnormal[1]
+        sprinkled = rng.random((16, 16)) < 0.2
+        images[0, 0][sprinkled] = subnormal[0, 0][sprinkled]
+        zeroed = np.where(np.abs(images) < tiny, np.float32(0), images)
+        held = images.copy()
+        for mode in ("train", "eval"):
+            _, got = g.forward(images, mode)
+            _, want = g.forward(zeroed, mode)
+            for name in got:
+                assert np.array_equal(got[name].data.view(np.uint32),
+                                      want[name].data.view(np.uint32)), name
+        # the caller's array is read, never written
+        assert np.array_equal(images.view(np.uint32), held.view(np.uint32))

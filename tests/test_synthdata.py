@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from shiftpose.errors import GenerationError
+from shiftpose.errors import ConfigError, GenerationError
 from shiftpose import synthdata as sd
 
 
@@ -75,6 +75,12 @@ class TestHeatmaps:
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError):
             sd.heatmap_target([(1.0, 1.0)], (4, 4), sigma=0.0)
+
+    def test_targets_refuse_a_keypoint_count_unlike_the_head(self):
+        samples = sd.generate_dataset(sd.SynthSpec(count=2, seed=3))
+        assert sd.heatmap_targets(samples, (1, 8, 8), 32).shape == (2, 1, 8, 8)
+        with pytest.raises(ConfigError, match="network.keypoints"):
+            sd.heatmap_targets(samples, (3, 8, 8), 32)
 
 
 class TestAugmentation:
