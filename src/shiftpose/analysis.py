@@ -1,9 +1,11 @@
 """Diagnostics over a trained graph.
 
 All procedures here are read-only over a frozen model: they run a
-forward pass, seed a gradient somewhere, and read gradients off the
-tape at interior tensors of a shifting module (its post-shifting maps
-or the non-local maps produced by its final pointwise convolution).
+forward pass, seed a gradient somewhere (the keypoint loss, or a unit at
+one position of a shifting module's non-local maps), and ask for the
+gradient they read: ``keypoint_offset_scores`` primes the module's
+post-shifting maps with ``zero_grad()``, and ``erf_map`` reads the
+gradient of a fresh input leaf. The tape keeps no other gradient.
 """
 
 from __future__ import annotations
@@ -82,12 +84,9 @@ def keypoint_offset_scores(graph, images, module_id, mode="eval"):
             y, x = divmod(int(flat), base.shape[3])
             modified[b, m, y, x] = 0.0
         loss = ad.mse_loss(pred, modified)
-        post_shift.grad = None
+        post_shift.zero_grad()
         loss.backward()
-        g = post_shift.grad
-        if g is None:
-            continue
-        scores[m] = np.abs(g).mean(axis=(0, 2, 3))
+        scores[m] = np.abs(post_shift.grad).mean(axis=(0, 2, 3))
 
     col = scores.max(axis=0)
     nonzero = col > 0
@@ -111,11 +110,9 @@ def erf_map(graph, image, module_id, channel, position, mode="eval"):
     network input and the squared sum across input channels returned.
     """
     node = graph.node(module_id)
-    if isinstance(image, np.ndarray):
-        image = Tensor(np.ascontiguousarray(image, dtype=graph.dtype),
-                       requires_grad=True)
-    else:
-        image.requires_grad = True
+    # a fresh leaf, so the caller's tensor is left as it was
+    image = Tensor(graph.input_array(image.data if isinstance(image, Tensor) else image),
+                   requires_grad=True)
     _, outputs = graph.forward(image, mode=mode)
     if isinstance(node.layer, FeatureShiftModule):
         nonlocal_maps = _fsm_module(graph, module_id).cache["nonlocal"]
@@ -131,7 +128,6 @@ def erf_map(graph, image, module_id, channel, position, mode="eval"):
                           f"({x},{y}) outside non-local map {h}x{w}")
     seed = np.zeros_like(nonlocal_maps.data)
     seed[0, channel, y, x] = 1.0
-    image.grad = None
     nonlocal_maps.backward(seed)
     values = (image.grad[0].astype(np.float64) ** 2).sum(axis=0)
     return ErfMap(values, (module_id, channel, (x, y)))

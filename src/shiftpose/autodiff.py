@@ -48,9 +48,10 @@ __all__ = [
 class Tensor:
     """A numpy array plus the tape bookkeeping for reverse-mode autodiff.
 
-    ``grad`` is accumulated for every tensor with ``requires_grad`` that
-    lies on the path of a backward pass, including intermediates, so
-    analyses can read gradients at arbitrary points of a forward graph.
+    Backward accumulates ``grad`` only on leaves with ``requires_grad``
+    (parameters and inputs: no backward closure) and on tensors whose
+    buffer a caller made with ``zero_grad()`` before the pass; a caller
+    that reads an interior gradient asks for it that way.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
@@ -124,7 +125,8 @@ class Tensor:
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node.requires_grad:
+            # a leaf keeps its gradient; an interior node only when primed
+            if node.grad is not None or (node.requires_grad and node._backward is None):
                 node._accumulate(g)
             if node._backward is None:
                 continue
@@ -160,8 +162,8 @@ def tensor(data, requires_grad=False, dtype=None, name=None):
 
 
 def _node(data, parents, backward, name=None):
-    # requires_grad propagates so gradients are retained at every
-    # intermediate; analyses read them at interior nodes of the graph.
+    # requires_grad propagates so backward reaches the leaves; the node
+    # keeps no gradient unless a caller primes it with zero_grad()
     rg = any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=rg, _parents=parents, _backward=backward, name=name)
 

@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -41,6 +42,21 @@ def _load_config(path):
     return load_run_config(path)
 
 
+def _datasets(cfg, graph):
+    """The run's training and eval sets fitted to ``graph``'s input: the
+    image size must be its input size, and the one synthetic channel is
+    repeated to its input channels (1-channel sets are returned as built)."""
+    channels, *size = graph.input_shape
+    if tuple(cfg.dataset.image_size) != tuple(size):
+        raise ConfigError("dataset.image_size", f"{tuple(cfg.dataset.image_size)} "
+                          f"differs from the network input size {tuple(size)}")
+    datasets = build_datasets(cfg)
+    if channels == 1:
+        return datasets
+    return tuple([replace(s, image=np.repeat(s.image, channels, axis=1)) for s in ds]
+                 for ds in datasets)
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -54,12 +70,11 @@ def cmd_train(args):
         cfg = _load_config(args.config)
         graph = build_network(cfg)
     if args.iterations is not None:
-        from dataclasses import replace
         cfg.trainer = replace(cfg.trainer, iterations=args.iterations)
     out_dir = args.out or _default_out()
     os.makedirs(out_dir, exist_ok=True)
 
-    train_ds, eval_ds = build_datasets(cfg)
+    train_ds, eval_ds = _datasets(cfg, graph)
     trainer = Trainer(graph, cfg.trainer, train_ds, eval_ds)
     if args.resume:
         trainer.optimizer.load_state(header["optimizer"], blobs)
@@ -102,7 +117,7 @@ def _restore(checkpoint_path, config_path=None):
 
 def cmd_eval(args):
     graph, cfg, *_ = _restore(args.checkpoint, args.config)
-    _, eval_ds = build_datasets(cfg)
+    _, eval_ds = _datasets(cfg, graph)
     trainer = Trainer(graph, cfg.trainer, eval_ds, eval_ds)
     loss = trainer.evaluate()
     print(f"eval_loss={loss:.9g}")
@@ -110,13 +125,13 @@ def cmd_eval(args):
 
 
 def cmd_synth(args):
-    from .synthdata import generate_dataset, heatmap_targets
+    from .synthdata import heatmap_targets
 
     cfg = _load_config(args.config)
-    samples = generate_dataset(cfg.dataset)
+    graph = build_network(cfg)
+    samples, _ = _datasets(cfg, graph)
     images = np.concatenate([s.image for s in samples], axis=0)
     keypoints = np.stack([s.keypoints for s in samples], axis=0)
-    graph = build_network(cfg)
     heatmaps = heatmap_targets(samples, graph.shape_of(graph.main_head),
                                graph.input_shape[1], images.dtype)
     cues = np.stack([s.cue for s in samples], axis=0)
@@ -171,7 +186,7 @@ def cmd_analyze(args):
     if args.what == "offsets":
         text = ana.export_offsets(graph)
     else:
-        train_ds, _ = build_datasets(cfg)
+        train_ds, _ = _datasets(cfg, graph)
         batch = np.concatenate(
             [s.image for s in train_ds[:min(8, len(train_ds))]], axis=0)
         if args.what == "erf":

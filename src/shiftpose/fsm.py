@@ -129,8 +129,7 @@ def shift(maps, dx, dy):
         gdy = -(g * d_gy).sum(axis=(0, 2, 3))
         return ((maps, gmaps), (dx, gdx.astype(dx.dtype)), (dy, gdy.astype(dy.dtype)))
 
-    return Tensor(out, requires_grad=any(t.requires_grad for t in (maps, dx, dy)),
-                  _parents=(maps, dx, dy), _backward=backward)
+    return ad._node(out, (maps, dx, dy), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +205,11 @@ class FeatureShiftModule:
         self.name = "fsm"
         self.clamp_bound = None
         # The tensors of the last active forward keep that step's whole tape
-        # alive until the next forward replaces them. That is deliberate:
-        # freeing the tape after each step let the allocator return its
-        # pages and fault them in again (mid-train: 3x the minor faults,
-        # a slower step) and lowered no peak RSS.
+        # (activations and closures; no gradient copies, which backward keeps
+        # on leaves only) alive until the next forward replaces them. That is
+        # deliberate: freeing the tape after each step let the allocator
+        # return its pages and fault them in again (mid-train: 3x the minor
+        # faults, a slower step) and lowered no peak RSS.
         self.cache = {}
 
     def forward(self, p, mode="train"):

@@ -314,18 +314,22 @@ class NetworkGraph:
             raise ConfigError("graph.layer", f"unknown layer id {name!r}")
         return self._by_name[name]
 
+    def input_array(self, x):
+        """``x`` copied to the graph dtype, with its subnormal values (below
+        that dtype's smallest normal magnitude) read as zero, so the first
+        layer multiplies no subnormal floats: on common CPUs such a product
+        runs many times slower than one of normal floats."""
+        x = np.ascontiguousarray(x, dtype=self.dtype)
+        return np.where(np.abs(x) < np.finfo(self.dtype).tiny, 0, x)
+
     def forward(self, x, mode="train", check_finite=False):
         """Run all nodes; returns (head outputs, every node output).
 
         Head outputs are keyed "main" plus each ESP node name. An ndarray
-        input is copied to the graph dtype, and its subnormal values (below
-        that dtype's smallest normal magnitude) are read as zero, so the
-        first layer multiplies no subnormal floats: on common CPUs such a
-        product runs many times slower than one of normal floats.
+        input is converted by ``input_array``; a ``Tensor`` is used as is.
         """
         if isinstance(x, np.ndarray):
-            x = np.ascontiguousarray(x, dtype=self.dtype)
-            x = Tensor(np.where(np.abs(x) < np.finfo(self.dtype).tiny, 0, x))
+            x = Tensor(self.input_array(x))
         expect = tuple(self.input_shape)
         if x.ndim != 4 or tuple(x.shape[1:]) != expect:
             raise DimensionError(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from shiftpose import analysis as ana
+from shiftpose import autodiff as ad
 from shiftpose import network as net
 from shiftpose.errors import ConfigError
 from shiftpose.fsm import CA_SIGMOID, FeatureShiftModule, OFFSET_INIT_RANGE, parse_offset_table
@@ -125,6 +126,21 @@ class TestErfMap:
         emap = ana.erf_map(g, batch(c=1, hw=(9, 9), b=1, seed=21), "fsm1", 0, seed_xy)
         peak_y, peak_x = np.unravel_index(emap.values.argmax(), emap.values.shape)
         assert (peak_x, peak_y) == (seed_xy[0] - d, seed_xy[1])
+
+    def test_leaves_a_passed_tensor_as_it_was(self):
+        g, _ = single_fsm_graph(seed=28)
+        image = ad.tensor(batch(b=1, seed=29))
+        ana.erf_map(g, image, "fsm1", 0, (2, 2))
+        assert image.requires_grad is False and image.grad is None
+
+    def test_subnormal_pixels_read_as_zero(self):
+        g, _ = single_fsm_graph(seed=30)
+        image = batch(b=1, seed=31)
+        image[0, :, 2:5, 3] = 1e-310
+        zeroed = np.where(np.abs(image) < 1e-300, 0.0, image)
+        got = ana.erf_map(g, image, "fsm1", 0, (3, 3)).values
+        want = ana.erf_map(g, zeroed, "fsm1", 0, (3, 3)).values
+        assert got.tobytes() == want.tobytes()
 
     def test_zero_weight_model_erf_is_zero(self):
         g, module = single_fsm_graph(c=1, k=2, hw=(6, 6), seed=22)

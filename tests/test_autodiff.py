@@ -413,6 +413,17 @@ class TestBackwardMechanics:
         loss.backward()
         assert np.array_equal(g1[0], x.grad) and np.array_equal(g1[1], w.grad)
 
+    def test_interior_gradient_only_when_primed(self):
+        rng = np.random.default_rng(22)
+        x = ad.tensor(rng.standard_normal((2, 3, 4, 4)))
+        w = ad.Parameter(rng.standard_normal((3, 3)))
+        primed, unprimed = ad.conv1x1(x, w), ad.conv1x1(x, w)
+        primed.zero_grad()
+        for y in (primed, unprimed):
+            ad.sum_all(ad.relu(y)).backward()
+        np.testing.assert_array_equal(primed.grad, (primed.data > 0).astype(primed.dtype))
+        assert unprimed.grad is None
+
     def test_corrupted_backward_fails_gradcheck(self):
         # negative control: an op whose backward doubles the true gradient
         def broken_double(x):

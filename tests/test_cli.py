@@ -140,6 +140,29 @@ def test_keypoint_count_unlike_the_samples_is_one_error_line(tmp_path, capsys, c
     assert lines[0].startswith("error: config: network.keypoints: "), out.err
 
 
+@pytest.mark.parametrize("network", [
+    {"builder": "3block3fsm", "input_size": [32, 32], "shift_channels": 4},
+    {"builder": "fpn", "input_size": [64, 64]},
+])
+def test_three_channel_builders_train_on_the_synthetic_images(tmp_path, capsys, network):
+    path = tmp_path / "rgb.json"
+    path.write_text(json.dumps({"network": network, "dataset": {"count": 4},
+                                "trainer": {"iterations": 1, "batch_size": 2},
+                                "eval_count": 2}))
+    code, out = run(capsys, "train", "--config", path, "--out", tmp_path / "run",
+                    "--iterations", 1)
+    assert (code, out.err) == (0, "")
+
+
+def test_image_size_unlike_the_input_size_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "sizes.json"
+    path.write_text(json.dumps({**TINY, "dataset": {"count": 4, "image_size": [16, 16]}}))
+    code, out = run(capsys, "train", "--config", path, "--out", tmp_path / "run")
+    lines = out.err.splitlines()
+    assert code == 2 and len(lines) == 1, out.err
+    assert lines[0].startswith("error: config: dataset.image_size: "), out.err
+
+
 # -- checkpoints the CLI cannot use -----------------------------------------------
 # Each corruption maps the path of a good checkpoint to the bytes of a bad one.
 

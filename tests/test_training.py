@@ -104,6 +104,25 @@ class TestInsertion:
                 seen = max(seen, float(np.abs(module.dx.grad).max()))
         assert seen > 0.0
 
+    def test_step_leaves_no_gradient_on_the_cached_tape(self):
+        graph, cfg, data = tiny_setup(iterations=4, insertion=1)
+        trainer = Trainer(graph, cfg, data)
+        for _ in range(3):
+            trainer.step()
+        module = dict(graph.fsm_layers())["fsm1"]
+        assert module.active
+        seen, stack, interior = set(), list(module.cache.values()), 0
+        while stack:
+            t = stack.pop()
+            if id(t) in seen:
+                continue
+            seen.add(id(t))
+            if t._backward is not None:
+                interior += 1
+                assert t.grad is None, t
+            stack.extend(t._parents)
+        assert interior > 0
+
     def test_double_insertion_raises(self):
         graph, cfg, data = tiny_setup()
         rng = np.random.default_rng(0)
