@@ -4,8 +4,11 @@ Commands: train, eval, synth, gradcheck, count, analyze
 (offsets|erf|kp-scores), oracle-check. Each writes its artifact and
 exits 0 on success; errors print one machine-parseable line to stderr
 (`error: <category>: <detail>`) with exit code 2 for configuration
-problems, 3 for numeric divergence during training, and 1 otherwise
-(a failed allocation included).
+problems (`config`), 3 for numeric divergence during training
+(`numeric`), and 1 otherwise: an unusable checkpoint (`checkpoint`),
+an impossible synthetic task (`generation`), a failed allocation
+(`memory`), or a path that cannot be read or written (`file`, naming
+the path).
 
 The only environment variable consulted is SHIFTPOSE_OUT_DIR, which
 overrides the default artifact directory.
@@ -81,23 +84,23 @@ def cmd_train(args):
         trainer.rng = restore_rng(header["rng_state"])
         trainer.iteration = header["iteration"]
 
-    result = trainer.run()
+    final_eval_loss = trainer.run()
 
     with open(os.path.join(out_dir, "metrics.csv"), "w") as fh:
         fh.write(trainer.metrics_csv())
-    for epoch, table in result.offset_snapshots:
+    for epoch, table in trainer.offset_snapshots:
         with open(os.path.join(out_dir, f"offsets_epoch_{epoch}.csv"), "w") as fh:
             fh.write(table)
     ckpt_path = os.path.join(out_dir, "checkpoint.ssnc")
     checkpoint_save(ckpt_path, graph, trainer.optimizer, trainer.rng,
                     trainer.iteration, extra={"run_config": run_config_to_dict(cfg)})
-    summary = {"iterations": result.iterations_run,
-               "final_eval_loss": result.final_eval_loss,
+    summary = {"iterations": trainer.iteration,
+               "final_eval_loss": final_eval_loss,
                "checkpoint": ckpt_path}
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=1)
-    print(f"trained {result.iterations_run} iterations; "
-          f"final_eval_loss={result.final_eval_loss:.9g}")
+    print(f"trained {trainer.iteration} iterations; "
+          f"final_eval_loss={final_eval_loss:.9g}")
     return 0
 
 
@@ -296,6 +299,10 @@ def main(argv=None):
         return 1
     except MemoryError as exc:
         print(f"error: memory: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        detail = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+        print(f"error: file: {detail}", file=sys.stderr)
         return 1
 
 

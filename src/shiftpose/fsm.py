@@ -269,15 +269,9 @@ class FeatureShiftModule:
             for d in (self.dx, self.dy):
                 np.clip(d.data, -self.clamp_bound, self.clamp_bound, out=d.data)
 
-    def weight_parameters(self):
-        return [(n, getattr(self, n)) for n in
-                ("in_weight", "gate_weight", "out_weight", "norm_scale", "norm_offset")]
-
-    def offset_parameters(self):
-        return [("dx", self.dx), ("dy", self.dy)]
-
     def named_params(self):
-        return self.weight_parameters() + self.offset_parameters()
+        return [(n, getattr(self, n)) for n in ("in_weight", "gate_weight", "out_weight",
+                                                "norm_scale", "norm_offset", "dx", "dy")]
 
     def buffers(self):
         return [("norm.running_mean", self.running_mean),

@@ -366,14 +366,6 @@ class NetworkGraph:
         return [(n.name, n.layer) for n in self.nodes
                 if isinstance(n.layer, FeatureShiftModule)]
 
-    def backbone_parameters(self):
-        out = []
-        for node in self.nodes:
-            if isinstance(node.layer, FeatureShiftModule):
-                continue
-            out += [(f"{node.name}.{n}", p) for n, p in node.layer.named_params()]
-        return out
-
     # -- serialization --------------------------------------------------------
 
     def spec(self):

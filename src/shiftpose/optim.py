@@ -1,7 +1,7 @@
 """Adam optimizer with named parameter groups.
 
-Groups exist so the trainer can drive different learning-rate schedules
-for the backbone, the shifting-module weights, and the offsets. A group
+Groups exist so the trainer can drive one learning-rate schedule per
+group; ``training`` decides which parameters share a group. A group
 added mid-training (delayed insertion) starts with a fresh step counter,
 so its bias correction treats it as newly initialized.
 """

@@ -17,14 +17,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
+from .analysis import export_offsets
 from .errors import NumericError, StateError
+from .fsm import FeatureShiftModule
 from .optim import Adam
 from .synthdata import AugmentRanges, augment_sample, heatmap_targets
 
 __all__ = [
     "LrDecay", "TrainConfig", "base_lr_schedule", "offset_lr_schedule",
-    "insert_fsm_modules", "Trainer", "TrainResult",
+    "insert_fsm_modules", "Trainer",
 ]
+
+_FSM_GROUPS = ("fsm_weights", "offsets")
 
 
 @dataclass
@@ -57,6 +61,10 @@ class TrainConfig:
             raise ConfigError("trainer.offset_decay_per_epoch", "must lie in (0,1)")
         if self.batch_size < 1:
             raise ConfigError("trainer.batch_size", "must be at least 1")
+        low, high = self.augment_ranges.scale
+        if not 0.0 < low <= high:
+            raise ConfigError("trainer.augment_ranges.scale",
+                              f"({low:g}, {high:g}) must satisfy 0 < low <= high")
         return self
 
     @classmethod
@@ -88,37 +96,35 @@ def offset_lr_schedule(epoch, config):
     return config.offset_lr * (1.0 - config.offset_decay_per_epoch) ** epoch
 
 
-def insert_fsm_modules(graph, rng, optimizer=None, offset_lr=None, weight_lr=None):
+def insert_fsm_modules(graph, rng):
     """Activate every bypassed shifting module (zeroed output projection,
-    fresh offsets) and, when an optimizer is given, register two new
-    groups: module weights at the backbone rate and offsets at their own."""
+    fresh offsets); returns their node names."""
     modules = [(name, m) for name, m in graph.fsm_layers() if not m.active]
     if not modules:
         raise StateError("no bypassed shifting modules left to insert")
     for _, m in modules:
         m.insert(rng)
-    if optimizer is not None:
-        _add_fsm_groups(optimizer, modules, weight_lr, offset_lr)
     return [name for name, _ in modules]
 
 
-def _add_fsm_groups(optimizer, modules, weight_lr, offset_lr):
-    """Register the ``fsm_weights`` and ``offsets`` groups over the given
-    (node name, module) pairs; slots are named ``<node>.<param>``."""
-    weights, offsets = [], []
-    for name, m in modules:
-        weights += [(f"{name}.{n}", p) for n, p in m.weight_parameters()]
-        offsets += [(f"{name}.{n}", p) for n, p in m.offset_parameters()]
-    optimizer.add_group("fsm_weights", weights, weight_lr)
-    optimizer.add_group("offsets", offsets, offset_lr)
+def _parameter_groups(graph):
+    """Every ``<node>.<slot>`` parameter filed under its optimizer group,
+    in graph order: a shifting module's ``dx`` and ``dy`` under
+    ``offsets``, its other slots under ``fsm_weights``, and every other
+    layer's parameters under ``backbone``."""
+    groups = {"backbone": [], "fsm_weights": [], "offsets": []}
+    for node in graph.nodes:
+        fsm = isinstance(node.layer, FeatureShiftModule)
+        for slot, p in node.layer.named_params():
+            group = "backbone" if not fsm else \
+                "offsets" if slot in ("dx", "dy") else "fsm_weights"
+            groups[group].append((f"{node.name}.{slot}", p))
+    return groups
 
 
-@dataclass
-class TrainResult:
-    iterations_run: int
-    metrics: list                  # one mapping per step, keyed as the CSV columns
-    final_eval_loss: float
-    offset_snapshots: list         # (epoch, table text)
+def _group_rates(base_lr, offset_lr):
+    """Each group's rate: the module weights follow the backbone."""
+    return {"backbone": base_lr, "fsm_weights": base_lr, "offsets": offset_lr}
 
 
 class Trainer:
@@ -142,20 +148,17 @@ class Trainer:
         self.iters_per_epoch = max(1, len(dataset) // config.batch_size)
 
         self.optimizer = Adam()
-        self.optimizer.add_group("backbone", graph.backbone_parameters(),
-                                 config.base_lr)
-        active = [(n, m) for n, m in graph.fsm_layers() if m.active]
-        if active:
-            _add_fsm_groups(self.optimizer, active, config.base_lr, config.offset_lr)
+        modules = [m for _, m in graph.fsm_layers()]
+        active = modules and all(m.active for m in modules)
+        self._add_groups(("backbone",) + (_FSM_GROUPS if active else ()),
+                         _group_rates(config.base_lr, config.offset_lr))
+
+    def _add_groups(self, names, rates):
+        groups = _parameter_groups(self.graph)
+        for name in names:
+            self.optimizer.add_group(name, groups[name], rates[name])
 
     # -- data ---------------------------------------------------------------
-
-    def _head_shapes(self):
-        shapes = {"main": self.graph.shape_of(self.graph.main_head)}
-        for node in self.graph.nodes:
-            if node.is_head:
-                shapes[node.name] = node.out_shape
-        return shapes
 
     def _targets_for(self, samples, head_shape):
         return heatmap_targets(samples, head_shape, self.graph.input_shape[1],
@@ -176,26 +179,20 @@ class Trainer:
         return self.iteration // self.iters_per_epoch
 
     def _losses(self, heads, samples):
-        shapes = self._head_shapes()
-        losses = {}
-        for name, pred in heads.items():
-            target = self._targets_for(samples, shapes[name])
-            losses[name] = ad.mse_loss(pred, target)
-        return losses
+        return {name: ad.mse_loss(pred, self._targets_for(samples, pred.shape[1:]))
+                for name, pred in heads.items()}
 
     def step(self):
         """One optimizer step; returns the per-head loss values."""
         cfg = self.config
+        rates = _group_rates(base_lr_schedule(self.iteration, cfg),
+                             offset_lr_schedule(self.epoch(), cfg))
         if self.iteration == cfg.insertion_iteration and \
                 any(not m.active for _, m in self.graph.fsm_layers()):
-            insert_fsm_modules(self.graph, self.rng, self.optimizer,
-                               offset_lr=offset_lr_schedule(self.epoch(), cfg),
-                               weight_lr=base_lr_schedule(self.iteration, cfg))
-
-        self.optimizer.set_lr("backbone", base_lr_schedule(self.iteration, cfg))
-        if "fsm_weights" in self.optimizer.groups:
-            self.optimizer.set_lr("fsm_weights", base_lr_schedule(self.iteration, cfg))
-            self.optimizer.set_lr("offsets", offset_lr_schedule(self.epoch(), cfg))
+            insert_fsm_modules(self.graph, self.rng)
+            self._add_groups(_FSM_GROUPS, rates)
+        for name in self.optimizer.groups:
+            self.optimizer.set_lr(name, rates[name])
 
         images, samples = self._draw_batch()
         heads, _ = self.graph.forward(images, mode="train")
@@ -227,27 +224,22 @@ class Trainer:
             "iteration": self.iteration,
             **{f"loss_{n}": values[n]
                for n in ["main"] + sorted(n for n in values if n != "main")},
-            "base_lr": base_lr_schedule(self.iteration, cfg),
-            "offset_lr": offset_lr_schedule(self.epoch(), cfg),
+            "base_lr": rates["backbone"],
+            "offset_lr": rates["offsets"],
         })
         self.iteration += 1
         return values
 
     def run(self):
+        """Step to ``config.iterations``, snapshotting the offset table at
+        each epoch end; returns the final eval loss."""
         while self.iteration < self.config.iterations:
             epoch_before = self.epoch()
             self.step()
             if self.epoch() != epoch_before:
                 self.offset_snapshots.append(
-                    (epoch_before, self.offset_table()))
-        final_eval = self.evaluate()
-        return TrainResult(self.iteration, self.metrics, final_eval,
-                           self.offset_snapshots)
-
-    def offset_table(self):
-        from .analysis import export_offsets
-
-        return export_offsets(self.graph)
+                    (epoch_before, export_offsets(self.graph)))
+        return self.evaluate()
 
     def evaluate(self):
         """Mean main-head loss over the eval set, eval mode, no augmentation."""
@@ -258,7 +250,7 @@ class Trainer:
             chunk = data[start:start + cfg.batch_size]
             images = np.concatenate([s.image for s in chunk], axis=0)
             heads, _ = self.graph.forward(images, mode="eval")
-            target = self._targets_for(chunk, self._head_shapes()["main"])
+            target = self._targets_for(chunk, heads["main"].shape[1:])
             total += float(ad.mse_loss(heads["main"], target).data)
             batches += 1
         return total / max(batches, 1)

@@ -47,7 +47,7 @@ class TestRoundTrip:
     def test_save_load_save_byte_identical(self, tmp_path):
         graph = small_graph(seed=1)
         opt = Adam()
-        opt.add_group("backbone", graph.backbone_parameters(), 1e-3)
+        opt.add_group("backbone", graph.named_parameters(), 1e-3)
         rng = np.random.default_rng(6)
         p1, p2 = tmp_path / "a.ssnc", tmp_path / "b.ssnc"
         checkpoint_save(p1, graph, opt, rng, iteration=3, extra={"k": 1})
@@ -55,7 +55,7 @@ class TestRoundTrip:
         rebuilt = net.NetworkGraph.from_spec(header["graph"])
         restore_graph_state(rebuilt, blobs)
         opt2 = Adam()
-        opt2.add_group("backbone", rebuilt.backbone_parameters(), 1e-3)
+        opt2.add_group("backbone", rebuilt.named_parameters(), 1e-3)
         opt2.load_state(header["optimizer"], blobs)
         checkpoint_save(p2, rebuilt, opt2, restore_rng(header["rng_state"]),
                         iteration=header["iteration"], extra=header["extra"])
@@ -95,19 +95,24 @@ class TestRejection:
         raw = self._saved(tmp_path).read_bytes()
         header_end = 16 + int(np.frombuffer(raw[8:16], dtype="<u8")[0])
         bad = tmp_path / "bad.ssnc"
+        bad.write_bytes(raw)
         escaped = []
-        # every preamble byte, then every third header byte from offset 17
-        for pos in [*range(16), *range(17, header_end, 3)]:
-            for value in (0xFF, ord("}"), ord("9"), ord('"')):
-                corrupt = bytearray(raw)
-                corrupt[pos] = value
-                bad.write_bytes(corrupt)
-                try:
-                    checkpoint_load(bad)
-                except CheckpointError:
-                    pass
-                except Exception as exc:
-                    escaped.append((pos, value, type(exc).__name__))
+        # every preamble byte, then every third header byte from offset 17;
+        # each case rewrites one byte of the file in place
+        with open(bad, "r+b") as fh:
+            for pos in [*range(16), *range(17, header_end, 3)]:
+                for value in (0xFF, ord("}"), ord("9"), ord('"')):
+                    fh.seek(pos)
+                    fh.write(bytes([value]))
+                    fh.flush()
+                    try:
+                        checkpoint_load(bad)
+                    except CheckpointError:
+                        pass
+                    except Exception as exc:
+                        escaped.append((pos, value, type(exc).__name__))
+                fh.seek(pos)
+                fh.write(raw[pos:pos + 1])
         assert escaped == []
 
     def _sections(self, raw):

@@ -106,6 +106,23 @@ def test_memory_error_is_one_error_line(monkeypatch, capsys):
     assert (code, out.err) == (1, "error: memory: Unable to allocate 11.9 GiB\n")
 
 
+@pytest.mark.parametrize("argv,path", [
+    (["eval", "--checkpoint", "{tmp}/nope.ssnc"], "{tmp}/nope.ssnc"),
+    (["train", "--config", "{tmp}/nope.json", "--out", "{tmp}/run"], "{tmp}/nope.json"),
+    (["synth", "--out", "{tmp}/missing/s.npz"], "{tmp}/missing/s.npz"),
+    (["analyze", "offsets", "--checkpoint", "{ckpt}", "--out", "{tmp}/missing/x.csv"],
+     "{tmp}/missing/x.csv"),
+    (["eval", "--checkpoint", "{tmp}"], "{tmp}"),
+], ids=["eval-missing", "train-config-missing", "synth-out-dir-missing",
+        "analyze-out-dir-missing", "eval-directory"])
+def test_unusable_path_is_one_error_line(tmp_path, checkpoint, capsys, argv, path):
+    fill = {"tmp": tmp_path, "ckpt": checkpoint}
+    code, out = run(capsys, *[a.format(**fill) for a in argv])
+    lines = out.err.splitlines()
+    assert code == 1 and len(lines) == 1, out.err
+    assert lines[0].startswith(f"error: file: {path.format(**fill)}: "), out.err
+
+
 @pytest.mark.parametrize("position", [[100, 100], [-1, 2]])
 def test_erf_position_out_of_range_is_one_error_line(tmp_path, checkpoint, capsys,
                                                      position):
@@ -122,6 +139,8 @@ def test_erf_position_out_of_range_is_one_error_line(tmp_path, checkpoint, capsy
     ({"network": {"widht": 8}}, "network.widht: unknown key"),
     ({"network": {"fsm_active": "false"}}, "network.fsm_active: expected true or false"),
     ({"network": {"input_size": [32, "x"]}}, "network.input_size: expected int"),
+    ({"trainer": {"augment_ranges": {"scale": [1.25, 0.75]}}},
+     "trainer.augment_ranges.scale: (1.25, 0.75) must satisfy 0 < low <= high"),
 ])
 def test_bad_config_is_one_error_line(tmp_path, capsys, doc, message):
     path = tmp_path / "bad.json"

@@ -136,6 +136,13 @@ def test_pair_needs_exactly_two_values(path, value):
     _rejected(_nested(path, value), path)
 
 
+@pytest.mark.parametrize("value", [[0.0, 0.0], [1.25, 0.75], [-0.5, 1.0]])
+def test_augment_scale_must_be_positive_and_ordered(value):
+    assert "0 < low <= high" in str(
+        _rejected(_nested("trainer.augment_ranges.scale", value),
+                  "trainer.augment_ranges.scale"))
+
+
 @pytest.mark.parametrize("value", ["stem", 3, {"stem": 1}])
 def test_esp_must_be_a_list(value):
     _rejected({"network": {"esp": value}}, "network.esp")

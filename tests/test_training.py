@@ -140,14 +140,61 @@ class TestInsertion:
             offset_lr_schedule(trainer.epoch(), cfg))
 
 
+def group_slots(trainer):
+    return {name: [e["name"] for e in g["entries"]]
+            for name, g in trainer.optimizer.groups.items()}
+
+
+class TestOptimizerGroups:
+    """The optimizer holds every parameter exactly once; checkpoint bytes
+    depend on this partition and its order."""
+
+    def test_bypassed_net_registers_the_non_fsm_slots_in_order(self):
+        graph, cfg, data = tiny_setup()
+        trainer = Trainer(graph, cfg, data)
+        fsm_nodes = {name for name, _ in graph.fsm_layers()}
+        assert fsm_nodes
+        assert group_slots(trainer) == {"backbone": [
+            n for n, _ in graph.named_parameters()
+            if n.split(".")[0] not in fsm_nodes]}
+
+    def test_insertion_partitions_every_parameter(self):
+        graph, cfg, data = tiny_setup(iterations=4, insertion=1)
+        trainer = Trainer(graph, cfg, data)
+        for _ in range(2):
+            trainer.step()
+        slots = group_slots(trainer)
+        assert list(slots) == ["backbone", "fsm_weights", "offsets"]
+        registered = [n for names in slots.values() for n in names]
+        assert sorted(registered) == sorted(n for n, _ in graph.named_parameters())
+        assert len(set(registered)) == len(registered)
+        assert slots["offsets"] == ["fsm1.dx", "fsm1.dy"]
+        params = dict(graph.named_parameters())
+        for name, group in trainer.optimizer.groups.items():
+            for e in group["entries"]:
+                assert e["param"] is params[e["name"]], (name, e["name"])
+
+    def test_active_3block3fsm_has_all_three_groups_from_construction(self):
+        graph = net.build_3block3fsm((32, 32), 4, 1, fsm_active=True)
+        data = generate_dataset(SynthSpec(image_size=(32, 32), count=2))
+        trainer = Trainer(graph, TrainConfig(batch_size=2), data)
+        slots = group_slots(trainer)
+        assert list(slots) == ["backbone", "fsm_weights", "offsets"]
+        fsm_nodes = [name for name, _ in graph.fsm_layers()]
+        assert len(fsm_nodes) == 3
+        assert slots["offsets"] == [f"{n}.{d}" for n in fsm_nodes for d in ("dx", "dy")]
+        assert sorted(n for names in slots.values() for n in names) == \
+            sorted(n for n, _ in graph.named_parameters())
+
+
 class TestDeterminismAndDescent:
     def test_identical_config_and_seed_reproduce_run_bitwise(self):
         results = []
         for _ in range(2):
             graph, cfg, data = tiny_setup(seed=3, iterations=15, insertion=4)
             trainer = Trainer(graph, cfg, data)
-            res = trainer.run()
-            losses = [row["loss_main"] for row in res.metrics]
+            trainer.run()
+            losses = [row["loss_main"] for row in trainer.metrics]
             params = np.concatenate([p.data.ravel()
                                      for _, p in graph.named_parameters()])
             results.append((losses, params))
