@@ -251,14 +251,21 @@ def _sigmoid_raw(v):
 # convolutions
 # ---------------------------------------------------------------------------
 
-def _contract(op, x, cols, weight, bias, fold=None):
+def _contract(op, x, cols, weight, bias, grad_input):
     """The channel contraction out[b,k] = sum_c w[k,c] cols[b,c] (+ bias[k])
     as a tape node over ``x``, ``weight`` and ``bias``.
 
     ``cols`` is ``x``'s data or, for a spatial kernel, its patches
     flattened to (B, C*kh*kw, Ho, Wo); ``weight`` is flattened to (K, -1)
-    to match, and ``fold`` maps the gradient of ``cols`` back onto ``x``.
-    Each product is one batched GEMM over (B, C, Ho*Wo).
+    to match, and ``grad_input(g)`` builds ``x``'s gradient from the
+    output gradient ``g``. Each product is one batched GEMM over
+    (B, C, Ho*Wo).
+
+    ``conv1x1`` builds the input gradient as ``w.T @ g``; ``conv2d``, at
+    every stride, as the polyphase convolution ``_conv_input_grad``. That
+    one path gathers K*kh*kw values of ``g`` per input cell, where
+    scattering ``w.T @ g`` back through the windows would write C*kh*kw,
+    so it is the slower form only where C < K (the 7x7 stem, 3 to 64).
     """
     k = weight.shape[0]
     b, c, h, w = cols.shape
@@ -281,10 +288,9 @@ def _contract(op, x, cols, weight, bias, fold=None):
             gw = (g3 @ cols3.transpose(0, 2, 1)).sum(axis=0)
             grads = [(weight, gw.reshape(weight.shape))]
             # the tape would drop this gradient when ``x`` (the graph input)
-            # requires none: skip its GEMM and, for a spatial kernel, fold
+            # requires none: skip building it
             if x.requires_grad:
-                gcols = (w2.T @ g3).reshape(b, c, h, w)
-                grads.append((x, gcols if fold is None else fold(gcols)))
+                grads.append((x, grad_input(g)))
             if bias is not None:
                 grads.append((bias, g.sum(axis=(0, 2, 3))))
             return grads
@@ -304,7 +310,13 @@ def conv1x1(x, weight, bias=None):
     if weight.shape[1] != x.shape[1]:
         raise DimensionError(
             f"conv1x1: channels: weight expects C={weight.shape[1]}, input has C={x.shape[1]}")
-    return _contract("conv1x1", x, x.data, weight, bias)
+    b, c, h, w = x.shape
+    k = weight.shape[0]
+
+    def grad_input(g):
+        return (weight.data.T @ g.reshape(b, k, h * w)).reshape(b, c, h, w)
+
+    return _contract("conv1x1", x, x.data, weight, bias, grad_input)
 
 
 def conv_out_size(size, kernel, stride, padding):
@@ -332,28 +344,62 @@ def _pad(x, padding, fill=0):
 
 
 def _patches(op, x, kh, kw, stride, padding):
-    """The (B, C, kh, kw, Ho, Wo) patches of ``x`` zero-padded, and their
-    adjoint ``fold``: it scatter-adds a tensor of that size back onto the
-    unpadded (B, C, H, W) input."""
-    b, c, h, w = x.shape
+    """The (B, C, kh, kw, Ho, Wo) patches of ``x`` zero-padded: the one
+    im2col gather, for the forward of ``conv2d`` and for each stride phase
+    of its input gradient (``_conv_input_grad``), which gathers K*kh*kw
+    values per input cell where a scatter of ``w.T @ g`` would write
+    C*kh*kw (see ``_contract``). A 1x1, stride-1, unpadded window is a
+    view of ``x``."""
     if (kh, kw, stride, padding) == (1, 1, 1, 0):
-        # each patch is one input cell: no copy, and fold is a reshape
-        return x[:, :, None, None], lambda gcols: gcols.reshape(b, c, h, w)
+        return x[:, :, None, None]
+    b, c, h, w = x.shape
     ho, wo, windows = _windows(op, h, w, kh, kw, stride, padding)
-    xp = _pad(x, padding)
+    xp = _pad(x, padding) if padding else x
     cols = np.empty((b, c, kh, kw, ho, wo), dtype=x.dtype)
     for i, j, window in windows:
         cols[:, :, i, j] = xp[window]
-    padded_shape, dtype = xp.shape, x.dtype
+    return cols
 
-    def fold(gcols):
-        gcols = gcols.reshape(b, c, kh, kw, ho, wo)
-        gxp = np.zeros(padded_shape, dtype=dtype)
-        for i, j, window in windows:
-            gxp[window] += gcols[:, :, i, j]
-        return gxp[:, :, padding:padding + h, padding:padding + w]
 
-    return cols, fold
+def _conv_input_grad(g, weight, x_shape, stride, padding):
+    """The input gradient of ``conv2d`` from its (B, K, Ho, Wo) output
+    gradient ``g`` and (K, C, kh, kw) ``weight``, as a polyphase
+    convolution. The padded input's cells at stride phase (ry, rx) are
+    reached only by the taps ``weight[:, :, ry::s, rx::s]``, so that
+    phase is a stride-1 correlation of ``g``, zero-padded on each side by
+    the sub-kernel's size less one, with the flipped sub-kernel: one
+    ``_patches`` gather and one batched GEMM, written into the phase's
+    strided view. A phase with no taps stays zero; the padding is
+    cropped at the end.
+    """
+    b, k = g.shape[:2]
+    _, c, kh, kw = weight.shape
+    h, w = x_shape[2:]
+    # padded once for the largest sub-kernel (phase (0, 0)); a smaller
+    # phase reads the middle of it
+    pa, pb = -(-kh // stride) - 1, -(-kw // stride) - 1
+    gp = np.pad(g, ((0, 0), (0, 0), (pa, pa), (pb, pb))) if pa or pb else g
+
+    def phase(ry, rx):
+        sub = weight[:, :, ry::stride, rx::stride][:, :, ::-1, ::-1]
+        na, nb = sub.shape[2:]
+        w2 = sub.transpose(1, 0, 2, 3).reshape(c, k * na * nb)
+        ea, eb = pa + 1 - na, pb + 1 - nb
+        cols = _patches("conv2d", gp[:, :, ea:gp.shape[2] - ea, eb:gp.shape[3] - eb],
+                        na, nb, 1, 0)
+        hq, wq = cols.shape[4:]
+        return (w2 @ cols.reshape(b, k * na * nb, hq * wq)).reshape(b, c, hq, wq)
+
+    if stride == 1:
+        # the one phase covers the whole padded input
+        gxp = phase(0, 0)
+    else:
+        gxp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
+        for ry in range(min(stride, kh)):
+            for rx in range(min(stride, kw)):
+                part = phase(ry, rx)
+                gxp[:, :, ry::stride, rx::stride][:, :, :part.shape[2], :part.shape[3]] = part
+    return gxp[:, :, padding:padding + h, padding:padding + w]
 
 
 def conv2d(x, weight, stride=1, padding=0, bias=None):
@@ -365,9 +411,14 @@ def conv2d(x, weight, stride=1, padding=0, bias=None):
     if c != x.shape[1]:
         raise DimensionError(
             f"conv2d: channels: weight expects C={c}, input has C={x.shape[1]}")
-    cols, fold = _patches("conv2d", x.data, kh, kw, stride, padding)
+    cols = _patches("conv2d", x.data, kh, kw, stride, padding)
     b, _, _, _, ho, wo = cols.shape
-    return _contract("conv2d", x, cols.reshape(b, c * kh * kw, ho, wo), weight, bias, fold)
+
+    def grad_input(g):
+        return _conv_input_grad(g, weight.data, x.shape, stride, padding)
+
+    return _contract("conv2d", x, cols.reshape(b, c * kh * kw, ho, wo), weight, bias,
+                     grad_input)
 
 
 def max_pool2d(x, kernel=3, stride=2, padding=1):
@@ -432,7 +483,7 @@ def _normalize(op, x, gamma, beta, view, axes, eps, stats=None):
 
     Every sum is an einsum to per-(b, c) sums over (H, W), then a sum of
     those over the rest of ``axes``, so no product array is made. Only the
-    centred ``x - mean`` is kept: xhat = (x - mean) * inv_std is folded
+    centred ``x - mean`` is kept: xhat = (x - mean) * inv_std is merged
     into per-(b, c) coefficients, forward and backward.
     """
     b, c, h, w = x.shape

@@ -102,13 +102,14 @@ def shift(maps, dx, dy):
     regions fill with zero. The translation is separable: a two-tap blend
     along x, then one along y.
 
-    Gradients: the map gradient is the exact adjoint,
-    ``shift_values(g, -dx, -dy)``, since negating an offset mirrors its
-    taps, so ``<shift(m), g> == <m, shift_values(g, -dx, -dy)>``. The
-    offset gradient is the negated spatial derivative of the interpolated
-    map at the sample points: the blend on the differentiated axis is
-    replaced by difference taps (-1, +1), and the result is contracted
-    with the upstream gradient.
+    Gradients: the map gradient is the exact adjoint, the y pass then
+    the x pass with negated offsets, since negating an offset mirrors its
+    taps, so ``<shift(m), g> == <m, T_x^T T_y^T g>``. The offset gradient
+    is the negated spatial derivative of the interpolated map at the
+    sample points: the blend on the differentiated axis is replaced by
+    difference taps (-1, +1), and the result is contracted per channel
+    with the upstream gradient (for dx, with ``T_y^T g``, the adjoint's
+    first pass). Four translation passes, and no product array.
     """
     if maps.ndim != 4:
         raise DimensionError(f"shift: expected (B,K,H,W) maps, got rank {maps.ndim}")
@@ -121,12 +122,14 @@ def shift(maps, dx, dy):
     out = _translate_axis(along_x, dy.data, 2)
 
     def backward(g):
-        gmaps = shift_values(g, -dx.data, -dy.data)
-        d_gx = _translate_axis(_translate_axis(maps.data, dx.data, 3, difference=True),
-                               dy.data, 2)
+        # T_y^T g serves both the map gradient and the dx sum, so D_x maps
+        # needs no y pass: <g, T_y D_x maps> = <T_y^T g, D_x maps>
+        g_y = _translate_axis(g, -dy.data, 2)
+        gmaps = _translate_axis(g_y, -dx.data, 3)
+        d_gx = _translate_axis(maps.data, dx.data, 3, difference=True)
         d_gy = _translate_axis(along_x, dy.data, 2, difference=True)
-        gdx = -(g * d_gx).sum(axis=(0, 2, 3))
-        gdy = -(g * d_gy).sum(axis=(0, 2, 3))
+        gdx = -np.einsum("bkhw,bkhw->k", g_y, d_gx)
+        gdy = -np.einsum("bkhw,bkhw->k", g, d_gy)
         return ((maps, gmaps), (dx, gdx.astype(dx.dtype)), (dy, gdy.astype(dy.dtype)))
 
     return ad._node(out, (maps, dx, dy), backward)

@@ -264,10 +264,10 @@ def conv2d_reference(x, w, b, g, stride, padding):
 
 class TestPoolAndConv2d:
     @staticmethod
-    def _check_against_reference(x, kernel, stride, padding):
+    def _check_against_reference(x, kernel, stride, padding, out_channels=4):
         x = ad.tensor(x, requires_grad=True)
-        w = ad.Parameter(rand((4, 3, kernel, kernel), 22))
-        b = ad.Parameter(rand(4, 23))
+        w = ad.Parameter(rand((out_channels, x.shape[1], kernel, kernel), 22))
+        b = ad.Parameter(rand(out_channels, 23))
         out = ad.conv2d(x, w, stride=stride, padding=padding, bias=b)
         g = rand(out.shape, 24)
         out.backward(g)
@@ -288,6 +288,22 @@ class TestPoolAndConv2d:
         x = strided_copy(rand((2, 3, 9, 8), 21))
         assert not x.flags.c_contiguous
         self._check_against_reference(x, kernel, stride, padding)
+
+    # the input gradient's stride phases: stride 3, a kernel of 2 at
+    # stride 3 (a phase with no taps), and C > K (5 to 1, like the head)
+    @pytest.mark.parametrize("strided", [False, True])
+    @pytest.mark.parametrize("kernel,stride,padding,channels,out_channels", [
+        (3, 3, 0, 3, 4), (3, 3, 1, 3, 4), (7, 3, 3, 3, 4),
+        (2, 3, 0, 3, 4), (2, 3, 1, 3, 4),
+        (3, 1, 1, 5, 1), (3, 2, 1, 5, 1), (2, 3, 1, 5, 1), (7, 2, 3, 5, 1),
+    ])
+    def test_conv2d_phases_match_einsum_reference(self, kernel, stride, padding, channels,
+                                                  out_channels, strided):
+        x = rand((2, channels, 9, 8), 21)
+        if strided:
+            x = strided_copy(x)
+            assert not x.flags.c_contiguous
+        self._check_against_reference(x, kernel, stride, padding, out_channels)
 
     @pytest.mark.parametrize("padding", [0, 1])
     def test_maxpool_constant_map_sends_gradient_to_first_cell(self, padding):
@@ -332,18 +348,13 @@ class TestPoolAndConv2d:
         assert report.passed, str(report)
 
     def test_conv2d_builds_no_gradient_for_a_constant_input(self, monkeypatch):
-        patches, folds = ad._patches, []
+        build, builds = ad._conv_input_grad, []
 
-        def counted_patches(*args):
-            cols, fold = patches(*args)
+        def counted_build(*args):
+            builds.append(1)
+            return build(*args)
 
-            def counted_fold(gcols):
-                folds.append(1)
-                return fold(gcols)
-
-            return cols, counted_fold
-
-        monkeypatch.setattr(ad, "_patches", counted_patches)
+        monkeypatch.setattr(ad, "_conv_input_grad", counted_build)
         weight_grads = []
         for requires_grad in (True, False):
             x = ad.tensor(rand((2, 3, 9, 8), 21), requires_grad=requires_grad)
@@ -351,7 +362,7 @@ class TestPoolAndConv2d:
             out = ad.conv2d(x, w, stride=2, padding=1)
             out.backward(rand(out.shape, 24))
             weight_grads.append(w.grad)
-        assert folds == [1]
+        assert builds == [1]
         np.testing.assert_array_equal(weight_grads[0], weight_grads[1])
 
     def test_conv2d_stride_halves_odd_sizes(self):
