@@ -10,8 +10,7 @@ from .fsm import (CA_SIGMOID, CA_SOFTPLUS, FeatureShiftModule, ca_forward,
                   fsm_oracle, fsm_param_count, shift)
 from .gradcheck import finite_diff_gradcheck
 from .network import (NetworkGraph, attach_esp, build_3block3fsm,
-                      build_fpn_ssn, build_toy_fsm_net, count_flops,
-                      count_params, validate_fsm_placement)
+                      build_fpn_ssn, build_toy_fsm_net, count_flops, count_params)
 from .optim import Adam, adam_step
 from .synthdata import (AugmentRanges, SynthSample, SynthSpec, augment_sample,
                         decode_heatmap, generate_dataset, heatmap_target)

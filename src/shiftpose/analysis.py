@@ -11,38 +11,15 @@ gradient of a fresh input leaf. The tape keeps no other gradient.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError
-from .fsm import FeatureShiftModule, format_offset_rows
+from .fsm import FeatureShiftModule
 
-__all__ = [
-    "ScoreMatrix", "ErfMap", "keypoint_offset_scores", "contribution_counts",
-    "erf_map", "export_offsets", "window_energy", "factored_window_energies",
-    "explicit_window_energies",
-]
-
-
-@dataclass
-class ScoreMatrix:
-    """Keypoint-versus-shifting-channel contribution scores.
-
-    values[m, k] >= 0; after normalization the maximum over keypoints
-    within each shifting channel is 1 (when the channel has any signal).
-    """
-    values: np.ndarray
-    module_id: str
-
-
-@dataclass
-class ErfMap:
-    """Squared-gradient footprint on the input of one seeded position."""
-    values: np.ndarray
-    source: tuple  # (module_id, channel, (x, y))
+__all__ = ["keypoint_offset_scores", "contribution_counts", "erf_map", "export_offsets"]
 
 
 def _fsm_module(graph, module_id):
@@ -56,18 +33,21 @@ def _fsm_module(graph, module_id):
     return module
 
 
-def keypoint_offset_scores(graph, images, module_id, mode="eval"):
-    """Scores between keypoint categories and shifting channels.
+def keypoint_offset_scores(graph, images, module_id):
+    """Scores between keypoint categories and shifting channels, as an
+    (M keypoints, K shifting channels) array of values >= 0.
 
     For each keypoint channel m: copy the predictions, zero the value at
     the per-sample peak of channel m, take the MSE between the modified
     copy and the live predictions, and back-propagate it to the chosen
     module's post-shifting maps. The per-channel spatial average of the
     gradient magnitudes fills row m. Rows are finally normalized within
-    each shifting channel by its maximum magnitude.
+    each shifting channel by its maximum magnitude, so the maximum over
+    keypoints within a channel is 1 when the channel has any signal. The
+    network runs in eval mode.
     """
     module = _fsm_module(graph, module_id)
-    heads, _ = graph.forward(images, mode=mode)
+    heads, _ = graph.forward(images, mode="eval")
     pred = heads["main"]
     post_shift = module.cache["post_shift"]
     m_channels = pred.shape[1]
@@ -91,29 +71,31 @@ def keypoint_offset_scores(graph, images, module_id, mode="eval"):
     col = scores.max(axis=0)
     nonzero = col > 0
     scores[:, nonzero] /= col[nonzero]
-    return ScoreMatrix(scores, module_id)
+    return scores
 
 
 def contribution_counts(scores, threshold=0.5):
     """Per keypoint, how many shifting channels score at or above the
     threshold (0.5 keeps the most relevant offsets while preserving
     statistically useful counts)."""
-    return (scores.values >= threshold).sum(axis=1)
+    return (scores >= threshold).sum(axis=1)
 
 
-def erf_map(graph, image, module_id, channel, position, mode="eval"):
-    """Effective receptive field of one seeded position.
+def erf_map(graph, image, module_id, channel, position):
+    """Effective receptive field of one seeded position: the (H, W)
+    squared-gradient footprint on the input.
 
     For a shifting module the seed lands on its non-local maps (the output
     of its final pointwise convolution); for any other layer id, on that
     layer's output. A unit gradient there is back-propagated to the
     network input and the squared sum across input channels returned.
+    The network runs in eval mode.
     """
     node = graph.node(module_id)
     # a fresh leaf, so the caller's tensor is left as it was
     image = Tensor(graph.input_array(image.data if isinstance(image, Tensor) else image),
                    requires_grad=True)
-    _, outputs = graph.forward(image, mode=mode)
+    _, outputs = graph.forward(image, mode="eval")
     if isinstance(node.layer, FeatureShiftModule):
         nonlocal_maps = _fsm_module(graph, module_id).cache["nonlocal"]
     else:
@@ -129,49 +111,18 @@ def erf_map(graph, image, module_id, channel, position, mode="eval"):
     seed = np.zeros_like(nonlocal_maps.data)
     seed[0, channel, y, x] = 1.0
     nonlocal_maps.backward(seed)
-    values = (image.grad[0].astype(np.float64) ** 2).sum(axis=0)
-    return ErfMap(values, (module_id, channel, (x, y)))
+    return (image.grad[0].astype(np.float64) ** 2).sum(axis=0)
 
 
 def export_offsets(graph):
-    """Offset table over every shifting module, in the comma-separated
-    format ``module_id,k,dx,dy``."""
-    parts = []
+    """Offset table over every shifting module: a ``module_id,k,dx,dy``
+    header, then one row per shifting channel in graph order, values
+    printed with 9 significant digits (lossless for float32)."""
+    lines = ["module_id,k,dx,dy"]
     for name, module in graph.fsm_layers():
-        table = format_offset_rows(name, module)
-        if parts:
-            table = "\n".join(table.splitlines()[1:]) + "\n"
-        parts.append(table)
-    if not parts:
+        dx, dy = module.dx.data, module.dy.data
+        lines += [f"{name},{i},{dx[i]:.9g},{dy[i]:.9g}"
+                  for i in range(module.shift_channels)]
+    if len(lines) == 1:
         raise ConfigError("analysis.offsets", "graph contains no shifting modules")
-    return "".join(parts)
-
-
-def factored_window_energies(out_row, in_weight, gate_values):
-    """Per-shifting-channel energy of the induced window at one position,
-    from the factored weights: (out[c,k] * gate_k)^2 * sum_c' in[k,c']^2."""
-    out_row = np.asarray(out_row, dtype=np.float64)
-    gate_values = np.asarray(gate_values, dtype=np.float64)
-    in_sq = (np.asarray(in_weight, dtype=np.float64) ** 2).sum(axis=1)
-    return (out_row * gate_values) ** 2 * in_sq
-
-
-def explicit_window_energies(out_row, in_weight, gate_values):
-    """Same quantity by materializing the per-position kernel tensor (the
-    test oracle for the factored form)."""
-    kernel = np.einsum("k,kd->kd",
-                       np.asarray(out_row, np.float64)
-                       * np.asarray(gate_values, np.float64),
-                       np.asarray(in_weight, np.float64))
-    return (kernel ** 2).sum(axis=1)
-
-
-def window_energy(graph, images, module_id, out_channel, position, mode="eval"):
-    """Energy of the induced convolution window at one output position,
-    for each shifting channel (first batch item's attention)."""
-    module = _fsm_module(graph, module_id)
-    graph.forward(images, mode=mode)
-    gate = module.cache["attention"].data
-    x, y = position
-    return factored_window_energies(module.out_weight.data[out_channel],
-                                    module.in_weight.data, gate[0, :, y, x])
+    return "\n".join(lines) + "\n"

@@ -38,7 +38,6 @@ __all__ = [
     "upsample_nearest2x",
     "spatial_sum",
     "spatial_div",
-    "sum_all",
     "mse_loss",
     "bilinear_sample",
     "conv_out_size",
@@ -54,13 +53,12 @@ class Tensor:
     that reads an interior gradient asks for it that way.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, name=None, _parents=(), _backward=None):
+    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         self.data = np.asarray(data)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self.name = name
         self._parents = tuple(_parents)
         self._backward = _backward
 
@@ -140,8 +138,7 @@ class Tensor:
                     grads[key] = pg
 
     def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, dtype={self.dtype}{tag})"
+        return f"Tensor(shape={self.shape}, dtype={self.dtype})"
 
 
 class Parameter(Tensor):
@@ -149,23 +146,23 @@ class Parameter(Tensor):
 
     __slots__ = ()
 
-    def __init__(self, data, name=None):
-        super().__init__(np.array(data), requires_grad=True, name=name)
+    def __init__(self, data):
+        super().__init__(np.array(data), requires_grad=True)
         self.grad = np.zeros_like(self.data)
 
 
-def tensor(data, requires_grad=False, dtype=None, name=None):
-    arr = np.asarray(data, dtype=dtype)
-    if dtype is None and arr.dtype not in (np.float32, np.float64):
+def tensor(data, requires_grad=False):
+    arr = np.asarray(data)
+    if arr.dtype not in (np.float32, np.float64):
         arr = arr.astype(np.float64)
-    return Tensor(arr, requires_grad=requires_grad, name=name)
+    return Tensor(arr, requires_grad=requires_grad)
 
 
-def _node(data, parents, backward, name=None):
+def _node(data, parents, backward):
     # requires_grad propagates so backward reaches the leaves; the node
     # keeps no gradient unless a caller primes it with zero_grad()
     rg = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=rg, _parents=parents, _backward=backward, name=name)
+    return Tensor(data, requires_grad=rg, _parents=parents, _backward=backward)
 
 
 def _check_rank4(x, op):
@@ -338,9 +335,15 @@ def _windows(op, h, w, kh, kw, stride, padding):
                     for i in range(kh) for j in range(kw)]
 
 
-def _pad(x, padding, fill=0):
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-                  constant_values=fill)
+def _pad(x, ph, pw, fill=0):
+    """(B, C, H, W) ``x`` padded with ``fill`` by ``ph`` rows and ``pw``
+    columns on each side: one new array and one slice assignment, which
+    takes less than half the time of ``np.pad`` on these small maps."""
+    b, c, h, w = x.shape
+    shape = (b, c, h + 2 * ph, w + 2 * pw)
+    out = np.zeros(shape, x.dtype) if fill == 0 else np.full(shape, fill, x.dtype)
+    out[:, :, ph:ph + h, pw:pw + w] = x
+    return out
 
 
 def _patches(op, x, kh, kw, stride, padding):
@@ -354,7 +357,7 @@ def _patches(op, x, kh, kw, stride, padding):
         return x[:, :, None, None]
     b, c, h, w = x.shape
     ho, wo, windows = _windows(op, h, w, kh, kw, stride, padding)
-    xp = _pad(x, padding) if padding else x
+    xp = _pad(x, padding, padding) if padding else x
     cols = np.empty((b, c, kh, kw, ho, wo), dtype=x.dtype)
     for i, j, window in windows:
         cols[:, :, i, j] = xp[window]
@@ -378,7 +381,7 @@ def _conv_input_grad(g, weight, x_shape, stride, padding):
     # padded once for the largest sub-kernel (phase (0, 0)); a smaller
     # phase reads the middle of it
     pa, pb = -(-kh // stride) - 1, -(-kw // stride) - 1
-    gp = np.pad(g, ((0, 0), (0, 0), (pa, pa), (pb, pb))) if pa or pb else g
+    gp = _pad(g, pa, pb) if pa or pb else g
 
     def phase(ry, rx):
         sub = weight[:, :, ry::stride, rx::stride][:, :, ::-1, ::-1]
@@ -432,7 +435,7 @@ def max_pool2d(x, kernel=3, stride=2, padding=1):
     _check_rank4(x, "max_pool2d")
     _, _, h, w = x.shape
     _, _, windows = _windows("max_pool2d", h, w, kernel, kernel, stride, padding)
-    xp = _pad(x.data, padding, fill=np.finfo(x.dtype).min)
+    xp = _pad(x.data, padding, padding, np.finfo(x.dtype).min)
     out = xp[windows[0][2]].copy()
     arg = np.zeros(out.shape, dtype=np.min_scalar_type(len(windows) - 1))
     for cell, (_, _, window) in enumerate(windows[1:], 1):
@@ -474,7 +477,7 @@ def upsample_nearest2x(x):
 EPS = 1e-5
 
 
-def _normalize(op, x, gamma, beta, view, axes, eps, stats=None):
+def _normalize(op, x, gamma, beta, view, axes, stats=None):
     """gamma * xhat + beta as a tape node, where xhat normalizes ``x``
     reshaped to ``view`` over ``axes``; the last two axes of ``view`` are
     (H, W) and both are reduced. ``stats`` fixes (mean, var) in the
@@ -514,7 +517,7 @@ def _normalize(op, x, gamma, beta, view, axes, eps, stats=None):
         var = over_slices(np.einsum("bchw,bchw->bc", xc, xc)) / n
     if _SMOOTHNESS is not None:
         _SMOOTHNESS["var"].append(float(var.min()))
-    inv_std = per_channel(1.0 / np.sqrt(var + eps))
+    inv_std = per_channel(1.0 / np.sqrt(var + EPS))
     scale = gamma.data * inv_std
     out = xc * spread(scale)
     out += beta.data[None, :, None, None]
@@ -535,7 +538,7 @@ def _normalize(op, x, gamma, beta, view, axes, eps, stats=None):
     return _node(out, (x, gamma, beta), backward), mean, var
 
 
-def batch_norm(x, gamma, beta, running_mean, running_var, mode, momentum=0.1, eps=EPS):
+def batch_norm(x, gamma, beta, running_mean, running_var, mode, momentum=0.1):
     """Per-channel batch normalization.
 
     ``running_mean``/``running_var`` are plain numpy arrays owned by the
@@ -549,22 +552,21 @@ def batch_norm(x, gamma, beta, running_mean, running_var, mode, momentum=0.1, ep
     if mode == "eval":
         stats = tuple(s.astype(x.dtype)[None, :, None, None]
                       for s in (running_mean, running_var))
-    out, mean, var = _normalize("batch_norm", x, gamma, beta, x.shape, (0, 2, 3),
-                                eps, stats)
+    out, mean, var = _normalize("batch_norm", x, gamma, beta, x.shape, (0, 2, 3), stats)
     if mode == "train":
         running_mean += momentum * (mean.ravel() - running_mean)
         running_var += momentum * (var.ravel() - running_var)
     return out
 
 
-def group_norm(x, gamma, beta, groups, eps=EPS):
+def group_norm(x, gamma, beta, groups):
     """Group normalization over (channels/groups, H, W) slices per sample."""
     _check_rank4(x, "group_norm")
     b, c, h, w = x.shape
     if c % groups != 0:
         raise ConfigError("group_norm.groups", f"{groups} does not divide {c} channels")
     return _normalize("group_norm", x, gamma, beta, (b, groups, c // groups, h, w),
-                      (2, 3, 4), eps)[0]
+                      (2, 3, 4))[0]
 
 
 def default_groups(channels):
@@ -603,12 +605,6 @@ def spatial_div(x, denom):
         return ((x, gx), (denom, gd))
 
     return _node(out, (x, denom), backward)
-
-
-def sum_all(x):
-    def backward(g):
-        return ((x, np.full(x.shape, g, dtype=x.dtype)),)
-    return _node(np.asarray(x.data.sum(), dtype=x.dtype), (x,), backward)
 
 
 def mse_loss(pred, target):

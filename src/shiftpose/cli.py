@@ -32,7 +32,7 @@ from .config import (RunConfig, build_datasets, build_network, load_run_config,
 from .errors import (CheckpointError, ConfigError, GenerationError,
                      NumericError, ShiftPoseError)
 from .training import Trainer
-from .verify import DEFAULT_QUOTAS, gradcheck_suite, oracle_trials
+from .verify import gradcheck_suite, oracle_trials
 
 
 def _default_out():
@@ -196,18 +196,18 @@ def cmd_analyze(args):
             emap = ana.erf_map(graph, batch[:1], opts.module_id, opts.channel,
                                tuple(opts.position))
             lines = ["y,x,value"]
-            h, w = emap.values.shape
+            h, w = emap.shape
             for y in range(h):
                 for x in range(w):
-                    lines.append(f"{y},{x},{emap.values[y, x]:.9g}")
+                    lines.append(f"{y},{x},{emap[y, x]:.9g}")
             text = "\n".join(lines) + "\n"
         else:  # kp-scores
             scores = ana.keypoint_offset_scores(graph, batch, opts.module_id)
             counts = ana.contribution_counts(scores, opts.threshold)
             lines = ["keypoint,count," + ",".join(
-                f"k{i}" for i in range(scores.values.shape[1]))]
-            for m in range(scores.values.shape[0]):
-                row = ",".join(f"{v:.9g}" for v in scores.values[m])
+                f"k{i}" for i in range(scores.shape[1]))]
+            for m in range(scores.shape[0]):
+                row = ",".join(f"{v:.9g}" for v in scores[m])
                 lines.append(f"{m},{counts[m]},{row}")
             text = "\n".join(lines) + "\n"
     if args.out:

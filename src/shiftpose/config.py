@@ -166,7 +166,7 @@ def run_config_to_dict(cfg):
     return plain(asdict(cfg))
 
 
-def build_network(cfg, dtype=np.float32):
+def build_network(cfg):
     from . import network as net
 
     spec = cfg.network
@@ -174,20 +174,17 @@ def build_network(cfg, dtype=np.float32):
     if spec.builder == "3block3fsm":
         graph = net.build_3block3fsm(spec.input_size, spec.shift_channels,
                                      spec.keypoints, spec.ca_variant,
-                                     fsm_active=spec.fsm_active, rng=rng,
-                                     dtype=dtype)
+                                     fsm_active=spec.fsm_active, rng=rng)
     elif spec.builder == "toy":
         graph = net.build_toy_fsm_net(spec.input_size, spec.in_channels,
                                       spec.keypoints, spec.shift_channels,
                                       spec.width, spec.ca_variant,
-                                      fsm_active=spec.fsm_active, rng=rng,
-                                      dtype=dtype)
+                                      fsm_active=spec.fsm_active, rng=rng)
     elif spec.builder == "fpn":
         graph = net.build_fpn_ssn(spec.input_size, spec.keypoints,
                                   spec.base_channels, spec.shift_channels,
                                   ca_variant=spec.ca_variant,
-                                  fsm_active=spec.fsm_active, rng=rng,
-                                  dtype=dtype)
+                                  fsm_active=spec.fsm_active, rng=rng)
     else:
         raise ConfigError("network.builder", f"unknown builder {spec.builder!r}")
     for layer_name in spec.esp:
@@ -195,14 +192,14 @@ def build_network(cfg, dtype=np.float32):
     return graph
 
 
-def build_datasets(cfg, dtype=np.float32):
+def build_datasets(cfg):
     """Training set from the dataset spec; a disjoint eval set from the
     same distribution (seed offset by 1000)."""
     from dataclasses import replace
 
     from .synthdata import generate_dataset
 
-    train = generate_dataset(cfg.dataset, dtype)
+    train = generate_dataset(cfg.dataset)
     eval_spec = replace(cfg.dataset, count=cfg.eval_count,
                         seed=cfg.dataset.seed + 1000)
-    return train, generate_dataset(eval_spec, dtype)
+    return train, generate_dataset(eval_spec)

@@ -26,8 +26,7 @@ from .errors import DimensionError, StateError
 __all__ = [
     "CA_SOFTPLUS", "CA_SIGMOID",
     "shift", "ca_forward", "fsm_oracle", "fsm_param_count",
-    "FeatureShiftModule", "format_offset_rows", "parse_offset_table",
-    "OFFSET_INIT_RANGE",
+    "FeatureShiftModule", "OFFSET_INIT_RANGE",
 ]
 
 CA_SOFTPLUS = "softplus-normalized"
@@ -87,11 +86,6 @@ def _translate_axis(maps, d, axis, difference=False):
     result = np.empty_like(out)
     result[:, order] = out
     return result
-
-
-def shift_values(maps, dx, dy):
-    """Numpy-level per-channel fractional translation of (B, K, H, W) maps."""
-    return _translate_axis(_translate_axis(maps, dx, 3), dy, 2)
 
 
 def shift(maps, dx, dy):
@@ -325,33 +319,3 @@ def fsm_param_count(channels, shift_channels):
         "deformable_conv": k * c * c + 2 * k * c,
     }
 
-
-# ---------------------------------------------------------------------------
-# offset table format
-# ---------------------------------------------------------------------------
-
-OFFSET_HEADER = "module_id,k,dx,dy"
-
-
-def format_offset_rows(module_id, module):
-    """Comma-separated offset table of a module: one row per shifting
-    channel, values printed with 9 significant digits (lossless for
-    float32)."""
-    lines = [OFFSET_HEADER]
-    dx, dy = module.dx.data, module.dy.data
-    for i in range(module.shift_channels):
-        lines.append(f"{module_id},{i},{dx[i]:.9g},{dy[i]:.9g}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_offset_table(text):
-    """Inverse of :func:`format_offset_rows`; returns
-    ``[(module_id, k, dx, dy), ...]``."""
-    rows = []
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0] != OFFSET_HEADER:
-        raise ValueError("offset table: missing header line")
-    for ln in lines[1:]:
-        module_id, k, dx, dy = ln.split(",")
-        rows.append((module_id, int(k), float(dx), float(dy)))
-    return rows

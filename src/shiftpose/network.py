@@ -10,6 +10,7 @@ head nodes (early-stage predictors) branch off named layers.
 from __future__ import annotations
 
 import inspect
+import zlib
 from dataclasses import InitVar, asdict, dataclass, fields
 
 import numpy as np
@@ -22,8 +23,7 @@ from .fsm import CA_SIGMOID, CA_SOFTPLUS, FeatureShiftModule
 __all__ = [
     "NetworkGraph", "ConvBlock", "Bottleneck", "MaxPool",
     "UpsampleAdd", "build_3block3fsm", "build_toy_fsm_net", "build_fpn_ssn",
-    "attach_esp", "count_params", "count_flops", "CostReport",
-    "validate_fsm_placement", "GRAPH_FORMAT_VERSION",
+    "attach_esp", "count_params", "count_flops", "CostReport", "GRAPH_FORMAT_VERSION",
 ]
 
 GRAPH_FORMAT_VERSION = 1
@@ -379,14 +379,14 @@ class NetworkGraph:
                 "nodes": nodes}
 
     @classmethod
-    def from_spec(cls, spec, rng=None):
+    def from_spec(cls, spec):
         if spec.get("format") != "shiftpose-graph":
             raise ConfigError("graph.format", "not a graph spec document")
         if spec.get("version") != GRAPH_FORMAT_VERSION:
             raise ConfigError("graph.version",
                               f"unsupported version {spec.get('version')!r}, "
                               f"expected {GRAPH_FORMAT_VERSION}")
-        rng = rng or np.random.default_rng(0)
+        rng = np.random.default_rng(0)
         shape = spec.get("input_shape")
         if not (isinstance(shape, list) and len(shape) == 3
                 and all(type(v) is int and v > 0 for v in shape)):
@@ -416,6 +416,12 @@ _LAYER_KINDS = {cls.kind: (cls, fields(cls), "rng" in inspect.signature(cls).par
 # a layer field's annotation -> the type its spec value must have
 _FIELD_TYPES = {"int": int, "bool": bool, "str": str}
 
+# layer kind -> the allowed values of a str field: with any other value a
+# conv would run with no activation, and a shifting module fail only in
+# its forward
+_FIELD_CHOICES = {"conv": {"act": (None, "relu")},
+                  "fsm": {"ca_variant": (CA_SOFTPLUS, CA_SIGMOID)}}
+
 
 def _value_fits(field, value):
     """Whether a spec value has its field's type: a bool is not an int,
@@ -429,7 +435,8 @@ def _value_fits(field, value):
 
 def _layer_from_spec(nd, name, rng, dtype):
     """The node's layer, built from a config whose keys are exactly the
-    layer's fields and whose values have the fields' types."""
+    layer's fields and whose values have the fields' types and, where
+    ``_FIELD_CHOICES`` lists them, one of the allowed values."""
     if nd["kind"] not in _LAYER_KINDS:
         raise ConfigError("graph.kind", f"unknown layer kind {nd['kind']!r}")
     cls, flds, seeded = _LAYER_KINDS[nd["kind"]]
@@ -443,6 +450,10 @@ def _layer_from_spec(nd, name, rng, dtype):
         if not _value_fits(f, cfg[f.name]):
             raise ConfigError(f"graph.nodes.{name}",
                               f"{f.name}: expected {f.type}, got {cfg[f.name]!r}")
+    for key, allowed in _FIELD_CHOICES.get(nd["kind"], {}).items():
+        if cfg[key] not in allowed:
+            raise ConfigError(f"graph.nodes.{name}",
+                              f"{key}: expected one of {allowed}, got {cfg[key]!r}")
     if seeded:
         cfg.update(rng=rng, dtype=dtype)
     return cls(**cfg)
@@ -565,15 +576,13 @@ def build_fpn_ssn(input_size=(64, 48), keypoints=17, base_channels=8,
     return g
 
 
-def attach_esp(graph, after_layer, keypoints, rng=None):
+def attach_esp(graph, after_layer, keypoints):
     """Branch an early-stage predictor (pointwise conv to one channel per
-    keypoint) off the named layer; its loss is averaged with the main head's."""
-    import zlib
-
+    keypoint) off the named layer; its loss is averaged with the main head's.
+    Its weights are drawn from a generator seeded by the layer name."""
     node = graph.node(after_layer)
     c = node.out_shape[0]
-    if rng is None:
-        rng = np.random.default_rng(zlib.crc32(after_layer.encode()))
+    rng = np.random.default_rng(zlib.crc32(after_layer.encode()))
     layer = ConvBlock(c, keypoints, 1, bias=True, rng=rng, dtype=graph.dtype)
     graph.add(f"esp_{after_layer}", layer, inputs=(after_layer,), is_head=True)
     return graph
@@ -612,22 +621,3 @@ def count_flops(graph):
                 for node in graph.nodes}
     return CostReport(sum(by_layer.values()), by_layer)
 
-
-def validate_fsm_placement(graph):
-    """Reject shifting modules placed immediately after a downsampling
-    block, where they tend to lock onto compensating for the lost
-    resolution."""
-    violations = []
-    for node in graph.nodes:
-        if not isinstance(node.layer, FeatureShiftModule):
-            continue
-        for src in node.inputs:
-            if src == "input":
-                continue
-            prev = graph.node(src).layer
-            if isinstance(prev, Bottleneck) and prev.stride > 1:
-                violations.append((node.name, src))
-    if violations:
-        detail = ", ".join(f"{f} after {p}" for f, p in violations)
-        raise ConfigError("graph.fsm_placement", f"shifting module(s) {detail}")
-    return True

@@ -16,20 +16,19 @@ from .errors import CheckpointError
 __all__ = ["adam_step", "Adam"]
 
 
-def adam_step(value, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One in-place Adam update; ``t`` is the 1-based step count."""
+def adam_step(value, grad, m, v, t, lr):
+    """One in-place Adam update with beta1 = 0.9, beta2 = 0.999 and
+    eps = 1e-8; ``t`` is the 1-based step count."""
+    beta1, beta2 = 0.9, 0.999
     m += (1.0 - beta1) * (grad - m)
     v += (1.0 - beta2) * (grad * grad - v)
     mhat = m / (1.0 - beta1 ** t)
     vhat = v / (1.0 - beta2 ** t)
-    value -= lr * mhat / (np.sqrt(vhat) + eps)
+    value -= lr * mhat / (np.sqrt(vhat) + 1e-8)
 
 
 class Adam:
-    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self):
         self.groups = {}
 
     def add_group(self, name, named_params, lr):
@@ -61,7 +60,7 @@ class Adam:
             group["t"] += 1
             for e in group["entries"]:
                 adam_step(e["param"].data, e["param"].grad, e["m"], e["v"],
-                          group["t"], group["lr"], self.beta1, self.beta2, self.eps)
+                          group["t"], group["lr"])
 
     # -- checkpoint support ------------------------------------------------
 

@@ -9,16 +9,19 @@ pre-activations at least 0.05 from zero), per the harness contract.
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 
 from . import autodiff as ad
 from . import fsm
-from .gradcheck import GradCheckReport, finite_diff_gradcheck
+from .gradcheck import finite_diff_gradcheck
 from .network import Bottleneck
 
-__all__ = ["gradcheck_suite", "oracle_trials", "DEFAULT_QUOTAS"]
+__all__ = ["gradcheck_suite", "oracle_trials"]
 
-DEFAULT_QUOTAS = (
+# (op name, smooth cases to check) for the battery, in run order
+_QUOTAS = (
     ("conv1x1", 20),
     ("shift", 20),
     ("ca-softplus", 10),
@@ -147,19 +150,19 @@ def _is_smooth_case(fn, inputs):
             and all(v > _VAR_FLOOR for v in trace["var"]))
 
 
-def gradcheck_suite(quotas=DEFAULT_QUOTAS, step=1e-3, tolerance=1e-4, base_seed=0):
-    """Run the seeded default battery; yields (op name, seed, report).
+def gradcheck_suite(step=1e-3, tolerance=1e-4):
+    """Run the seeded battery; yields (op name, seed, report).
 
-    Seeds advance until each op's quota of smooth cases is met; cases
-    whose random draw lands on a relu kink are skipped, never silently
-    passed.
+    Each op's seeds count up from 0 until its quota of smooth cases is
+    met; cases whose random draw lands on a relu kink are skipped, never
+    silently passed.
     """
-    for op_name, quota in quotas:
+    for op_name, quota in _QUOTAS:
         build = _BUILDERS[op_name]
-        seed = base_seed
+        seed = 0
         produced = 0
         while produced < quota:
-            rng = np.random.default_rng((hash_seed(op_name) + seed) % (2 ** 63))
+            rng = np.random.default_rng((zlib.crc32(op_name.encode()) + seed) % (2 ** 63))
             seed += 1
             fn, inputs = build(rng)
             if not _is_smooth_case(fn, inputs):
@@ -169,20 +172,16 @@ def gradcheck_suite(quotas=DEFAULT_QUOTAS, step=1e-3, tolerance=1e-4, base_seed=
             yield op_name, seed - 1, report
 
 
-def hash_seed(name):
-    import zlib
-
-    return zlib.crc32(name.encode())
-
-
-def oracle_trials(trials=20, tolerance=1e-6, base_seed=100):
+def oracle_trials(trials=20, tolerance=1e-6):
     """Random small-shape comparisons of the factored forward against the
-    explicit induced-convolution evaluation; returns (results, all_pass)
-    where results rows are (seed, variant, mode, rel_error)."""
+    explicit induced-convolution evaluation, trial ``i`` drawn with seed
+    100 + i; returns (results, all_pass) where results rows are (seed,
+    variant, mode, rel_error)."""
     results = []
     all_pass = True
     for trial in range(trials):
-        rng = np.random.default_rng(base_seed + trial)
+        seed = 100 + trial
+        rng = np.random.default_rng(seed)
         b = int(rng.integers(1, 3))
         c = int(rng.integers(1, 5))
         k = int(rng.integers(1, 6))
@@ -198,6 +197,6 @@ def oracle_trials(trials=20, tolerance=1e-6, base_seed=100):
             fast = module.forward(p, mode).data
             slow = fsm.fsm_oracle(p, module, mode).data
             rel = float(np.abs(fast - slow).max() / max(np.abs(slow).max(), 1e-12))
-            results.append((base_seed + trial, variant, mode, rel))
+            results.append((seed, variant, mode, rel))
             all_pass &= rel < tolerance
     return results, all_pass

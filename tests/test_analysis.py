@@ -7,7 +7,7 @@ from shiftpose import analysis as ana
 from shiftpose import autodiff as ad
 from shiftpose import network as net
 from shiftpose.errors import ConfigError
-from shiftpose.fsm import CA_SIGMOID, FeatureShiftModule, OFFSET_INIT_RANGE, parse_offset_table
+from shiftpose.fsm import CA_SIGMOID, FeatureShiftModule, OFFSET_INIT_RANGE
 from shiftpose.network import ConvBlock, NetworkGraph
 
 
@@ -36,32 +36,32 @@ class TestKeypointOffsetScores:
         module.out_weight.data[...] = 0.0
         module.out_weight.data[:, wired] = 1.0
         scores = ana.keypoint_offset_scores(g, batch(seed=3), "fsm1")
-        assert scores.values.shape == (1, 5)
-        assert scores.values[0, wired] == 1.0
-        others = np.delete(scores.values[0], wired)
+        assert scores.shape == (1, 5)
+        assert scores[0, wired] == 1.0
+        others = np.delete(scores[0], wired)
         np.testing.assert_array_equal(others, 0.0)
 
     def test_severed_branch_scores_all_zero(self):
         g, module = single_fsm_graph(seed=4)
         module.out_weight.data[...] = 0.0
         scores = ana.keypoint_offset_scores(g, batch(seed=5), "fsm1")
-        np.testing.assert_array_equal(scores.values, 0.0)
+        np.testing.assert_array_equal(scores, 0.0)
 
     def test_invariant_to_positive_head_rescale(self):
         g, _ = single_fsm_graph(seed=6)
         images = batch(seed=7)
-        before = ana.keypoint_offset_scores(g, images, "fsm1").values.copy()
+        before = ana.keypoint_offset_scores(g, images, "fsm1").copy()
         head = dict(g.node("head").layer.named_params())
         head["weight"].data *= 3.7
         head["bias"].data *= 3.7
-        after = ana.keypoint_offset_scores(g, images, "fsm1").values
+        after = ana.keypoint_offset_scores(g, images, "fsm1")
         np.testing.assert_allclose(after, before, rtol=1e-9)
 
     def test_deterministic_for_fixed_model_and_batch(self):
         g, _ = single_fsm_graph(seed=8)
         images = batch(seed=9)
-        a = ana.keypoint_offset_scores(g, images, "fsm1").values
-        b = ana.keypoint_offset_scores(g, images, "fsm1").values
+        a = ana.keypoint_offset_scores(g, images, "fsm1")
+        b = ana.keypoint_offset_scores(g, images, "fsm1")
         assert np.array_equal(a, b)
 
     def test_degenerate_all_zero_predictions_warn(self):
@@ -72,13 +72,13 @@ class TestKeypointOffsetScores:
         head["bias"].data[...] = 0.0
         with pytest.warns(UserWarning, match="all-zero"):
             scores = ana.keypoint_offset_scores(g, batch(seed=11), "fsm1")
-        np.testing.assert_array_equal(scores.values, 0.0)
+        np.testing.assert_array_equal(scores, 0.0)
 
     def test_normalized_column_max_is_one(self):
         g, _ = single_fsm_graph(c=3, k=4, keypoints=2, seed=12)
         scores = ana.keypoint_offset_scores(g, batch(c=3, seed=13), "fsm1")
-        assert scores.values.min() >= 0.0
-        col_max = scores.values.max(axis=0)
+        assert scores.min() >= 0.0
+        col_max = scores.max(axis=0)
         np.testing.assert_allclose(col_max[col_max > 0], 1.0)
 
 
@@ -89,7 +89,7 @@ class TestContributionCounts:
 
     def test_threshold_zero_counts_every_channel(self):
         scores = self._scores()
-        assert scores.values.max() > 0
+        assert scores.max() > 0
         np.testing.assert_array_equal(ana.contribution_counts(scores, 0.0), [6])
 
     def test_threshold_above_one_counts_nothing(self):
@@ -110,10 +110,10 @@ class TestErfMap:
         g = NetworkGraph((2, 6, 6), dtype=np.float64)
         g.add("proj", ConvBlock(2, 3, 1, rng=rng, dtype=np.float64))
         emap = ana.erf_map(g, batch(hw=(6, 6), b=1, seed=19), "proj", 1, (2, 3))
-        assert emap.values[3, 2] > 0.0
+        assert emap[3, 2] > 0.0
         mask = np.ones((6, 6), dtype=bool)
         mask[3, 2] = False
-        np.testing.assert_array_equal(emap.values[mask], 0.0)
+        np.testing.assert_array_equal(emap[mask], 0.0)
 
     def test_shift_moves_erf_mass_by_the_offset(self):
         d = 3
@@ -124,7 +124,7 @@ class TestErfMap:
         module.in_weight.data[...] = 1.0
         seed_xy = (5, 4)
         emap = ana.erf_map(g, batch(c=1, hw=(9, 9), b=1, seed=21), "fsm1", 0, seed_xy)
-        peak_y, peak_x = np.unravel_index(emap.values.argmax(), emap.values.shape)
+        peak_y, peak_x = np.unravel_index(emap.argmax(), emap.shape)
         assert (peak_x, peak_y) == (seed_xy[0] - d, seed_xy[1])
 
     def test_leaves_a_passed_tensor_as_it_was(self):
@@ -138,8 +138,8 @@ class TestErfMap:
         image = batch(b=1, seed=31)
         image[0, :, 2:5, 3] = 1e-310
         zeroed = np.where(np.abs(image) < 1e-300, 0.0, image)
-        got = ana.erf_map(g, image, "fsm1", 0, (3, 3)).values
-        want = ana.erf_map(g, zeroed, "fsm1", 0, (3, 3)).values
+        got = ana.erf_map(g, image, "fsm1", 0, (3, 3))
+        want = ana.erf_map(g, zeroed, "fsm1", 0, (3, 3))
         assert got.tobytes() == want.tobytes()
 
     def test_zero_weight_model_erf_is_zero(self):
@@ -148,7 +148,7 @@ class TestErfMap:
         module.in_weight.data[...] = 0.0
         module.gate_weight.data[...] = 0.0
         emap = ana.erf_map(g, batch(c=1, hw=(6, 6), b=1, seed=23), "fsm1", 0, (1, 1))
-        np.testing.assert_array_equal(emap.values, 0.0)
+        np.testing.assert_array_equal(emap, 0.0)
 
     def test_support_within_analytic_receptive_field(self):
         # non-local map reads input through gate (local) and a single
@@ -165,7 +165,7 @@ class TestErfMap:
             for xx in (int(np.floor(sx - dx)), int(np.floor(sx - dx)) + 1):
                 if 0 <= yy < 10 and 0 <= xx < 10:
                     allowed[yy, xx] = True
-        np.testing.assert_array_equal(emap.values[~allowed], 0.0)
+        np.testing.assert_array_equal(emap[~allowed], 0.0)
 
     def test_out_of_bounds_position_rejected(self):
         g, _ = single_fsm_graph(seed=26)
@@ -179,31 +179,17 @@ class TestOffsetAndEnergyExport:
     def test_fresh_model_offsets_within_init_range(self):
         g = net.build_toy_fsm_net((16, 16), 1, 1, 6, 8, fsm_active=True,
                                   rng=np.random.default_rng(28))
-        rows = parse_offset_table(ana.export_offsets(g))
-        for _, _, dx, dy in rows:
+        lines = ana.export_offsets(g).splitlines()
+        assert lines[0] == "module_id,k,dx,dy"
+        for line in lines[1:]:
+            dx, dy = map(float, line.split(",")[2:])
             assert abs(dx) <= OFFSET_INIT_RANGE and abs(dy) <= OFFSET_INIT_RANGE
 
     def test_export_covers_every_module_and_channel(self):
         g = net.build_3block3fsm((32, 32), 4, 1, fsm_active=True,
                                  rng=np.random.default_rng(29))
-        rows = parse_offset_table(ana.export_offsets(g))
+        lines = ana.export_offsets(g).splitlines()
+        assert lines[0] == "module_id,k,dx,dy"
+        rows = [line.split(",") for line in lines[1:]]
         assert {r[0] for r in rows} == {"fsm1", "fsm2", "fsm3"}
         assert len(rows) == 12
-
-    def test_zero_gate_zeroes_window_energy(self):
-        rng = np.random.default_rng(30)
-        out_row = rng.standard_normal(4)
-        in_w = rng.standard_normal((4, 3))
-        np.testing.assert_array_equal(
-            ana.factored_window_energies(out_row, in_w, np.zeros(4)), 0.0)
-
-    def test_factored_and_explicit_energies_agree(self):
-        g, _ = single_fsm_graph(c=3, k=4, seed=31)
-        images = batch(c=3, b=1, seed=32)
-        a = ana.window_energy(g, images, "fsm1", 1, (2, 3))
-        module = g.node("fsm1").layer
-        b = ana.explicit_window_energies(module.out_weight.data[1],
-                                         module.in_weight.data,
-                                         module.cache["attention"].data[0, :, 3, 2])
-        np.testing.assert_allclose(a, b, atol=1e-9)
-        assert a.max() > 0

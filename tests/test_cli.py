@@ -256,3 +256,17 @@ def test_unusable_checkpoint_is_one_error_line(tmp_path, checkpoint, capsys,
     lines = out.err.splitlines()
     assert code != 0
     assert len(lines) == 1 and lines[0].startswith("error: "), out.err
+
+
+def test_unknown_layer_choice_in_a_checkpoint_is_one_config_line(tmp_path, checkpoint,
+                                                                 capsys):
+    def bogus_variant(header, blobs):
+        node = next(n for n in header["graph"]["nodes"] if n["name"] == "fsm1")
+        node["config"].update(ca_variant="bogus", active=True)
+
+    bad = tmp_path / "bad.ssnc"
+    bad.write_bytes(rewritten(bogus_variant)(checkpoint))
+    code, out = run(capsys, "eval", "--checkpoint", bad)
+    lines = out.err.splitlines()
+    assert code == 2 and len(lines) == 1, out.err
+    assert lines[0].startswith("error: config: graph.nodes.fsm1: ca_variant: "), out.err

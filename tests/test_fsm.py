@@ -300,7 +300,8 @@ class TestOracle:
         module.dx.data[...] = 2.0
         module.dy.data[...] = -1.0
         pv = rng.standard_normal((1, c, 6, 6))
-        shifted = fsm.shift_values(pv, np.full(c, 2.0), np.full(c, -1.0))
+        shifted = fsm.shift(ad.tensor(pv), ad.tensor(np.full(c, 2.0)),
+                            ad.tensor(np.full(c, -1.0))).data
         rank1 = np.einsum("ck,kd,bdhw->bchw",
                           module.out_weight.data, module.in_weight.data, shifted)
         expect = pv + 0.5 * rank1
@@ -371,22 +372,24 @@ class TestParamCount:
 
 class TestOffsetTable:
     def test_round_trip_float32_exact(self):
+        from shiftpose.analysis import export_offsets
+        from shiftpose.network import NetworkGraph
+
         rng = np.random.default_rng(15)
         module = fsm.FeatureShiftModule(2, 6, rng=rng)
         module.dx.data[...] = rng.uniform(-9, 9, 6)
         module.dy.data[...] = rng.uniform(-9, 9, 6)
-        text = fsm.format_offset_rows("fsm1", module)
-        rows = fsm.parse_offset_table(text)
+        graph = NetworkGraph((2, 4, 4))
+        graph.add("fsm1", module)
+        header, *lines = export_offsets(graph).splitlines()
+        assert header == "module_id,k,dx,dy"
+        rows = [line.split(",") for line in lines]
         assert [r[0] for r in rows] == ["fsm1"] * 6
-        assert [r[1] for r in rows] == list(range(6))
-        back_dx = np.array([r[2] for r in rows], dtype=np.float32)
-        back_dy = np.array([r[3] for r in rows], dtype=np.float32)
+        assert [int(r[1]) for r in rows] == list(range(6))
+        back_dx = np.array([float(r[2]) for r in rows], dtype=np.float32)
+        back_dy = np.array([float(r[3]) for r in rows], dtype=np.float32)
         assert np.array_equal(back_dx, module.dx.data)
         assert np.array_equal(back_dy, module.dy.data)
-
-    def test_missing_header_rejected(self):
-        with pytest.raises(ValueError, match="header"):
-            fsm.parse_offset_table("fsm1,0,1.0,2.0\n")
 
 
 class TestBypassAndInsertion:

@@ -189,6 +189,7 @@ class TestSerialization:
         ("fsm1", "active", "false"), ("fsm1", "shift_channels", 4.0),
         ("stem", "kernel", True), ("stem", "bias", 0), ("stem", "norm", 3),
         ("block1", "norm", None), ("head", "act", ["relu"]),
+        ("fsm1", "ca_variant", "bogus"), ("head", "act", "gelu"),
     ])
     def test_wrong_value_type_rejected(self, node, key, value):
         spec = self._edited_spec(node, lambda cfg: cfg.update({key: value}))
@@ -254,13 +255,6 @@ class TestShapeAudit:
         heads, _ = g.forward(np.zeros((1, 3, 64, 64), dtype=np.float32), "eval")
         assert heads["main"].shape == (1, 3, 16, 16)  # quarter-resolution merge
         assert len(heads) == 4
-        net.validate_fsm_placement(g)
-
-    def test_placement_validator(self):
-        g = net.build_fpn_ssn((64, 64), 3, base_channels=4, shift_channels=4)
-        assert net.validate_fsm_placement(g)
-        g2 = net.build_3block3fsm((32, 32), 4, 1)
-        assert net.validate_fsm_placement(g2)
 
     def test_bad_input_shape_message(self):
         g = net.build_toy_fsm_net((16, 16), 1, 1, 4, 8)

@@ -1,6 +1,9 @@
-"""Package surface: every name a module exports exists."""
+"""Package surface: every name a module exports exists, and is used by
+the package itself."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -9,8 +12,52 @@ import shiftpose
 
 MODULES = [m.name for m in pkgutil.iter_modules(shiftpose.__path__, "shiftpose.")]
 
+# exported names with no caller in the package yet, each kept for a planned one
+UNUSED_EXPORTS = {
+    # the parameter counts against active and deformable convolution that
+    # the shortcut-variant rows will report (ROADMAP item 3)
+    "fsm_param_count",
+    # the local baseline that keypoint accuracy is compared against
+    # (ROADMAP item 1)
+    "matched_filter_locate",
+    # the benchmark's inference workload decodes with it, and keypoint
+    # accuracy will (ROADMAP item 1)
+    "decode_heatmap",
+}
+
 
 @pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def _defined_name(stmt):
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return stmt.name
+    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
+            and isinstance(stmt.targets[0], ast.Name):
+        return stmt.targets[0].id
+    return None
+
+
+def test_every_exported_name_has_a_caller_in_the_package():
+    """A name listed in any ``__all__`` is read somewhere in the package
+    outside its own definition; an import alone is not a use."""
+    exported, used = set(), set()
+    for path in pathlib.Path(shiftpose.__file__).parent.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            defined = _defined_name(stmt)
+            if defined == "__all__":
+                exported.update(ast.literal_eval(stmt.value))
+                continue
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != defined:
+                    used.add(name)
+    assert sorted(exported - used - UNUSED_EXPORTS) == []

@@ -127,12 +127,14 @@ class TestAugmentation:
     def test_translation_warp_matches_shift_kernel(self):
         # the affine warp and the shifting kernel share one sampling
         # convention: a pure translation gives the same image
-        from shiftpose.fsm import shift_values
+        from shiftpose import autodiff as ad
+        from shiftpose.fsm import shift
 
         image = np.random.default_rng(12).standard_normal((3, 9, 11))
         for dx, dy in ((1.3, -0.6), (-2.0, 3.0), (0.25, 0.0), (12.5, -1.5)):
             inverse = np.array([[1.0, 0.0, -dx], [0.0, 1.0, -dy]])
-            shifted = shift_values(image[None], np.full(3, dx), np.full(3, dy))[0]
+            shifted = shift(ad.tensor(image[None]), ad.tensor(np.full(3, dx)),
+                            ad.tensor(np.full(3, dy))).data[0]
             np.testing.assert_allclose(sd.bilinear_warp(image, inverse), shifted,
                                        rtol=0, atol=1e-12)
 
