@@ -142,13 +142,20 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A trainable tensor; always differentiable, gradient buffer preallocated."""
+    """A trainable tensor; always differentiable, gradient buffer preallocated.
+
+    ``zero_grad`` clears that buffer in place, so an optimizer that bound
+    ``data`` and ``grad`` to views of its own buffers keeps them bound.
+    """
 
     __slots__ = ()
 
     def __init__(self, data):
         super().__init__(np.array(data), requires_grad=True)
         self.grad = np.zeros_like(self.data)
+
+    def zero_grad(self):
+        self.grad.fill(0)
 
 
 def tensor(data, requires_grad=False):

@@ -417,9 +417,10 @@ _LAYER_KINDS = {cls.kind: (cls, fields(cls), "rng" in inspect.signature(cls).par
 _FIELD_TYPES = {"int": int, "bool": bool, "str": str}
 
 # layer kind -> the allowed values of a str field: with any other value a
-# conv would run with no activation, and a shifting module fail only in
-# its forward
-_FIELD_CHOICES = {"conv": {"act": (None, "relu")},
+# conv would run with no activation, a shifting module fail only in its
+# forward, and a norm be refused without the name of its node
+_FIELD_CHOICES = {"conv": {"act": (None, "relu"), "norm": (None, "gn", "bn")},
+                  "bottleneck": {"norm": ("gn", "bn")},
                   "fsm": {"ca_variant": (CA_SOFTPLUS, CA_SIGMOID)}}
 
 

@@ -4,6 +4,12 @@ Groups exist so the trainer can drive one learning-rate schedule per
 group; ``training`` decides which parameters share a group. A group
 added mid-training (delayed insertion) starts with a fresh step counter,
 so its bias correction treats it as newly initialized.
+
+Each group keeps its values, gradients and moments in four flat
+buffers. Adding a parameter copies it in and rebinds its ``data`` and
+``grad`` to views of the buffers, so one elementwise ``adam_step`` per
+group updates every parameter of the group in place, and the per-entry
+moment views keep the checkpoint blobs per parameter.
 """
 
 from __future__ import annotations
@@ -32,35 +38,51 @@ class Adam:
         self.groups = {}
 
     def add_group(self, name, named_params, lr):
-        """Register parameters as ``(slot_name, Parameter)`` pairs."""
+        """Register parameters as ``(slot_name, Parameter)`` pairs and move
+        them into the group's flat buffers. A parameter already held by a
+        group, or a group whose parameters differ in dtype, is refused:
+        either would leave some buffer updating arrays no one reads."""
         if name in self.groups:
             raise ValueError(f"optimizer group {name!r} already exists")
-        entries = []
+        named_params = list(named_params)
+        held = {id(e["param"]): gname
+                for gname, group in self.groups.items() for e in group["entries"]}
         for pname, p in named_params:
-            entries.append({
-                "name": pname,
-                "param": p,
-                "m": np.zeros_like(p.data),
-                "v": np.zeros_like(p.data),
-            })
-        self.groups[name] = {"lr": float(lr), "t": 0, "entries": entries}
+            if id(p) in held:
+                raise ValueError(
+                    f"{pname}: already held by optimizer group {held[id(p)]!r}")
+            held[id(p)] = name
+        dtypes = sorted({p.dtype.name for _, p in named_params})
+        if len(dtypes) > 1:
+            raise ValueError(f"optimizer group {name!r} mixes dtypes {dtypes}")
+        size = sum(p.size for _, p in named_params)
+        value, grad, m, v = (np.zeros(size, dtype=dtypes[0] if dtypes else None)
+                             for _ in range(4))
+        entries, start = [], 0
+        for pname, p in named_params:
+            shape, span = p.shape, slice(start, start + p.size)
+            start += p.size
+            value[span], grad[span] = p.data.reshape(-1), p.grad.reshape(-1)
+            p.data, p.grad = value[span].reshape(shape), grad[span].reshape(shape)
+            entries.append({"name": pname, "param": p,
+                            "m": m[span].reshape(shape), "v": v[span].reshape(shape)})
+        self.groups[name] = {"lr": float(lr), "t": 0, "entries": entries,
+                             "value": value, "grad": grad, "m": m, "v": v}
 
     def set_lr(self, name, lr):
         self.groups[name]["lr"] = float(lr)
 
     def zero_grad(self):
         for group in self.groups.values():
-            for e in group["entries"]:
-                e["param"].zero_grad()
+            group["grad"].fill(0)
 
     def step(self):
         for group in self.groups.values():
             if not group["entries"]:
                 continue
             group["t"] += 1
-            for e in group["entries"]:
-                adam_step(e["param"].data, e["param"].grad, e["m"], e["v"],
-                          group["t"], group["lr"])
+            adam_step(group["value"], group["grad"], group["m"], group["v"],
+                      group["t"], group["lr"])
 
     # -- checkpoint support ------------------------------------------------
 

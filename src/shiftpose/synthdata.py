@@ -210,42 +210,59 @@ def matched_filter_locate(image, blob_sigma):
 # augmentation
 # ---------------------------------------------------------------------------
 
-def bilinear_warp(image, inverse_matrix):
-    """Warp (C, H, W) channels through a 2x3 inverse map with zero fill."""
-    c, h, w = image.shape
+def bilinear_warp(images, inverse_matrices):
+    """Warp (N, C, H, W) images with zero fill, image ``n`` through the 2x3
+    inverse map ``inverse_matrices[n]`` of an (N, 2, 3) stack: output pixel
+    (x, y) samples the input at ``inverse_matrices[n] @ (x, y, 1)``.
+
+    The images sit in a zero border, so the four corner gathers need no
+    validity mask: an index past an edge clips onto the border.
+    """
+    n, c, h, w = images.shape
     ys, xs = np.meshgrid(np.arange(h, dtype=np.float64),
                          np.arange(w, dtype=np.float64), indexing="ij")
-    sx = inverse_matrix[0, 0] * xs + inverse_matrix[0, 1] * ys + inverse_matrix[0, 2]
-    sy = inverse_matrix[1, 0] * xs + inverse_matrix[1, 1] * ys + inverse_matrix[1, 2]
+    m = inverse_matrices[:, :, :, None, None]
+    sx = m[:, 0, 0] * xs + m[:, 0, 1] * ys + m[:, 0, 2]
+    sy = m[:, 1, 0] * xs + m[:, 1, 1] * ys + m[:, 1, 2]
     x0 = np.floor(sx).astype(np.int64)
     y0 = np.floor(sy).astype(np.int64)
-    fx = (sx - x0).astype(image.dtype)
-    fy = (sy - y0).astype(image.dtype)
-    out = np.zeros_like(image)
+    fx = (sx - x0).astype(images.dtype)
+    fy = (sy - y0).astype(images.dtype)
+    # channels last, one row per pixel of the bordered images, so that one
+    # gather of (N, H, W) row indices reads every channel
+    pw = w + 2
+    padded = np.zeros((n, h + 2, pw, c), dtype=images.dtype)
+    padded[:, 1:-1, 1:-1] = images.transpose(0, 2, 3, 1)
+    padded = padded.reshape(-1, c)
+    base = np.arange(n)[:, None, None] * ((h + 2) * pw)
+    cols = [np.clip(x0 + ddx, -1, w) + 1 for ddx in (0, 1)]
+    out = np.zeros((n, h, w, c), dtype=images.dtype)
     for ddy in (0, 1):
+        rows = base + (np.clip(y0 + ddy, -1, h) + 1) * pw
         for ddx in (0, 1):
-            cy, cx = y0 + ddy, x0 + ddx
-            valid = (cy >= 0) & (cy < h) & (cx >= 0) & (cx < w)
-            vals = image[:, np.clip(cy, 0, h - 1), np.clip(cx, 0, w - 1)]
-            vals = np.where(valid[None], vals, image.dtype.type(0))
             wgt = (fy if ddy else 1 - fy) * (fx if ddx else 1 - fx)
-            out += wgt[None] * vals
-    return out
+            out += wgt[..., None] * padded[rows + cols[ddx]]
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
 
 def _affine_about_center(angle_rad, scl, shift, size):
+    """Forward 2x3 maps rotating by ``angle_rad`` and scaling by ``scl``
+    about the center of an (H, W) image, then shifting by ``shift`` (x, y).
+    Scalar angle and scale with a (2,) shift give one (2, 3) map; (N,)
+    arrays with an (N, 2) shift give an (N, 2, 3) stack."""
     h, w = size
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     cos, sin = np.cos(angle_rad), np.sin(angle_rad)
-    lin = scl * np.array([[cos, -sin], [sin, cos]])
-    trans = np.array([cx + shift[0], cy + shift[1]]) - lin @ np.array([cx, cy])
-    return np.concatenate([lin, trans[:, None]], axis=1)
+    lin = np.asarray(scl)[..., None, None] * np.stack(
+        [np.stack([cos, -sin], axis=-1), np.stack([sin, cos], axis=-1)], axis=-2)
+    trans = np.array([cx, cy]) + shift - lin @ np.array([cx, cy])
+    return np.concatenate([lin, trans[..., None]], axis=-1)
 
 
 def _invert_affine(mat):
-    inv_lin = np.linalg.inv(mat[:, :2])
-    inv_trans = -inv_lin @ mat[:, 2]
-    return np.concatenate([inv_lin, inv_trans[:, None]], axis=1)
+    """Inverse of a (..., 2, 3) affine map, of the same shape."""
+    inv_lin = np.linalg.inv(mat[..., :2])
+    return np.concatenate([inv_lin, -inv_lin @ mat[..., 2:]], axis=-1)
 
 
 def apply_affine_to_points(mat, points):
@@ -253,19 +270,26 @@ def apply_affine_to_points(mat, points):
     return pts @ mat[:, :2].T + mat[:, 2]
 
 
-def augment_sample(sample, ranges, rng):
-    """Random rotation/scale/shift about the image center.
+def augment_sample(samples, ranges, rng):
+    """Random rotation/scale/shift of each sample about the image center;
+    returns the augmented samples in order.
 
-    The image is inverse-warp resampled; keypoints get the identical
-    affine exactly.
+    One ``rng.uniform`` call draws an (N, 4) array: per sample, in order,
+    the rotation, scale, x shift and y shift, so the stream matches N
+    successive one-sample calls. All images are inverse-warp resampled
+    in one :func:`bilinear_warp` call; each sample's keypoints and cue
+    get its own affine exactly.
     """
-    _, c, h, w = sample.image.shape
-    angle = np.deg2rad(rng.uniform(-ranges.rotation_deg, ranges.rotation_deg))
-    scl = rng.uniform(ranges.scale[0], ranges.scale[1])
-    shift = (rng.uniform(-ranges.shift_frac, ranges.shift_frac) * w,
-             rng.uniform(-ranges.shift_frac, ranges.shift_frac) * h)
-    mat = _affine_about_center(angle, scl, shift, (h, w))
-    image = bilinear_warp(sample.image[0], _invert_affine(mat))[None]
-    keypoints = apply_affine_to_points(mat, sample.keypoints)
-    cue = None if sample.cue is None else apply_affine_to_points(mat, sample.cue[None])[0]
-    return replace(sample, image=image, keypoints=keypoints, cue=cue)
+    _, _, h, w = samples[0].image.shape
+    rot, frac = ranges.rotation_deg, ranges.shift_frac
+    draws = rng.uniform([-rot, ranges.scale[0], -frac, -frac],
+                        [rot, ranges.scale[1], frac, frac], size=(len(samples), 4))
+    mats = _affine_about_center(np.deg2rad(draws[:, 0]), draws[:, 1],
+                                draws[:, 2:] * (w, h), (h, w))
+    images = bilinear_warp(np.concatenate([s.image for s in samples]),
+                           _invert_affine(mats))
+    return [replace(s, image=image[None],
+                    keypoints=apply_affine_to_points(mat, s.keypoints),
+                    cue=None if s.cue is None
+                    else apply_affine_to_points(mat, s.cue[None])[0])
+            for s, image, mat in zip(samples, images, mats)]

@@ -168,8 +168,7 @@ class Trainer:
         idx = self.rng.integers(0, len(self.dataset), self.config.batch_size)
         samples = [self.dataset[i] for i in idx]
         if self.config.augment:
-            samples = [augment_sample(s, self.config.augment_ranges, self.rng)
-                       for s in samples]
+            samples = augment_sample(samples, self.config.augment_ranges, self.rng)
         images = np.concatenate([s.image for s in samples], axis=0)
         return images, samples
 

@@ -411,6 +411,48 @@ class TestAdam:
         assert values[1] < values[0] and values[2] < values[1]
 
 
+    def test_group_params_view_the_flat_buffers(self):
+        a, b = ad.Parameter(np.ones((2, 3))), ad.Parameter(np.arange(4.0))
+        opt = Adam()
+        opt.add_group("g", [("a", a), ("b", b)], lr=0.1)
+        group = opt.groups["g"]
+        for p in (a, b):
+            assert np.shares_memory(p.data, group["value"])
+            assert np.shares_memory(p.grad, group["grad"])
+        np.testing.assert_array_equal(b.data, np.arange(4.0))
+        a.grad[...], b.grad[...] = 1.0, -1.0
+        opt.step()
+        np.testing.assert_allclose(a.data, 1.0 - 0.1, rtol=1e-6)
+        np.testing.assert_allclose(b.data, np.arange(4.0) + 0.1, rtol=1e-6)
+        opt.zero_grad()
+        assert not a.grad.any() and not b.grad.any()
+
+    def test_parameter_held_by_another_group_refused(self):
+        shared, other = ad.Parameter(np.ones(2)), ad.Parameter(np.ones(3))
+        opt = Adam()
+        opt.add_group("first", [("shared", shared)], lr=0.1)
+        with pytest.raises(ValueError, match="again: already held by optimizer group 'first'"):
+            opt.add_group("second", [("other", other), ("again", shared)], lr=0.1)
+        assert list(opt.groups) == ["first"]
+        assert not np.shares_memory(other.data, opt.groups["first"]["value"])
+        with pytest.raises(ValueError, match="twice: already held"):
+            opt.add_group("third", [("once", other), ("twice", other)], lr=0.1)
+
+    def test_group_mixing_dtypes_refused(self):
+        opt = Adam()
+        with pytest.raises(ValueError, match="mixes dtypes"):
+            opt.add_group("g", [("a", ad.Parameter(np.ones(2, np.float32))),
+                                ("b", ad.Parameter(np.ones(2, np.float64)))], lr=0.1)
+        assert not opt.groups
+
+    def test_parameter_zero_grad_keeps_its_buffer(self):
+        p = ad.Parameter(np.ones(3))
+        grad = p.grad
+        grad[...] = 2.0
+        p.zero_grad()
+        assert p.grad is grad and not grad.any()
+
+
 class TestBackwardMechanics:
     def test_repeat_backward_bitwise_identical(self):
         rng = np.random.default_rng(18)

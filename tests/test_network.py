@@ -190,6 +190,7 @@ class TestSerialization:
         ("stem", "kernel", True), ("stem", "bias", 0), ("stem", "norm", 3),
         ("block1", "norm", None), ("head", "act", ["relu"]),
         ("fsm1", "ca_variant", "bogus"), ("head", "act", "gelu"),
+        ("stem", "norm", "ln"), ("block1", "norm", "ln"),
     ])
     def test_wrong_value_type_rejected(self, node, key, value):
         spec = self._edited_spec(node, lambda cfg: cfg.update({key: value}))

@@ -91,7 +91,7 @@ class TestAugmentation:
     def test_identity_draw_leaves_sample_unchanged(self):
         s = self._sample()
         ranges = sd.AugmentRanges(rotation_deg=0.0, scale=(1.0, 1.0), shift_frac=0.0)
-        out = sd.augment_sample(s, ranges, np.random.default_rng(0))
+        [out] = sd.augment_sample([s], ranges, np.random.default_rng(0))
         np.testing.assert_allclose(out.image, s.image, atol=1e-6)
         np.testing.assert_allclose(out.keypoints, s.keypoints, atol=1e-9)
 
@@ -112,7 +112,7 @@ class TestAugmentation:
     def test_keypoints_get_exactly_the_image_affine(self):
         s = self._sample()
         ranges = sd.AugmentRanges()
-        out = sd.augment_sample(s, ranges, np.random.default_rng(9))
+        [out] = sd.augment_sample([s], ranges, np.random.default_rng(9))
         # replay the identical draws to reconstruct the affine
         rng = np.random.default_rng(9)
         angle = np.deg2rad(rng.uniform(-30.0, 30.0))
@@ -122,7 +122,24 @@ class TestAugmentation:
         np.testing.assert_array_equal(
             out.keypoints, sd.apply_affine_to_points(mat, s.keypoints))
         np.testing.assert_array_equal(
-            out.image[0], sd.bilinear_warp(s.image[0], sd._invert_affine(mat)))
+            out.image, sd.bilinear_warp(s.image, sd._invert_affine(mat)[None]))
+
+    def test_batch_matches_one_sample_calls(self):
+        # one batched call draws and warps exactly as N one-sample calls
+        spec = sd.SynthSpec(image_size=(24, 24), displacement=(6.0, 3.0),
+                            distractors=1, count=16, seed=4)
+        samples = sd.generate_dataset(spec)
+        batch_rng, single_rng = np.random.default_rng(8), np.random.default_rng(8)
+        batched = sd.augment_sample(samples, sd.AugmentRanges(), batch_rng)
+        singles = [sd.augment_sample([s], sd.AugmentRanges(), single_rng)[0]
+                   for s in samples]
+        assert len(batched) == len(singles) == 16
+        for a, b in zip(batched, singles):
+            for field in ("image", "keypoints", "cue"):
+                x, y = getattr(a, field), getattr(b, field)
+                assert x.dtype == y.dtype and x.shape == y.shape
+                assert x.tobytes() == y.tobytes(), field
+        assert batch_rng.random() == single_rng.random()
 
     def test_translation_warp_matches_shift_kernel(self):
         # the affine warp and the shifting kernel share one sampling
@@ -135,15 +152,15 @@ class TestAugmentation:
             inverse = np.array([[1.0, 0.0, -dx], [0.0, 1.0, -dy]])
             shifted = shift(ad.tensor(image[None]), ad.tensor(np.full(3, dx)),
                             ad.tensor(np.full(3, dy))).data[0]
-            np.testing.assert_allclose(sd.bilinear_warp(image, inverse), shifted,
-                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(sd.bilinear_warp(image[None], inverse[None])[0],
+                                       shifted, rtol=0, atol=1e-12)
 
     def test_training_targets_follow_moved_keypoints(self):
         from shiftpose.network import build_toy_fsm_net
         from shiftpose.training import TrainConfig, Trainer
 
         s = self._sample()
-        out = sd.augment_sample(s, sd.AugmentRanges(), np.random.default_rng(10))
+        [out] = sd.augment_sample([s], sd.AugmentRanges(), np.random.default_rng(10))
         graph = build_toy_fsm_net((24, 24))
         trainer = Trainer(graph, TrainConfig(), [s])
         head = graph.shape_of(graph.main_head)

@@ -5,6 +5,7 @@ import pytest
 
 from shiftpose import network as net
 from shiftpose.errors import ConfigError, StateError
+from shiftpose.optim import adam_step
 from shiftpose.synthdata import SynthSpec, generate_dataset
 from shiftpose.training import (LrDecay, TrainConfig, Trainer, base_lr_schedule,
                                 insert_fsm_modules, offset_lr_schedule)
@@ -185,6 +186,75 @@ class TestOptimizerGroups:
         assert slots["offsets"] == [f"{n}.{d}" for n in fsm_nodes for d in ("dx", "dy")]
         assert sorted(n for names in slots.values() for n in names) == \
             sorted(n for n, _ in graph.named_parameters())
+
+
+class TestFusedAdam:
+    """Adam steps each group over flat buffers that the graph's parameters
+    view; the update must equal one ``adam_step`` per parameter."""
+
+    def test_matches_a_per_parameter_reference(self):
+        graph, cfg, data = tiny_setup(seed=2, iterations=6, insertion=2)
+        trainer = Trainer(graph, cfg, data)
+        opt, fused_step = trainer.optimizer, trainer.optimizer.step
+        ref, steps = {}, {}
+
+        def step():
+            for gname, group in opt.groups.items():
+                steps[gname] = steps.get(gname, 0) + 1
+                for e in group["entries"]:
+                    value, m, v = ref.setdefault(
+                        e["name"], [e["param"].data.copy(), np.zeros_like(e["m"]),
+                                    np.zeros_like(e["v"])])
+                    adam_step(value, e["param"].grad.copy(), m, v, steps[gname],
+                              group["lr"])
+            fused_step()
+
+        opt.step = step
+        for _ in range(6):
+            trainer.step()
+        assert list(opt.groups) == ["backbone", "fsm_weights", "offsets"]
+        assert {g: group["t"] for g, group in opt.groups.items()} == steps == \
+            {"backbone": 6, "fsm_weights": 4, "offsets": 4}
+        params = dict(graph.named_parameters())
+        assert sorted(ref) == sorted(params)
+        for group in opt.groups.values():
+            for e in group["entries"]:
+                value, m, v = ref[e["name"]]
+                assert params[e["name"]].data.tobytes() == value.tobytes(), e["name"]
+                assert e["m"].tobytes() == m.tobytes(), e["name"]
+                assert e["v"].tobytes() == v.tobytes(), e["name"]
+
+    def test_restored_graph_is_stepped_through_its_views(self, tmp_path):
+        from shiftpose.checkpoint import (checkpoint_load, checkpoint_save,
+                                          restore_graph_state, restore_rng)
+
+        graph, cfg, data = tiny_setup(seed=4, iterations=6, insertion=2)
+        trainer = Trainer(graph, cfg, data)
+        for _ in range(3):
+            trainer.step()
+        path = tmp_path / "mid.ssnc"
+        checkpoint_save(path, graph, trainer.optimizer, trainer.rng, trainer.iteration)
+        trainer.step()
+
+        header, blobs = checkpoint_load(path)
+        rebuilt = net.NetworkGraph.from_spec(header["graph"])
+        resumed = Trainer(rebuilt, cfg, data)
+        restore_graph_state(rebuilt, blobs)
+        resumed.optimizer.load_state(header["optimizer"], blobs)
+        resumed.rng = restore_rng(header["rng_state"])
+        resumed.iteration = header["iteration"]
+        arrays = {n: p.data for n, p in rebuilt.named_parameters()}
+        before = {n: a.copy() for n, a in arrays.items()}
+        resumed.step()
+
+        moved = 0
+        for name, p in rebuilt.named_parameters():
+            assert p.data is arrays[name], name
+            moved += not np.array_equal(p.data, before[name])
+        assert moved == len(arrays)
+        expect = np.concatenate([p.data.ravel() for _, p in graph.named_parameters()])
+        got = np.concatenate([p.data.ravel() for _, p in rebuilt.named_parameters()])
+        assert expect.tobytes() == got.tobytes()
 
 
 class TestDeterminismAndDescent:
