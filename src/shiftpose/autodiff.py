@@ -255,21 +255,53 @@ def _sigmoid_raw(v):
 # convolutions
 # ---------------------------------------------------------------------------
 
+def _conv_node(op, x, weight, bias, out, grads):
+    """``out`` (+ ``bias[k]``) as the tape node of a conv of ``x`` by
+    ``weight``. ``grads(g, need_input)`` returns the weight gradient and,
+    when ``need_input``, ``x``'s gradient (else None) from the output
+    gradient ``g``."""
+    parents = [x, weight]
+    if bias is not None:
+        k = weight.shape[0]
+        if bias.shape != (k,):
+            raise DimensionError(f"{op}: bias: expected shape ({k},), got {bias.shape}")
+        out += bias.data[None, :, None, None]
+        parents.append(bias)
+
+    def backward(g):
+        with np.errstate(invalid="ignore", over="ignore"):
+            # the tape would drop this gradient when ``x`` (the graph input)
+            # requires none: skip building it
+            gw, gx = grads(g, x.requires_grad)
+            result = [(weight, gw.reshape(weight.shape))]
+            if gx is not None:
+                result.append((x, gx))
+            if bias is not None:
+                result.append((bias, g.sum(axis=(0, 2, 3))))
+            return result
+
+    return _node(out, parents, backward)
+
+
 def _contract(op, x, cols, weight, bias, grad_input):
     """The channel contraction out[b,k] = sum_c w[k,c] cols[b,c] (+ bias[k])
     as a tape node over ``x``, ``weight`` and ``bias``.
 
     ``cols`` is ``x``'s data or, for a spatial kernel, its patches
-    flattened to (B, C*kh*kw, Ho, Wo); ``weight`` is flattened to (K, -1)
-    to match, and ``grad_input(g)`` builds ``x``'s gradient from the
-    output gradient ``g``. Each product is one batched GEMM over
+    flattened to (B, C*kh*kw, Ho, Wo), so the forward gathers on the
+    input side: C*kh*kw values per output cell, no more than a
+    projection first would hold where K >= C or the stride skips cells
+    (a stride-1 conv with K < C is ``_tap_sum``). ``weight`` is flattened
+    to (K, -1) to match, and ``grad_input(g)`` builds ``x``'s gradient
+    from the output gradient ``g``. Each product is one batched GEMM over
     (B, C, Ho*Wo).
 
     ``conv1x1`` builds the input gradient as ``w.T @ g``; ``conv2d``, at
-    every stride, as the polyphase convolution ``_conv_input_grad``. That
-    one path gathers K*kh*kw values of ``g`` per input cell, where
-    scattering ``w.T @ g`` back through the windows would write C*kh*kw,
-    so it is the slower form only where C < K (the 7x7 stem, 3 to 64).
+    every stride, as the polyphase convolution ``_conv_input_grad``, which
+    gathers on the output-gradient side: K*kh*kw values of ``g`` per input
+    cell, where scattering ``w.T @ g`` back through the windows would
+    write C*kh*kw, so it is the slower form only where C < K (the 7x7
+    stem, 3 to 64).
     """
     k = weight.shape[0]
     b, c, h, w = cols.shape
@@ -279,27 +311,12 @@ def _contract(op, x, cols, weight, bias, grad_input):
     # add a warning of its own
     with np.errstate(invalid="ignore", over="ignore"):
         out = (w2 @ cols3).reshape(b, k, h, w)
-    parents = [x, weight]
-    if bias is not None:
-        if bias.shape != (k,):
-            raise DimensionError(f"{op}: bias: expected shape ({k},), got {bias.shape}")
-        out += bias.data[None, :, None, None]
-        parents.append(bias)
 
-    def backward(g):
-        g3 = g.reshape(b, k, h * w)
-        with np.errstate(invalid="ignore", over="ignore"):
-            gw = (g3 @ cols3.transpose(0, 2, 1)).sum(axis=0)
-            grads = [(weight, gw.reshape(weight.shape))]
-            # the tape would drop this gradient when ``x`` (the graph input)
-            # requires none: skip building it
-            if x.requires_grad:
-                grads.append((x, grad_input(g)))
-            if bias is not None:
-                grads.append((bias, g.sum(axis=(0, 2, 3))))
-            return grads
+    def grads(g, need_input):
+        gw = (g.reshape(b, k, h * w) @ cols3.transpose(0, 2, 1)).sum(axis=0)
+        return gw, grad_input(g) if need_input else None
 
-    return _node(out, parents, backward)
+    return _conv_node(op, x, weight, bias, out, grads)
 
 
 def conv1x1(x, weight, bias=None):
@@ -355,11 +372,13 @@ def _pad(x, ph, pw, fill=0):
 
 def _patches(op, x, kh, kw, stride, padding):
     """The (B, C, kh, kw, Ho, Wo) patches of ``x`` zero-padded: the one
-    im2col gather, for the forward of ``conv2d`` and for each stride phase
-    of its input gradient (``_conv_input_grad``), which gathers K*kh*kw
-    values per input cell where a scatter of ``w.T @ g`` would write
-    C*kh*kw (see ``_contract``). A 1x1, stride-1, unpadded window is a
-    view of ``x``."""
+    im2col gather. ``conv2d`` gathers its input with it only where
+    K >= C or the stride is above 1: a stride-1 conv with K < C projects
+    first (``_tap_sum``), so its wider input is never gathered. Every
+    conv2d backward gathers the output gradient with it instead, K*kh*kw
+    values per input cell: for each stride phase of ``_conv_input_grad``,
+    or once in ``_tap_sum``. A 1x1, stride-1, unpadded window is a view
+    of ``x``."""
     if (kh, kw, stride, padding) == (1, 1, 1, 0):
         return x[:, :, None, None]
     b, c, h, w = x.shape
@@ -372,14 +391,14 @@ def _patches(op, x, kh, kw, stride, padding):
 
 
 def _conv_input_grad(g, weight, x_shape, stride, padding):
-    """The input gradient of ``conv2d`` from its (B, K, Ho, Wo) output
-    gradient ``g`` and (K, C, kh, kw) ``weight``, as a polyphase
-    convolution. The padded input's cells at stride phase (ry, rx) are
-    reached only by the taps ``weight[:, :, ry::s, rx::s]``, so that
-    phase is a stride-1 correlation of ``g``, zero-padded on each side by
-    the sub-kernel's size less one, with the flipped sub-kernel: one
-    ``_patches`` gather and one batched GEMM, written into the phase's
-    strided view. A phase with no taps stays zero; the padding is
+    """The input gradient of ``conv2d``'s im2col form from its
+    (B, K, Ho, Wo) output gradient ``g`` and (K, C, kh, kw) ``weight``,
+    as a polyphase convolution. The padded input's cells at stride phase
+    (ry, rx) are reached only by the taps ``weight[:, :, ry::s, rx::s]``,
+    so that phase is a stride-1 correlation of ``g``, zero-padded on each
+    side by the sub-kernel's size less one, with the flipped sub-kernel:
+    one ``_patches`` gather and one batched GEMM, written into the
+    phase's strided view. A phase with no taps stays zero; the padding is
     cropped at the end.
     """
     b, k = g.shape[:2]
@@ -412,15 +431,71 @@ def _conv_input_grad(g, weight, x_shape, stride, padding):
     return gxp[:, :, padding:padding + h, padding:padding + w]
 
 
+def _tap_sum(x, weight, padding, bias):
+    """``conv2d`` at stride 1 with fewer outputs than inputs (K < C),
+    projected first: one batched GEMM of ``x`` by the weight viewed as a
+    (kh*kw*K, C) matrix gives every tap's K-channel map at every input
+    cell, and the output sums those maps through the taps' window views
+    of the padded product. That holds kh*kw*K values per cell, where an
+    im2col gather of ``x`` would write C*kh*kw.
+
+    Backward gathers the output gradient once, flipped and cropped to the
+    input's cells (K*kh*kw values per cell), and contracts that gather
+    with ``x`` for the weight gradient and with the flipped weight for the
+    input gradient.
+    """
+    k, c, kh, kw = weight.shape
+    b, _, h, w = x.shape
+    ho, wo, windows = _windows("conv2d", h, w, kh, kw, 1, padding)
+    x3 = x.data.reshape(b, c, h * w)
+    with np.errstate(invalid="ignore", over="ignore"):
+        prod = weight.data.transpose(2, 3, 0, 1).reshape(kh * kw * k, c) @ x3
+    prod = prod.reshape(b, kh * kw * k, h, w)
+    if padding:
+        prod = _pad(prod, padding, padding)
+    prod = prod.reshape(b, kh * kw, k, *prod.shape[2:])
+    out = prod[:, 0][windows[0][2]].copy()
+    for tap, (_, _, window) in enumerate(windows[1:], 1):
+        out += prod[:, tap][window]
+
+    def grads(g, need_input):
+        # cols[b, k, kh-1-i, kw-1-j, y, x] = g[b, k, y+p-i, x+p-j]: g padded
+        # by (kernel - 1 - padding) per side, or cropped where that is negative
+        ea, eb = kh - 1 - padding, kw - 1 - padding
+        gp = g[:, :, max(-ea, 0):ho - max(-ea, 0), max(-eb, 0):wo - max(-eb, 0)]
+        if ea > 0 or eb > 0:
+            gp = _pad(gp, max(ea, 0), max(eb, 0))
+        cols = _patches("conv2d", gp, kh, kw, 1, 0).reshape(b, k * kh * kw, h * w)
+        gw = (x3 @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(c, k, kh, kw)
+        gw = gw[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        if not need_input:
+            return gw, None
+        flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, k * kh * kw)
+        return gw, (flipped @ cols).reshape(b, c, h, w)
+
+    return _conv_node("conv2d", x, weight, bias, out, grads)
+
+
 def conv2d(x, weight, stride=1, padding=0, bias=None):
-    """2-D convolution with a (K, C, kh, kw) kernel, zero padding."""
+    """2-D convolution with a (K, C, kh, kw) kernel, zero padding.
+
+    The operand shapes pick the form. A stride-1 spatial kernel with
+    fewer outputs than inputs (K < C, the keypoint heads) projects ``x``
+    first and sums the taps (``_tap_sum``), so nothing is gathered on
+    the wide input side. Every other conv gathers ``x``'s patches
+    (im2col; a view for 1x1) and contracts them in ``_contract``, since
+    there a projection first would hold more values per cell than the
+    patches do (K >= C), or compute outputs the stride skips.
+    """
     _check_rank4(x, "conv2d")
     if weight.ndim != 4:
         raise DimensionError(f"conv2d: weight must be rank-4 (K,C,kh,kw), got {weight.shape}")
-    _, c, kh, kw = weight.shape
+    k, c, kh, kw = weight.shape
     if c != x.shape[1]:
         raise DimensionError(
             f"conv2d: channels: weight expects C={c}, input has C={x.shape[1]}")
+    if stride == 1 and kh * kw > 1 and k < c:
+        return _tap_sum(x, weight, padding, bias)
     cols = _patches("conv2d", x.data, kh, kw, stride, padding)
     b, _, _, _, ho, wo = cols.shape
 

@@ -134,34 +134,37 @@ def generate_dataset(spec, dtype=np.float32):
 # ---------------------------------------------------------------------------
 
 def heatmap_target(keypoints, map_size, sigma, dtype=np.float32):
-    """Per-keypoint Gaussian score maps with peak value 1 at the keypoint."""
-    if sigma <= 0:
+    """Per-keypoint Gaussian score maps with peak value 1 at the keypoint:
+    (M, h, w) for (M, 2) ``keypoints``. Leading axes batch: (N, M, 2)
+    keypoints with a scalar or (N,) ``sigma`` give (N, M, h, w) from one
+    grid and one ``np.exp``."""
+    sigma = np.asarray(sigma, dtype=np.float64)
+    if not (sigma > 0).all():
         raise ValueError("heatmap sigma must be positive")
     h, w = map_size
     kp = np.asarray(keypoints, dtype=np.float64)
+    cx, cy = kp[..., 0, None, None], kp[..., 1, None, None]
     ys = np.arange(h, dtype=np.float64)[:, None]
     xs = np.arange(w, dtype=np.float64)[None, :]
-    maps = np.empty((len(kp), h, w), dtype=dtype)
-    for m, (cx, cy) in enumerate(kp):
-        maps[m] = np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * sigma ** 2))
-    return maps
+    var2 = 2.0 * sigma.reshape(sigma.shape + (1, 1, 1)) ** 2
+    return np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / var2).astype(dtype)
 
 
 def heatmap_targets(samples, head_shape, input_height, dtype=np.float32):
     """Targets of ``samples`` at a head's (M, h, w) output shape, stacked to
-    (N, M, h, w). This is the one map from image pixels to heatmap pixels:
-    keypoints scale by the head's height over the input height. A sample
-    whose keypoint count is not the head's channel count M is refused."""
+    (N, M, h, w) by one ``heatmap_target`` call. This is the one map from
+    image pixels to heatmap pixels: keypoints scale by the head's height
+    over the input height. A sample whose keypoint count is not the
+    head's channel count M is refused."""
     m, hh, hw = head_shape
-    scale = input_height / hh
-    out = np.empty((len(samples), m, hh, hw), dtype=dtype)
     for i, s in enumerate(samples):
         if len(s.keypoints) != m:
             raise ConfigError("network.keypoints",
                               f"the head has {m} channels, but sample {i} has "
                               f"{len(s.keypoints)} keypoint(s)")
-        out[i] = heatmap_target(s.keypoints / scale, (hh, hw), s.heatmap_sigma, dtype)
-    return out
+    keypoints = np.array([s.keypoints for s in samples], dtype=np.float64).reshape(-1, m, 2)
+    sigmas = [s.heatmap_sigma for s in samples]
+    return heatmap_target(keypoints / (input_height / hh), (hh, hw), sigmas, dtype)
 
 
 def decode_heatmap(maps):

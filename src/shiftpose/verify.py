@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from . import fsm
 from .gradcheck import finite_diff_gradcheck
-from .network import Bottleneck
+from .network import Bottleneck, ConvBlock
 
 __all__ = ["gradcheck_suite", "oracle_trials"]
 
@@ -28,6 +28,7 @@ _QUOTAS = (
     ("ca-sigmoid", 10),
     ("fsm", 20),
     ("bottleneck", 20),
+    ("head", 20),
 )
 
 
@@ -125,6 +126,24 @@ def _case_bottleneck(rng):
     return run, [x] + params
 
 
+def _case_head(rng):
+    # a keypoint head: fewer outputs than inputs at stride 1, so conv2d
+    # projects first and sums its taps
+    c_in = int(rng.integers(3, 6))
+    k = int(rng.integers(1, c_in))
+    b, h, w = int(rng.integers(1, 3)), int(rng.integers(4, 7)), int(rng.integers(4, 7))
+    layer = ConvBlock(c_in, k, 3, padding=1, norm="bn", rng=rng, dtype=np.float64)
+    x = ad.tensor(rng.standard_normal((b, c_in, h, w)), requires_grad=True)
+    # boosted kernels keep the batch variances clear of the 1/sigma regime
+    layer.weight.data *= 3.0
+    params = [p for _, p in layer.named_params()]
+
+    def run(x_, *_):
+        return layer.forward(x_, "train")
+
+    return run, [x] + params
+
+
 _BUILDERS = {
     "conv1x1": _case_conv1x1,
     "shift": _case_shift,
@@ -132,6 +151,7 @@ _BUILDERS = {
     "ca-sigmoid": _case_ca(fsm.CA_SIGMOID),
     "fsm": _case_fsm,
     "bottleneck": _case_bottleneck,
+    "head": _case_head,
 }
 
 _RELU_MARGIN = 0.05

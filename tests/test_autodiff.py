@@ -290,12 +290,17 @@ class TestPoolAndConv2d:
         self._check_against_reference(x, kernel, stride, padding)
 
     # the input gradient's stride phases: stride 3, a kernel of 2 at
-    # stride 3 (a phase with no taps), and C > K (5 to 1, like the head)
+    # stride 3 (a phase with no taps), and C > K (5 to 1, like the head);
+    # at stride 1, C > K projects first and sums the taps, with the output
+    # gradient padded (kernel - 1 > padding) or cropped (kernel - 1 < padding)
     @pytest.mark.parametrize("strided", [False, True])
     @pytest.mark.parametrize("kernel,stride,padding,channels,out_channels", [
         (3, 3, 0, 3, 4), (3, 3, 1, 3, 4), (7, 3, 3, 3, 4),
         (2, 3, 0, 3, 4), (2, 3, 1, 3, 4),
         (3, 1, 1, 5, 1), (3, 2, 1, 5, 1), (2, 3, 1, 5, 1), (7, 2, 3, 5, 1),
+        (2, 1, 0, 5, 2), (2, 1, 1, 5, 1), (2, 1, 3, 5, 2),
+        (3, 1, 0, 5, 2), (3, 1, 1, 5, 4), (3, 1, 3, 5, 1),
+        (7, 1, 0, 5, 1), (7, 1, 1, 5, 2), (7, 1, 3, 5, 4),
     ])
     def test_conv2d_phases_match_einsum_reference(self, kernel, stride, padding, channels,
                                                   out_channels, strided):
@@ -354,16 +359,47 @@ class TestPoolAndConv2d:
             builds.append(1)
             return build(*args)
 
+        node, built = ad._conv_node, []
+
+        def recorded_node(op, x, weight, bias, out, grads):
+            def recorded_grads(g, need_input):
+                gw, gx = grads(g, need_input)
+                built.append(gx is not None)
+                return gw, gx
+            return node(op, x, weight, bias, out, recorded_grads)
+
         monkeypatch.setattr(ad, "_conv_input_grad", counted_build)
-        weight_grads = []
-        for requires_grad in (True, False):
-            x = ad.tensor(rand((2, 3, 9, 8), 21), requires_grad=requires_grad)
-            w = ad.Parameter(rand((4, 3, 3, 3), 22))
-            out = ad.conv2d(x, w, stride=2, padding=1)
-            out.backward(rand(out.shape, 24))
-            weight_grads.append(w.grad)
+        monkeypatch.setattr(ad, "_conv_node", recorded_node)
+        # (K, C, stride): the im2col form, then the projected form (K < C)
+        for k, c, stride in ((4, 3, 2), (2, 5, 1)):
+            weight_grads = []
+            for requires_grad in (True, False):
+                x = ad.tensor(rand((2, c, 9, 8), 21), requires_grad=requires_grad)
+                w = ad.Parameter(rand((k, c, 3, 3), 22))
+                out = ad.conv2d(x, w, stride=stride, padding=1)
+                out.backward(rand(out.shape, 24))
+                weight_grads.append(w.grad)
+            np.testing.assert_array_equal(weight_grads[0], weight_grads[1])
         assert builds == [1]
-        np.testing.assert_array_equal(weight_grads[0], weight_grads[1])
+        assert built == [True, False, True, False]
+
+    def test_conv2d_with_fewer_outputs_never_gathers_its_input(self, monkeypatch):
+        gather, gathered = ad._patches, []
+
+        def recorded_gather(op, x, *args):
+            gathered.append(x.shape[1])
+            return gather(op, x, *args)
+
+        monkeypatch.setattr(ad, "_patches", recorded_gather)
+        # K < C at stride 1: only the K-channel output gradient is gathered
+        x = ad.tensor(rand((2, 6, 9, 8), 21), requires_grad=True)
+        out = ad.conv2d(x, ad.Parameter(rand((2, 6, 3, 3), 22)), padding=1)
+        out.backward(rand(out.shape, 24))
+        assert gathered == [2]
+        # K >= C gathers its C-channel input in the forward
+        gathered.clear()
+        ad.conv2d(x, ad.Parameter(rand((6, 6, 3, 3), 22)), padding=1)
+        assert gathered == [6]
 
     def test_conv2d_stride_halves_odd_sizes(self):
         x = ad.tensor(np.zeros((1, 1, 7, 9)))

@@ -68,7 +68,7 @@ def test_synth_writes_heatmaps_of_its_keypoints(tmp_path, config, capsys):
 def test_stock_verify_suites_pass(capsys):
     code, out = run(capsys, "gradcheck")
     assert (code, out.err) == (0, "")
-    assert "gradcheck: 100/100 cases pass" in out.out
+    assert "gradcheck: 120/120 cases pass" in out.out
     code, out = run(capsys, "oracle-check")
     assert (code, out.err) == (0, "")
     assert out.out.endswith(": pass\n")

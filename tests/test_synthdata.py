@@ -76,6 +76,18 @@ class TestHeatmaps:
         with pytest.raises(ValueError):
             sd.heatmap_target([(1.0, 1.0)], (4, 4), sigma=0.0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_targets_equal_a_per_sample_loop_byte_for_byte(self, dtype):
+        spec = sd.SynthSpec(count=6, seed=4, heatmap_sigma=1.2)
+        samples = sd.augment_sample(sd.generate_dataset(spec), sd.AugmentRanges(),
+                                    np.random.default_rng(2))
+        samples[1].heatmap_sigma = 0.7
+        got = sd.heatmap_targets(samples, (1, 16, 12), 64, dtype)
+        want = np.stack([sd.heatmap_target(s.keypoints / 4, (16, 12), s.heatmap_sigma, dtype)
+                         for s in samples])
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_targets_refuse_a_keypoint_count_unlike_the_head(self):
         samples = sd.generate_dataset(sd.SynthSpec(count=2, seed=3))
         assert sd.heatmap_targets(samples, (1, 8, 8), 32).shape == (2, 1, 8, 8)
