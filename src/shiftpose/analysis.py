@@ -1,11 +1,13 @@
 """Diagnostics over a trained graph.
 
-All procedures here are read-only over a frozen model: they run a
-forward pass, seed a gradient somewhere (the keypoint loss, or a unit at
-one position of a shifting module's non-local maps), and ask for the
-gradient they read: ``keypoint_offset_scores`` primes the module's
-post-shifting maps with ``zero_grad()``, and ``erf_map`` reads the
-gradient of a fresh input leaf. The tape keeps no other gradient.
+All procedures here are read-only over a frozen model: they run an
+eval-mode forward pass, seed a gradient somewhere (the keypoint loss, or
+a unit at one position of a shifting module's non-local maps), and ask
+for the gradient they read: ``keypoint_offset_scores`` primes the
+module's post-shifting maps with ``zero_grad()``, and ``erf_map`` reads
+the gradient of the input. The tape keeps no other gradient. An eval
+forward records a tape only for an input that requires a gradient, so
+both pass the network a fresh input leaf that does (``_input_leaf``).
 """
 
 from __future__ import annotations
@@ -33,6 +35,14 @@ def _fsm_module(graph, module_id):
     return module
 
 
+def _input_leaf(graph, images):
+    """``images`` (an array or a ``Tensor``) as a fresh input leaf that
+    requires a gradient, so the eval forward records its tape and the
+    caller's tensor is left as it was."""
+    data = images.data if isinstance(images, Tensor) else images
+    return Tensor(graph.input_array(data), requires_grad=True)
+
+
 def keypoint_offset_scores(graph, images, module_id):
     """Scores between keypoint categories and shifting channels, as an
     (M keypoints, K shifting channels) array of values >= 0.
@@ -47,7 +57,7 @@ def keypoint_offset_scores(graph, images, module_id):
     network runs in eval mode.
     """
     module = _fsm_module(graph, module_id)
-    heads, _ = graph.forward(images, mode="eval")
+    heads, _ = graph.forward(_input_leaf(graph, images), mode="eval")
     pred = heads["main"]
     post_shift = module.cache["post_shift"]
     m_channels = pred.shape[1]
@@ -92,9 +102,7 @@ def erf_map(graph, image, module_id, channel, position):
     The network runs in eval mode.
     """
     node = graph.node(module_id)
-    # a fresh leaf, so the caller's tensor is left as it was
-    image = Tensor(graph.input_array(image.data if isinstance(image, Tensor) else image),
-                   requires_grad=True)
+    image = _input_leaf(graph, image)
     _, outputs = graph.forward(image, mode="eval")
     if isinstance(node.layer, FeatureShiftModule):
         nonlocal_maps = _fsm_module(graph, module_id).cache["nonlocal"]

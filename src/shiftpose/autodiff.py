@@ -1,9 +1,14 @@
 """Dense-tensor reverse-mode differentiation on numpy arrays.
 
 Activations travel as rank-4 arrays in (batch, channel, height, width)
-order; parameters are rank-1/2/4. Every forward operation records a
-closure that propagates gradients to its inputs, and ``Tensor.backward``
-replays those closures in reverse topological order exactly once.
+order; parameters are rank-1/2/4. While recording is on (the default), every
+forward operation records a closure that propagates gradients to its
+inputs, and ``Tensor.backward`` replays those closures in reverse
+topological order exactly once. A forward run with recording off (an
+inference forward of ``NetworkGraph``) records nothing: each op returns a
+plain tensor, and the state only its backward would read is freed when
+the op returns. Backward-only work (relu's mask, max-pool's winning
+cells) is done in backward, from the inputs the tape keeps.
 
 Channel contractions run as BLAS matrix products, in an order that is
 fixed for a given BLAS build and thread count; other reductions run in
@@ -19,7 +24,7 @@ import contextlib
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, StateError
 
 __all__ = [
     "Tensor",
@@ -91,8 +96,13 @@ class Tensor:
 
         ``seed`` is the upstream gradient; it defaults to 1 for scalar
         tensors (the usual loss case) and must be given explicitly for
-        non-scalar roots (e.g. receptive-field probes).
+        non-scalar roots (e.g. receptive-field probes). A root that requires
+        no gradient (a constant, or the output of an untaped forward) has
+        nothing to propagate and raises :class:`StateError`.
         """
+        if not self.requires_grad:
+            raise StateError("backward: the root requires no gradient "
+                             "(no input requires one, or the forward was not taped)")
         if seed is None:
             if self.size != 1:
                 raise ValueError("backward() without a seed requires a scalar tensor")
@@ -165,7 +175,24 @@ def tensor(data, requires_grad=False):
     return Tensor(arr, requires_grad=requires_grad)
 
 
+_RECORD = True
+
+
+@contextlib.contextmanager
+def _recording(on):
+    """Record the tape (``on``) or not while active; ``_node`` reads it."""
+    global _RECORD
+    prev, _RECORD = _RECORD, on
+    try:
+        yield
+    finally:
+        _RECORD = prev
+
+
 def _node(data, parents, backward):
+    if not _RECORD:
+        # no parents and no closure: the op's backward-only state goes now
+        return Tensor(data)
     # requires_grad propagates so backward reaches the leaves; the node
     # keeps no gradient unless a caller primes it with zero_grad()
     rg = any(p.requires_grad for p in parents)
@@ -224,12 +251,15 @@ def trace_smoothness():
 def relu(x):
     if _SMOOTHNESS is not None:
         _SMOOTHNESS["relu"].append(float(np.abs(x.data).min()))
-    mask = x.data > 0
     def backward(g):
-        return ((x, g * mask),)
+        return ((x, g * (x.data > 0)),)
     # np.maximum (not where/mask) so non-finite inputs propagate to the
-    # training guard instead of being silently clamped to zero
-    return _node(np.maximum(x.data, 0), (x,), backward)
+    # training guard instead of being silently clamped to zero. It runs in
+    # place against the zeroed output, with no temporary: numpy takes about
+    # a third of the time it takes against a scalar 0
+    out = np.zeros(x.shape, x.dtype)
+    np.maximum(x.data, out, out=out)
+    return _node(out, (x,), backward)
 
 
 def sigmoid(x):
@@ -248,7 +278,12 @@ def softplus(x):
 
 
 def _sigmoid_raw(v):
-    return 0.5 * (1.0 + np.tanh(0.5 * v))
+    # 0.5 * (1 + tanh(0.5 * v)), built in one buffer
+    out = np.multiply(v, 0.5)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -510,30 +545,37 @@ def max_pool2d(x, kernel=3, stride=2, padding=1):
     """Max pooling; ties go to the first window cell in row-major order,
     and a NaN anywhere in a window is its maximum (the first NaN wins).
 
-    A running maximum over the windows' strided views of the padded
-    input, with a uint8 map of the cell that won; backward adds ``g``
-    into each window's view where that map picks it.
+    Forward is a running maximum over the windows' strided views of the
+    padded input. Backward walks the same views: each window's gradient
+    goes to the first cell equal to its maximum, or to the first NaN where
+    the maximum is a NaN. As in ``relu``, the gradient is selected by a
+    product with the mask, so a non-finite ``g`` spreads over its window.
     """
     _check_rank4(x, "max_pool2d")
     _, _, h, w = x.shape
     _, _, windows = _windows("max_pool2d", h, w, kernel, kernel, stride, padding)
     xp = _pad(x.data, padding, padding, np.finfo(x.dtype).min)
     out = xp[windows[0][2]].copy()
-    arg = np.zeros(out.shape, dtype=np.min_scalar_type(len(windows) - 1))
-    for cell, (_, _, window) in enumerate(windows[1:], 1):
-        v = xp[window]
-        # greater, or a NaN, while the maximum so far is not a NaN
-        take = ~(v <= out)
-        take &= out == out
-        np.copyto(out, v, where=take)
-        np.copyto(arg, cell, where=take)
-    padded_shape = xp.shape
+    for _, _, window in windows[1:]:
+        # the running maximum second: numpy keeps it on a tie of signed
+        # zeros, so the first cell's value wins
+        np.maximum(xp[window], out, out=out)
 
     def backward(g):
-        gxp = np.zeros(padded_shape, dtype=x.dtype)
-        for cell, (_, _, window) in enumerate(windows):
+        gxp = np.zeros(xp.shape, dtype=x.dtype)
+        pending = np.ones(out.shape, dtype=bool)
+        # the NaN test would add about half to the pass: skip it where no
+        # window's maximum is a NaN
+        any_nan = np.isnan(out).any()
+        for _, _, window in windows:
+            v = xp[window]
+            won = v == out
+            if any_nan:
+                won |= np.isnan(v)
+            won &= pending
+            pending ^= won
             dst = gxp[window]
-            np.add(dst, g, out=dst, where=arg == cell)
+            dst += g * won
         return ((x, gxp[:, :, padding:padding + h, padding:padding + w]),)
 
     return _node(out, (x,), backward)

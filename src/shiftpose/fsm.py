@@ -201,12 +201,14 @@ class FeatureShiftModule:
         self.running_var = np.ones(c, dtype=dtype)
         self.name = "fsm"
         self.clamp_bound = None
-        # The tensors of the last active forward keep that step's whole tape
-        # (activations and closures; no gradient copies, which backward keeps
-        # on leaves only) alive until the next forward replaces them. That is
-        # deliberate: freeing the tape after each step let the allocator
-        # return its pages and fault them in again (mid-train: 3x the minor
-        # faults, a slower step) and lowered no peak RSS.
+        # After a train-mode forward, the tensors of that forward keep the
+        # step's whole tape (activations and closures; no gradient copies,
+        # which backward keeps on leaves only) alive until the next forward
+        # replaces them. That is deliberate: freeing the tape after each step
+        # let the allocator return its pages and fault them in again
+        # (mid-train: 3x the minor faults, a slower step) and lowered no
+        # peak RSS. An untaped eval forward caches plain tensors, which hold
+        # only their own maps.
         self.cache = {}
 
     def forward(self, p, mode="train"):

@@ -327,7 +327,14 @@ class NetworkGraph:
 
         Head outputs are keyed "main" plus each ESP node name. An ndarray
         input is converted by ``input_array``; a ``Tensor`` is used as is.
+
+        The tape is recorded only where a caller can ask for a gradient: in
+        train mode, or when ``x`` is a ``Tensor`` that requires one (the
+        analyses pass such a leaf to back-propagate through an eval
+        forward). Any other forward records none, so its outputs are plain
+        tensors and backward from them raises ``StateError``.
         """
+        taped = mode == "train" or (isinstance(x, Tensor) and x.requires_grad)
         if isinstance(x, np.ndarray):
             x = Tensor(self.input_array(x))
         expect = tuple(self.input_shape)
@@ -336,11 +343,12 @@ class NetworkGraph:
                 f"graph: input: expected (B,{expect[0]},{expect[1]},{expect[2]}), "
                 f"got {tuple(x.shape)}")
         outputs = {"input": x}
-        for node in self.nodes:
-            out = node.layer.forward(*(outputs[i] for i in node.inputs), mode)
-            if check_finite and not np.isfinite(out.data).all():
-                raise NumericError(f"non-finite output at layer {node.name!r}")
-            outputs[node.name] = out
+        with ad._recording(taped):
+            for node in self.nodes:
+                out = node.layer.forward(*(outputs[i] for i in node.inputs), mode)
+                if check_finite and not np.isfinite(out.data).all():
+                    raise NumericError(f"non-finite output at layer {node.name!r}")
+                outputs[node.name] = out
         heads = {"main": outputs[self.main_head]}
         for node in self.nodes:
             if node.is_head:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shiftpose import autodiff as ad
-from shiftpose.errors import ConfigError, DimensionError
+from shiftpose.errors import ConfigError, DimensionError, StateError
 from shiftpose.gradcheck import finite_diff_gradcheck
 from shiftpose.optim import Adam, adam_step
 
@@ -338,6 +338,43 @@ class TestPoolAndConv2d:
         expect[0, 0, 1, 1] = 4.0
         np.testing.assert_array_equal(x.grad, expect)
 
+    @staticmethod
+    def _maxpool_reference(x, g, kernel, stride, padding):
+        # np.argmax picks the first maximum, and the first NaN in a window
+        h, w = x.shape[2:]
+        pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+        xp = np.pad(x, pad, constant_values=np.finfo(x.dtype).min)
+        windows = np.lib.stride_tricks.sliding_window_view(
+            xp, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
+        flat = windows.reshape(windows.shape[:4] + (-1,))
+        arg = flat.argmax(axis=-1)
+        out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+        i, j = np.divmod(arg, kernel)
+        b, c, r, q = np.indices(arg.shape)
+        gxp = np.zeros_like(xp)
+        np.add.at(gxp, (b, c, r * stride + i, q * stride + j), g)
+        return out, gxp[:, :, padding:padding + h, padding:padding + w]
+
+    @pytest.mark.parametrize("kernel", [2, 3])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_maxpool_matches_an_argmax_reference(self, kernel, padding, stride, nan):
+        rng = np.random.default_rng(26)
+        # small integers, so most windows tie
+        x = rng.integers(-2, 3, (2, 3, 7, 8)).astype(np.float64)
+        if nan:
+            x[rng.random(x.shape) < 0.08] = np.nan
+        t = ad.tensor(x, requires_grad=True)
+        out = ad.max_pool2d(t, kernel, stride, padding)
+        # integers, so a cell that wins several windows sums them exactly
+        g = rng.integers(1, 9, out.shape).astype(np.float64)
+        out.backward(g)
+        want, want_grad = self._maxpool_reference(x, g, kernel, stride, padding)
+        assert np.isnan(want).any() == nan
+        np.testing.assert_array_equal(out.data, want)
+        np.testing.assert_array_equal(t.grad, want_grad)
+
     def test_maxpool_shape_and_values(self):
         x = ad.tensor(np.arange(16.0).reshape(1, 1, 4, 4))
         out = ad.max_pool2d(x, kernel=3, stride=2, padding=1)
@@ -524,6 +561,16 @@ class TestBackwardMechanics:
         x = ad.tensor(rand((1, 1, 2, 2), 19), requires_grad=True)
         report = finite_diff_gradcheck(broken_double, [x])
         assert not report.passed
+
+    def test_backward_from_a_root_that_requires_no_gradient_raises(self):
+        w = ad.Parameter(np.ones((2, 2)))
+        w.grad[...] = 5.0
+        y = ad.conv1x1(ad.tensor(np.ones((1, 2, 2, 2))), ad.tensor(w.data))
+        with pytest.raises(StateError, match="requires no gradient"):
+            y.backward(np.ones(y.shape))
+        with pytest.raises(StateError, match="requires no gradient"):
+            ad.mse_loss(y, np.zeros(y.shape)).backward()
+        assert (w.grad == 5.0).all()
 
     def test_nonscalar_backward_requires_seed(self):
         x = ad.tensor(np.ones((1, 1, 2, 2)), requires_grad=True)

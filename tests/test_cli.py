@@ -47,6 +47,9 @@ def test_split_resume_writes_the_same_checkpoint(tmp_path, config, capsys):
 @pytest.mark.parametrize("argv", [
     ["eval"],
     ["analyze", "offsets", "--out", "{tmp}/offsets.csv"],
+    # the two eval forwards that must still record a tape to back-propagate
+    ["analyze", "erf", "--out", "{tmp}/erf.csv"],
+    ["analyze", "kp-scores", "--out", "{tmp}/kp_scores.csv"],
 ])
 def test_checkpoint_commands_succeed(tmp_path, checkpoint, capsys, argv):
     argv = [a.format(tmp=tmp_path) for a in argv]

@@ -7,7 +7,7 @@ import pytest
 
 from shiftpose import autodiff as ad
 from shiftpose import network as net
-from shiftpose.errors import ConfigError, DimensionError
+from shiftpose.errors import ConfigError, DimensionError, NumericError, StateError
 from shiftpose.fsm import CA_SIGMOID, CA_SOFTPLUS
 from shiftpose.gradcheck import finite_diff_gradcheck
 
@@ -284,3 +284,58 @@ class TestGraphInput:
                                       want[name].data.view(np.uint32)), name
         # the caller's array is read, never written
         assert np.array_equal(images.view(np.uint32), held.view(np.uint32))
+
+
+class TestTape:
+    """An eval forward of an array records no tape; a train forward, or an
+    eval forward of a leaf that requires a gradient, records one."""
+
+    @staticmethod
+    def _graph_and_images():
+        g = net.build_toy_fsm_net((16, 16), 1, 1, 4, 8, fsm_active=True,
+                                  rng=np.random.default_rng(6))
+        x = np.random.default_rng(7).standard_normal((2, 1, 16, 16)).astype(np.float32)
+        return g, x
+
+    @staticmethod
+    def _cached(g):
+        return [t for _, m in g.fsm_layers() for t in m.cache.values()]
+
+    def test_eval_forward_of_an_array_records_no_tape(self):
+        g, x = self._graph_and_images()
+        heads, outputs = g.forward(x, "eval")
+        produced = list(heads.values()) + list(outputs.values()) + self._cached(g)
+        assert len(self._cached(g)) == 4
+        for t in produced:
+            assert t._backward is None and t._parents == () and not t.requires_grad
+        with pytest.raises(StateError, match="requires no gradient"):
+            heads["main"].backward(np.ones(heads["main"].shape, np.float32))
+
+    def test_untaped_heads_equal_the_taped_eval_forward(self):
+        g, x = self._graph_and_images()
+        plain, _ = g.forward(x, "eval")
+        leaf = ad.Tensor(g.input_array(x), requires_grad=True)
+        taped, outputs = g.forward(leaf, "eval")
+        assert all(outputs[n.name]._backward is not None for n in g.nodes)
+        assert plain.keys() == taped.keys()
+        for name in plain:
+            assert np.array_equal(plain[name].data.view(np.uint32),
+                                  taped[name].data.view(np.uint32)), name
+
+    def test_train_forward_still_tapes(self):
+        g, x = self._graph_and_images()
+        heads, outputs = g.forward(x, "train")
+        for t in [outputs[n.name] for n in g.nodes] + self._cached(g):
+            assert t._backward is not None and t.requires_grad
+        weight = g.node("stem").layer.weight
+        weight.zero_grad()
+        ad.mse_loss(heads["main"], np.zeros(heads["main"].shape)).backward()
+        assert weight.grad.any()
+
+    def test_a_forward_that_raises_leaves_recording_on(self):
+        g, x = self._graph_and_images()
+        x[0, 0, 3, 3] = np.nan
+        with pytest.raises(NumericError, match="non-finite"):
+            g.forward(x, "eval", check_finite=True)
+        leaf = ad.tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
+        assert ad.relu(leaf)._backward is not None
