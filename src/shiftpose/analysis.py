@@ -3,11 +3,10 @@
 All procedures here are read-only over a frozen model: they run an
 eval-mode forward pass, seed a gradient somewhere (the keypoint loss, or
 a unit at one position of a shifting module's non-local maps), and ask
-for the gradient they read: ``keypoint_offset_scores`` primes the
-module's post-shifting maps with ``zero_grad()``, and ``erf_map`` reads
-the gradient of the input. The tape keeps no other gradient. An eval
-forward records a tape only for an input that requires a gradient, so
-both pass the network a fresh input leaf that does (``_input_leaf``).
+``autodiff.grad`` for the one gradient they read (the module's post-shift
+maps, or the input), which writes no ``grad``. An eval forward records a
+tape only for an input that requires a gradient, so both pass the
+network a fresh input leaf that does (``_input_leaf``).
 """
 
 from __future__ import annotations
@@ -67,16 +66,13 @@ def keypoint_offset_scores(graph, images, module_id):
     if not base.any():
         warnings.warn("all-zero predictions: keypoint-offset scores degenerate to zero")
     scores = np.zeros((m_channels, k), dtype=np.float64)
+    samples = np.arange(base.shape[0])
     for m in range(m_channels):
         modified = base.copy()
-        for b in range(base.shape[0]):
-            flat = modified[b, m].argmax()
-            y, x = divmod(int(flat), base.shape[3])
-            modified[b, m, y, x] = 0.0
-        loss = ad.mse_loss(pred, modified)
-        post_shift.zero_grad()
-        loss.backward()
-        scores[m] = np.abs(post_shift.grad).mean(axis=(0, 2, 3))
+        peaks = base[:, m].reshape(len(samples), -1).argmax(axis=1)
+        modified[(samples, m) + np.unravel_index(peaks, base.shape[2:])] = 0.0
+        (g,) = ad.grad(ad.mse_loss(pred, modified), [post_shift])
+        scores[m] = np.abs(g).mean(axis=(0, 2, 3))
 
     col = scores.max(axis=0)
     nonzero = col > 0
@@ -118,8 +114,8 @@ def erf_map(graph, image, module_id, channel, position):
                           f"({x},{y}) outside non-local map {h}x{w}")
     seed = np.zeros_like(nonlocal_maps.data)
     seed[0, channel, y, x] = 1.0
-    nonlocal_maps.backward(seed)
-    return (image.grad[0].astype(np.float64) ** 2).sum(axis=0)
+    (g,) = ad.grad(nonlocal_maps, [image], seed)
+    return (g[0].astype(np.float64) ** 2).sum(axis=0)
 
 
 def export_offsets(graph):

@@ -3,12 +3,13 @@
 Activations travel as rank-4 arrays in (batch, channel, height, width)
 order; parameters are rank-1/2/4. While recording is on (the default), every
 forward operation records a closure that propagates gradients to its
-inputs, and ``Tensor.backward`` replays those closures in reverse
-topological order exactly once. A forward run with recording off (an
-inference forward of ``NetworkGraph``) records nothing: each op returns a
-plain tensor, and the state only its backward would read is freed when
-the op returns. Backward-only work (relu's mask, max-pool's winning
-cells) is done in backward, from the inputs the tape keeps.
+inputs, and one walk replays those closures in reverse topological order:
+``Tensor.backward`` for the optimizer, :func:`grad` for every other
+reader. A forward run with recording off (an inference forward of
+``NetworkGraph``) records nothing: each op returns a plain tensor, and
+the state only its backward would read is freed when the op returns.
+Backward-only work (relu's mask, max-pool's winning cells) is done in
+backward, from the inputs the tape keeps.
 
 Channel contractions run as BLAS matrix products, in an order that is
 fixed for a given BLAS build and thread count; other reductions run in
@@ -29,6 +30,7 @@ from .errors import ConfigError, DimensionError, StateError
 __all__ = [
     "Tensor",
     "Parameter",
+    "grad",
     "tensor",
     "add",
     "mul",
@@ -52,10 +54,9 @@ __all__ = [
 class Tensor:
     """A numpy array plus the tape bookkeeping for reverse-mode autodiff.
 
-    Backward accumulates ``grad`` only on leaves with ``requires_grad``
-    (parameters and inputs: no backward closure) and on tensors whose
-    buffer a caller made with ``zero_grad()`` before the pass; a caller
-    that reads an interior gradient asks for it that way.
+    ``backward`` (the optimizer's pass) accumulates ``grad`` only on leaves
+    with ``requires_grad`` (parameters and inputs: no backward closure);
+    every other reader of a gradient calls :func:`grad`, which writes none.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -83,80 +84,22 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
-
-    def _accumulate(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
-
     def backward(self, seed=None):
-        """Propagate gradients from this tensor back to every input.
-
-        ``seed`` is the upstream gradient; it defaults to 1 for scalar
-        tensors (the usual loss case) and must be given explicitly for
-        non-scalar roots (e.g. receptive-field probes). A root that requires
-        no gradient (a constant, or the output of an untaped forward) has
-        nothing to propagate and raises :class:`StateError`.
-        """
-        if not self.requires_grad:
-            raise StateError("backward: the root requires no gradient "
-                             "(no input requires one, or the forward was not taped)")
-        if seed is None:
-            if self.size != 1:
-                raise ValueError("backward() without a seed requires a scalar tensor")
-            seed = np.ones_like(self.data)
-        seed = np.asarray(seed, dtype=self.dtype)
-        if seed.shape != self.shape:
-            raise DimensionError(
-                f"seed: expected shape {self.shape}, got {seed.shape}")
-
-        order = []
-        visited = set()
-        stack = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in visited:
-                    stack.append((parent, False))
-
-        grads = {id(self): seed}
-        for node in reversed(order):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            # a leaf keeps its gradient; an interior node only when primed
-            if node.grad is not None or (node.requires_grad and node._backward is None):
-                node._accumulate(g)
+        """Accumulate this tensor's gradient into every leaf that requires
+        one. ``seed`` is the upstream gradient (1 by default for a scalar
+        root); a root that requires no gradient raises :class:`StateError`."""
+        for node, g in _walk(self, seed):
             if node._backward is None:
-                continue
-            for parent, pg in node._backward(g):
-                if not parent.requires_grad:
-                    continue
-                key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + pg
-                else:
-                    grads[key] = pg
+                if node.grad is None:
+                    node.grad = np.zeros_like(node.data)
+                node.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype})"
 
 
 class Parameter(Tensor):
-    """A trainable tensor; always differentiable, gradient buffer preallocated.
-
-    ``zero_grad`` clears that buffer in place, so an optimizer that bound
-    ``data`` and ``grad`` to views of its own buffers keeps them bound.
-    """
+    """A trainable tensor; always differentiable, gradient buffer preallocated."""
 
     __slots__ = ()
 
@@ -164,8 +107,70 @@ class Parameter(Tensor):
         super().__init__(np.array(data), requires_grad=True)
         self.grad = np.zeros_like(self.data)
 
-    def zero_grad(self):
-        self.grad.fill(0)
+
+def _walk(root, seed, wrt=None):
+    """The replay behind ``Tensor.backward`` and ``grad``: yield each tensor
+    that receives a gradient, with its sum, before its closure runs."""
+    if not root.requires_grad:
+        raise StateError("the root requires no gradient "
+                         "(no input requires one, or the forward was not taped)")
+    if seed is None:
+        if root.size != 1:
+            raise ValueError("a non-scalar root requires an explicit seed")
+        seed = np.ones_like(root.data)
+    seed = np.asarray(seed, dtype=root.dtype)
+    if seed.shape != root.shape:
+        raise DimensionError(f"seed: expected shape {root.shape}, got {seed.shape}")
+
+    order = []
+    visited = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in visited:
+                stack.append((parent, False))
+    if wrt is not None:
+        path = {id(t) for t in wrt}
+        for node in order:
+            if any(id(p) in path for p in node._parents):
+                path.add(id(node))
+
+    grads = {id(root): seed}
+    for node in reversed(order):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        yield node, g
+        if node._backward is None:
+            continue
+        for parent, pg in node._backward(g):
+            key = id(parent)
+            if not (parent.requires_grad if wrt is None else key in path):
+                continue
+            if key in grads:
+                grads[key] = grads[key] + pg
+            else:
+                grads[key] = pg
+
+
+def grad(root, wrt, seed=None):
+    """The gradient of ``root`` with respect to each tensor in ``wrt``, as new
+    arrays (zeros where ``root`` does not depend on it), writing no ``grad``.
+    It replays only the nodes on a path from a ``wrt`` tensor to ``root``: in
+    ``wrt``, or with a parent on such a path. ``seed`` is as for ``backward``."""
+    grads = {id(t): np.zeros_like(t.data) for t in wrt}
+    for node, g in _walk(root, seed, wrt):
+        if id(node) in grads:
+            grads[id(node)] += g
+    return [grads[id(t)] for t in wrt]
 
 
 def tensor(data, requires_grad=False):
@@ -193,8 +198,7 @@ def _node(data, parents, backward):
     if not _RECORD:
         # no parents and no closure: the op's backward-only state goes now
         return Tensor(data)
-    # requires_grad propagates so backward reaches the leaves; the node
-    # keeps no gradient unless a caller primes it with zero_grad()
+    # requires_grad propagates so the walk reaches the leaves
     rg = any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=rg, _parents=parents, _backward=backward)
 

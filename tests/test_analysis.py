@@ -82,6 +82,58 @@ class TestKeypointOffsetScores:
         np.testing.assert_allclose(col_max[col_max > 0], 1.0)
 
 
+class TestReadOnly:
+    @staticmethod
+    def _graph():
+        g = net.build_toy_fsm_net((16, 16), 1, 2, 4, 8, fsm_active=True,
+                                  rng=np.random.default_rng(40))
+        module = g.node("fsm1").layer
+        module.out_weight.data[...] = np.random.default_rng(41).standard_normal(
+            module.out_weight.shape) * 0.3
+        return g, module
+
+    @staticmethod
+    def _tape(module):
+        seen, stack = {}, list(module.cache.values())
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen:
+                seen[id(t)] = t
+                stack.extend(t._parents)
+        return [t for t in seen.values() if not isinstance(t, ad.Parameter)]
+
+    @pytest.mark.parametrize("analysis", ["kp-scores", "erf"])
+    def test_leaves_every_gradient_buffer_as_it_was(self, analysis):
+        g, module = self._graph()
+        params = [p for node in g.nodes for _, p in node.layer.named_params()]
+        for i, p in enumerate(params):
+            p.grad[...] = 0.25 + i
+        before = [p.grad.tobytes() for p in params]
+        images = np.random.default_rng(42).standard_normal((2, 1, 16, 16))
+        if analysis == "kp-scores":
+            assert ana.keypoint_offset_scores(g, images, "fsm1").any()
+        else:
+            assert ana.erf_map(g, images, "fsm1", 1, (2, 1)).any()
+        assert [p.grad.tobytes() for p in params] == before
+        tape = self._tape(module)
+        assert any(t._backward is not None for t in tape)
+        assert all(t.grad is None for t in tape)
+
+    def test_kp_scores_build_no_gradient_upstream_of_the_module(self, monkeypatch):
+        build, shapes = ad._conv_input_grad, []
+
+        def recorded_build(g, weight, x_shape, stride, padding):
+            shapes.append(tuple(x_shape))
+            return build(g, weight, x_shape, stride, padding)
+
+        monkeypatch.setattr(ad, "_conv_input_grad", recorded_build)
+        g, _ = self._graph()
+        images = np.random.default_rng(43).standard_normal((2, 1, 16, 16))
+        ana.keypoint_offset_scores(g, images, "fsm1")
+        assert shapes
+        assert (2, 1, 16, 16) not in shapes and (2, 4, 8, 8) not in shapes
+
+
 class TestContributionCounts:
     def _scores(self):
         g, _ = single_fsm_graph(c=2, k=6, seed=14)

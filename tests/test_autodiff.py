@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from shiftpose import autodiff as ad
+from shiftpose import verify
 from shiftpose.errors import ConfigError, DimensionError, StateError
 from shiftpose.gradcheck import finite_diff_gradcheck
 from shiftpose.optim import Adam, adam_step
@@ -518,13 +519,6 @@ class TestAdam:
                                 ("b", ad.Parameter(np.ones(2, np.float64)))], lr=0.1)
         assert not opt.groups
 
-    def test_parameter_zero_grad_keeps_its_buffer(self):
-        p = ad.Parameter(np.ones(3))
-        grad = p.grad
-        grad[...] = 2.0
-        p.zero_grad()
-        assert p.grad is grad and not grad.any()
-
 
 class TestBackwardMechanics:
     def test_repeat_backward_bitwise_identical(self):
@@ -532,24 +526,12 @@ class TestBackwardMechanics:
         x = ad.tensor(rng.standard_normal((2, 3, 4, 4)), requires_grad=True)
         w = ad.Parameter(rng.standard_normal((3, 3)))
         y = ad.relu(ad.conv1x1(x, w))
-        x.zero_grad(); w.zero_grad()
         y.backward(np.ones(y.shape))
         g1 = (x.grad.copy(), w.grad.copy())
-        x.zero_grad(); w.zero_grad()
+        x.grad = None
+        w.grad[...] = 0
         y.backward(np.ones(y.shape))
         assert np.array_equal(g1[0], x.grad) and np.array_equal(g1[1], w.grad)
-
-    def test_interior_gradient_only_when_primed(self):
-        rng = np.random.default_rng(22)
-        x = ad.tensor(rng.standard_normal((2, 3, 4, 4)))
-        w = ad.Parameter(rng.standard_normal((3, 3)))
-        primed, unprimed = ad.conv1x1(x, w), ad.conv1x1(x, w)
-        primed.zero_grad()
-        for y in (primed, unprimed):
-            z = ad.relu(y)
-            z.backward(np.ones(z.shape))
-        np.testing.assert_array_equal(primed.grad, (primed.data > 0).astype(primed.dtype))
-        assert unprimed.grad is None
 
     def test_corrupted_backward_fails_gradcheck(self):
         # negative control: an op whose backward doubles the true gradient
@@ -582,6 +564,51 @@ class TestBackwardMechanics:
         pred = ad.tensor(np.array([[[[1.0, 2.0]]]]), requires_grad=True)
         loss = ad.mse_loss(pred, np.array([[[[0.0, 0.0]]]]))
         assert float(loss.data) == pytest.approx(2.5)
-        pred.zero_grad()
-        loss.backward()
-        np.testing.assert_allclose(pred.grad, [[[[1.0, 2.0]]]])
+        (g,) = ad.grad(loss, [pred])
+        np.testing.assert_allclose(g, [[[[1.0, 2.0]]]])
+
+
+class TestGrad:
+    @pytest.mark.parametrize("case", sorted(verify._BUILDERS))
+    def test_equals_backward_bit_for_bit(self, case):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            fn, inputs = verify._BUILDERS[case](rng)
+            out = fn(*inputs)
+            proj = rng.standard_normal(out.shape)
+            got = ad.grad(out, inputs, proj)
+            for t in inputs:
+                if isinstance(t, ad.Parameter):
+                    t.grad[...] = 0
+                else:
+                    t.grad = None
+            out.backward(proj)
+            for t, g in zip(inputs, got):
+                assert g.dtype == t.grad.dtype
+                assert g.tobytes() == t.grad.tobytes(), (case, seed)
+
+    def test_a_tensor_the_root_does_not_depend_on_gets_zeros(self):
+        x = ad.tensor(rand((1, 2, 3, 3), 30), requires_grad=True)
+        other = ad.tensor(rand((1, 2, 2, 2), 31), requires_grad=True)
+        y = ad.relu(x)
+        gx, gother = ad.grad(y, [x, other], np.ones(y.shape))
+        np.testing.assert_array_equal(gx, x.data > 0)
+        assert gother.shape == other.shape and not gother.any()
+
+    def test_reads_an_interior_gradient_and_writes_no_grad(self):
+        x = ad.tensor(rand((2, 3, 4, 4), 32))
+        w = ad.Parameter(rand((3, 3), 33))
+        w.grad[...] = 5.0
+        y = ad.conv1x1(x, w)
+        z = ad.relu(y)
+        (gy,) = ad.grad(z, [y], np.ones(z.shape))
+        np.testing.assert_array_equal(gy, (y.data > 0).astype(y.dtype))
+        assert y.grad is None and z.grad is None and (w.grad == 5.0).all()
+
+    def test_the_same_tensor_reached_twice_sums_both_paths(self):
+        x = ad.tensor(rand((1, 1, 2, 2), 34), requires_grad=True)
+        y = ad.relu(x)
+        z = ad.mul(y, y)
+        gx, gy = ad.grad(z, [x, y], np.ones(z.shape))
+        np.testing.assert_array_equal(gy, 2.0 * y.data)
+        np.testing.assert_array_equal(gx, 2.0 * y.data * (x.data > 0))
