@@ -12,9 +12,11 @@ Backward-only work (relu's mask, max-pool's winning cells) is done in
 backward, from the inputs the tape keeps.
 
 Channel contractions run as BLAS matrix products, in an order that is
-fixed for a given BLAS build and thread count; other reductions run in
-numpy's fixed internal order. So repeated backward passes from the same
-loss produce bit-identical gradients.
+fixed for a given BLAS build and thread count, and by the two fixed
+halves of a large product's output columns (``_halves``); other
+reductions run in numpy's fixed internal order. So repeated backward
+passes from the same loss produce bit-identical gradients, at any core
+count.
 There is no general broadcasting: each op accepts exactly the shapes it
 documents and raises :class:`DimensionError` otherwise.
 """
@@ -22,6 +24,9 @@ documents and raises :class:`DimensionError` otherwise.
 from __future__ import annotations
 
 import contextlib
+import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -203,6 +208,57 @@ def _node(data, parents, backward):
     return Tensor(data, requires_grad=rg, _parents=parents, _backward=backward)
 
 
+# A product of at least this many FLOPs (or a pass of as much work) runs
+# as two halves, one on the worker; a toy step's largest is 2.4 MFLOP
+_SPLIT_WORK = 20e6
+_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+          else os.cpu_count() or 1)
+_POOL = ThreadPoolExecutor(1) if _CORES > 1 else None
+
+
+def _halves(fn, n, work):
+    """Call ``fn(lo, hi)`` on ``range(n)`` or, from ``_SPLIT_WORK`` on, on
+    its halves cut at ``n // 2``: the first on the worker (or inline)
+    under the caller's errstate. ``fn`` writes preallocated outputs with
+    numpy, never a tape op. Returns after both, even if the second raises."""
+    mid = n // 2
+    if work < _SPLIT_WORK or mid == 0:
+        fn(0, n)
+    elif _POOL is None:
+        fn(0, mid)
+        fn(mid, n)
+    else:
+        err = np.geterr()
+
+        def first():
+            with np.errstate(**err):
+                fn(0, mid)
+
+        future = _POOL.submit(first)
+        try:
+            fn(mid, n)
+        finally:
+            future.result()
+
+
+def _matmul(a, b):
+    """``a @ b``, from ``_SPLIT_WORK`` FLOPs on as ``_halves`` of the
+    output's columns, never of the contracted axis: BLAS takes each
+    column slice without a copy."""
+    (m, k), n = a.shape[-2:], b.shape[-1]
+    work = 2 * m * k * n * max(math.prod(a.shape[:-2]), math.prod(b.shape[:-2]))
+    if work < _SPLIT_WORK:
+        return a @ b
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, n),
+                   np.promote_types(a.dtype, b.dtype))
+
+    def part(lo, hi):
+        np.matmul(a, b[..., lo:hi], out=out[..., lo:hi])
+
+    _halves(part, n, work)
+    return out
+
+
 def _check_rank4(x, op):
     if x.ndim != 4:
         raise DimensionError(f"{op}: expected a rank-4 (B,C,H,W) input, got rank {x.ndim}")
@@ -349,10 +405,10 @@ def _contract(op, x, cols, weight, bias, grad_input):
     # a non-finite operand is reported by the training guard; BLAS would
     # add a warning of its own
     with np.errstate(invalid="ignore", over="ignore"):
-        out = (w2 @ cols3).reshape(b, k, h, w)
+        out = _matmul(w2, cols3).reshape(b, k, h, w)
 
     def grads(g, need_input):
-        gw = (g.reshape(b, k, h * w) @ cols3.transpose(0, 2, 1)).sum(axis=0)
+        gw = _matmul(g.reshape(b, k, h * w), cols3.transpose(0, 2, 1)).sum(axis=0)
         return gw, grad_input(g) if need_input else None
 
     return _conv_node(op, x, weight, bias, out, grads)
@@ -374,7 +430,7 @@ def conv1x1(x, weight, bias=None):
     k = weight.shape[0]
 
     def grad_input(g):
-        return (weight.data.T @ g.reshape(b, k, h * w)).reshape(b, c, h, w)
+        return _matmul(weight.data.T, g.reshape(b, k, h * w)).reshape(b, c, h, w)
 
     return _contract("conv1x1", x, x.data, weight, bias, grad_input)
 
@@ -456,7 +512,7 @@ def _conv_input_grad(g, weight, x_shape, stride, padding):
         cols = _patches("conv2d", gp[:, :, ea:gp.shape[2] - ea, eb:gp.shape[3] - eb],
                         na, nb, 1, 0)
         hq, wq = cols.shape[4:]
-        return (w2 @ cols.reshape(b, k * na * nb, hq * wq)).reshape(b, c, hq, wq)
+        return _matmul(w2, cols.reshape(b, k * na * nb, hq * wq)).reshape(b, c, hq, wq)
 
     if stride == 1:
         # the one phase covers the whole padded input
@@ -488,7 +544,7 @@ def _tap_sum(x, weight, padding, bias):
     ho, wo, windows = _windows("conv2d", h, w, kh, kw, 1, padding)
     x3 = x.data.reshape(b, c, h * w)
     with np.errstate(invalid="ignore", over="ignore"):
-        prod = weight.data.transpose(2, 3, 0, 1).reshape(kh * kw * k, c) @ x3
+        prod = _matmul(weight.data.transpose(2, 3, 0, 1).reshape(kh * kw * k, c), x3)
     prod = prod.reshape(b, kh * kw * k, h, w)
     if padding:
         prod = _pad(prod, padding, padding)
@@ -505,12 +561,12 @@ def _tap_sum(x, weight, padding, bias):
         if ea > 0 or eb > 0:
             gp = _pad(gp, max(ea, 0), max(eb, 0))
         cols = _patches("conv2d", gp, kh, kw, 1, 0).reshape(b, k * kh * kw, h * w)
-        gw = (x3 @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(c, k, kh, kw)
+        gw = _matmul(x3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(c, k, kh, kw)
         gw = gw[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         if not need_input:
             return gw, None
         flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, k * kh * kw)
-        return gw, (flipped @ cols).reshape(b, c, h, w)
+        return gw, _matmul(flipped, cols).reshape(b, c, h, w)
 
     return _conv_node("conv2d", x, weight, bias, out, grads)
 

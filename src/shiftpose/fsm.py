@@ -47,17 +47,21 @@ def _draw_offsets(rng, k, dtype):
 # shifting
 # ---------------------------------------------------------------------------
 
-def _translate_axis(maps, d, axis, difference=False):
-    """One axis of the per-channel translation of (B, K, H, W) maps.
+def _translate_axis(maps, d, axis, difference=False, out=None, acc=None):
+    """One axis of the per-channel translation of (B, K, H, W) maps,
+    written into ``out`` and returned.
 
     Channel k reads ``maps`` at ``i - d[k]`` along ``axis`` (2 rows, 3
     columns): with ``o = floor(-d)`` and ``f = -d - o`` that is the two-tap
     blend ``(1 - f) * maps[i + o] + f * maps[i + o + 1]``, reading zero
     outside the view. ``difference`` swaps the taps for (-1, +1), the
     derivative of the blend with respect to the sample coordinate. The
-    channels are gathered in the stable order of ``o``, so each distinct
-    ``o`` is one run and one pair of slice updates; the result is
-    scattered back to the original channel order.
+    channels are gathered into ``out`` in the stable order of ``o``, so
+    each distinct ``o`` is one run and one pair of slice updates into the
+    scratch ``acc``, which is scattered back in the original channel
+    order. ``out`` and ``acc`` are like ``maps`` (new by default) and
+    overlap nothing; channel slices of all three give that slice of the
+    whole result, bit for bit.
     """
     n = maps.shape[axis]
     m = -np.asarray(d, dtype=np.float64)
@@ -66,13 +70,16 @@ def _translate_axis(maps, d, axis, difference=False):
     o = o.astype(np.int64)
     order = np.argsort(o, kind="stable")
     o, f = o[order], f[order]
-    src = maps[:, order]
+    out = np.empty_like(maps) if out is None else out
+    # mode "clip" (the indices are in range) writes into a strided out unbuffered
+    src = np.take(maps, order, axis=1, out=out, mode="clip")
     lead = (slice(None),) * (axis - 2)
 
     def view(a, channels, lo, hi):
         return a[(slice(None), channels) + lead + (slice(lo, hi),)]
 
-    out = np.zeros_like(src)
+    acc = np.empty_like(maps) if acc is None else acc
+    acc[...] = 0
     cuts = (np.flatnonzero(np.diff(o)) + 1).tolist()
     for k0, k1 in zip([0] + cuts, cuts + [len(o)]):
         ch = slice(k0, k1)
@@ -81,11 +88,18 @@ def _translate_axis(maps, d, axis, difference=False):
         for t, wgt in zip((int(o[k0]), int(o[k0]) + 1), taps):
             lo, hi = max(0, -t), min(n, n - t)
             if lo < hi:
-                dst = view(out, ch, lo, hi)
+                dst = view(acc, ch, lo, hi)
                 dst += wgt * view(src, ch, lo + t, hi + t)
-    result = np.empty_like(out)
-    result[:, order] = out
-    return result
+    out[:, order] = acc
+    return out
+
+
+def _channel_major(a):
+    """A new array like (B, K, H, W) ``a``, laid out (K, B, H, W) as a
+    channel gather lays out its result. The einsums and downstream ops see
+    that layout, so their bits do not change, and a channel slice is one
+    block."""
+    return np.empty_like(a.transpose(1, 0, 2, 3), order="C").transpose(1, 0, 2, 3)
 
 
 def shift(maps, dx, dy):
@@ -103,7 +117,8 @@ def shift(maps, dx, dy):
     sample points: the blend on the differentiated axis is replaced by
     difference taps (-1, +1), and the result is contracted per channel
     with the upstream gradient (for dx, with ``T_y^T g``, the adjoint's
-    first pass). Four translation passes, and no product array.
+    first pass). Four translation passes, and no product array, run as
+    ``ad._halves`` over channels into slices of arrays made here.
     """
     if maps.ndim != 4:
         raise DimensionError(f"shift: expected (B,K,H,W) maps, got rank {maps.ndim}")
@@ -112,16 +127,32 @@ def shift(maps, dx, dy):
         raise DimensionError(
             f"shift: offsets: expected dx/dy of shape ({k},) to match K={k}, "
             f"got {dx.shape}/{dy.shape}")
-    along_x = _translate_axis(maps.data, dx.data, 3)
-    out = _translate_axis(along_x, dy.data, 2)
+    # a pass takes about 1.2 ns a value here, as long as 250 FLOPs of a
+    # large GEMM (one thread, AMD EPYC)
+    work = 250 * maps.size
+    along_x, out, acc = (_channel_major(maps.data) for _ in range(3))
+
+    def forward(lo, hi):
+        ch = slice(lo, hi)
+        _translate_axis(maps.data[:, ch], dx.data[ch], 3, False, along_x[:, ch], acc[:, ch])
+        _translate_axis(along_x[:, ch], dy.data[ch], 2, False, out[:, ch], acc[:, ch])
+
+    ad._halves(forward, k, 2 * work)
 
     def backward(g):
         # T_y^T g serves both the map gradient and the dx sum, so D_x maps
         # needs no y pass: <g, T_y D_x maps> = <T_y^T g, D_x maps>
-        g_y = _translate_axis(g, -dy.data, 2)
-        gmaps = _translate_axis(g_y, -dx.data, 3)
-        d_gx = _translate_axis(maps.data, dx.data, 3, difference=True)
-        d_gy = _translate_axis(along_x, dy.data, 2, difference=True)
+        g_y, gmaps, acc_g = (_channel_major(g) for _ in range(3))
+        d_gx, d_gy, acc_m = (_channel_major(maps.data) for _ in range(3))
+
+        def passes(lo, hi):
+            ch = slice(lo, hi)
+            _translate_axis(g[:, ch], -dy.data[ch], 2, False, g_y[:, ch], acc_g[:, ch])
+            _translate_axis(g_y[:, ch], -dx.data[ch], 3, False, gmaps[:, ch], acc_g[:, ch])
+            _translate_axis(maps.data[:, ch], dx.data[ch], 3, True, d_gx[:, ch], acc_m[:, ch])
+            _translate_axis(along_x[:, ch], dy.data[ch], 2, True, d_gy[:, ch], acc_m[:, ch])
+
+        ad._halves(passes, k, 4 * work)
         gdx = -np.einsum("bkhw,bkhw->k", g_y, d_gx)
         gdy = -np.einsum("bkhw,bkhw->k", g, d_gy)
         return ((maps, gmaps), (dx, gdx.astype(dx.dtype)), (dy, gdy.astype(dy.dtype)))

@@ -1,5 +1,9 @@
 """Tensor substrate: forward semantics, analytic backwards, Adam."""
 
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -79,6 +83,11 @@ class TestConv1x1:
         combo = ad.conv1x1(ad.tensor(a * x.data + b * y.data), w).data
         split = a * ad.conv1x1(x, w).data + b * ad.conv1x1(y, w).data
         np.testing.assert_allclose(combo, split, rtol=0, atol=1e-12)
+
+
+@pytest.mark.usefixtures("split_every_product")
+class TestConv1x1Split(TestConv1x1):
+    """The conv1x1 tests with every product split in two halves."""
 
 
 class TestBilinearSample:
@@ -457,6 +466,69 @@ class TestPoolAndConv2d:
         x = ad.tensor(rand((1, 2, 3, 3), 17), requires_grad=True)
         report = finite_diff_gradcheck(ad.upsample_nearest2x, [x])
         assert report.passed, str(report)
+
+
+@pytest.mark.usefixtures("split_every_product")
+class TestPoolAndConv2dSplit(TestPoolAndConv2d):
+    """The conv2d (and max-pool) tests with every product split in two
+    halves, so that the einsum oracles catch a misplaced half."""
+
+
+class TestHalves:
+    def test_small_work_runs_whole_and_large_work_at_the_middle(self, monkeypatch):
+        monkeypatch.setattr(ad, "_POOL", None)
+        calls = []
+        ad._halves(lambda lo, hi: calls.append((lo, hi)), 7, ad._SPLIT_WORK - 1)
+        ad._halves(lambda lo, hi: calls.append((lo, hi)), 7, ad._SPLIT_WORK)
+        ad._halves(lambda lo, hi: calls.append((lo, hi)), 1, ad._SPLIT_WORK)
+        assert calls == [(0, 7), (0, 3), (3, 7), (0, 1)]
+
+    def test_a_failing_caller_half_returns_after_the_worker(self, split_every_product):
+        done = []
+
+        def fn(lo, hi):
+            if lo == 0:
+                time.sleep(0.05)
+                done.append(lo)
+            else:
+                raise MemoryError("caller half")
+
+        with pytest.raises(MemoryError, match="caller half"):
+            ad._halves(fn, 4, 0)
+        assert done == [0]
+
+    def test_a_worker_error_reraises_in_the_caller(self, split_every_product):
+        def fn(lo, hi):
+            if lo == 0:
+                raise ValueError("worker half")
+
+        with pytest.raises(ValueError, match="worker half"):
+            ad._halves(fn, 4, 0)
+
+    def test_callers_on_several_threads_share_the_worker(self, split_every_product):
+        rng = np.random.default_rng(3)
+        a, b = rng.standard_normal((8, 16)), rng.standard_normal((3, 16, 40))
+        want = ad._matmul(a, b)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as callers:
+                got = list(callers.map(lambda _: ad._matmul(a, b), range(64), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(g.tobytes() == want.tobytes() for g in got)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_the_worker_half_runs_under_the_callers_errstate(self, split_every_product):
+        # inf * 0 is invalid in the first column only: the worker's half
+        a = np.full((2, 3), np.inf)
+        b = np.array([[0.0, 1.0]] * 3)
+        with np.errstate(invalid="raise"):
+            with pytest.raises(FloatingPointError):
+                ad._matmul(a, b)
+        with np.errstate(invalid="ignore"):
+            out = ad._matmul(a, b)
+        assert np.isnan(out[:, 0]).all() and np.isposinf(out[:, 1]).all()
 
 
 class TestAdam:

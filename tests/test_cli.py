@@ -77,6 +77,11 @@ def test_stock_verify_suites_pass(capsys):
     assert out.out.endswith(": pass\n")
 
 
+@pytest.mark.usefixtures("split_every_product")
+def test_stock_verify_suites_pass_with_every_product_split(capsys):
+    test_stock_verify_suites_pass(capsys)
+
+
 def test_count_succeeds(config, capsys):
     code, out = run(capsys, "count", "--config", config)
     assert (code, out.err) == (0, "")

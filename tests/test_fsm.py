@@ -95,6 +95,11 @@ class TestShiftForward:
         np.testing.assert_allclose(composed[interior], direct[interior], atol=1e-9)
 
 
+@pytest.mark.usefixtures("split_every_product")
+class TestShiftForwardSplit(TestShiftForward):
+    """The forward tests with shift's passes split in two channel halves."""
+
+
 def translate_axis_by_adjacent_runs(maps, d, axis, difference=False):
     """``fsm._translate_axis`` without the grouping: channels stay in
     order and each run of adjacent channels sharing ``o`` gets its own
@@ -184,6 +189,11 @@ class TestShiftBackward:
         dy = ad.Parameter(np.array([-0.63, 0.29, 1.57]))
         report = finite_diff_gradcheck(lambda *t: fsm.shift(*t), [maps, dx, dy])
         assert report.passed, str(report)
+
+
+@pytest.mark.usefixtures("split_every_product")
+class TestShiftBackwardSplit(TestShiftBackward):
+    """The backward tests with shift's passes split in two channel halves."""
 
 
 class TestCorrelationAttention:
@@ -318,9 +328,9 @@ class TestOracle:
 
         translate = fsm._translate_axis
 
-        def first_channel_offset(maps, d, axis, difference=False):
+        def first_channel_offset(maps, d, axis, difference=False, out=None, acc=None):
             d = np.asarray(d)
-            return translate(maps, np.full_like(d, d[0]), axis, difference)
+            return translate(maps, np.full_like(d, d[0]), axis, difference, out, acc)
 
         monkeypatch.setattr(fsm, "_translate_axis", first_channel_offset)
         results, ok = oracle_trials(trials=8, tolerance=1e-6)

@@ -285,6 +285,31 @@ class TestGraphInput:
         assert np.array_equal(images.view(np.uint32), held.view(np.uint32))
 
 
+class TestSplitProducts:
+    @staticmethod
+    def _forward_and_gradients():
+        g = net.build_toy_fsm_net((16, 16), 1, 1, 4, 8, fsm_active=True,
+                                  rng=np.random.default_rng(6))
+        rng = np.random.default_rng(7)
+        # a live branch, so the shift's backward carries a gradient
+        module = g.node("fsm1").layer
+        module.out_weight.data[...] = rng.standard_normal(module.out_weight.shape)
+        x = rng.standard_normal((2, 1, 16, 16)).astype(np.float32)
+        heads, _ = g.forward(x, "train")
+        params = [p for _, p in g.named_parameters()]
+        loss = ad.mse_loss(heads["main"], np.zeros(heads["main"].shape))
+        return [heads["main"].data] + ad.grad(loss, params)
+
+    def test_the_worker_gives_the_same_bits_as_both_halves_inline(self, monkeypatch,
+                                                                  split_every_product):
+        on_worker = self._forward_and_gradients()
+        monkeypatch.setattr(ad, "_POOL", None)
+        inline = self._forward_and_gradients()
+        assert len(on_worker) == 29
+        for a, b in zip(on_worker, inline):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestTape:
     """An eval forward of an array records no tape; a train forward, or an
     eval forward of a leaf that requires a gradient, records one."""

@@ -312,3 +312,10 @@ class TestDeterminismAndDescent:
         stem.data[...] = np.inf
         with pytest.raises(NumericError, match="stem"):
             trainer.step()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nonfinite_guard_names_layer_with_every_product_split(self,
+                                                                  split_every_product):
+        # the worker half of a product must keep the caller's errstate, or
+        # the inf weight warns there before the guard can name the layer
+        self.test_nonfinite_guard_names_layer()
