@@ -9,7 +9,9 @@ reader. A forward run with recording off (an inference forward of
 ``NetworkGraph``) records nothing: each op returns a plain tensor, and
 the state only its backward would read is freed when the op returns.
 Backward-only work (relu's mask, max-pool's winning cells) is done in
-backward, from the inputs the tape keeps.
+backward, from the inputs the tape keeps. Every convolution is one core,
+``_conv`` (``conv1x1`` is ``conv2d``'s 1x1 case), and
+``_conv_input_grad`` builds every conv's input gradient.
 
 Channel contractions run as BLAS matrix products, in an order that is
 fixed for a given BLAS build and thread count, and by the two fixed
@@ -48,8 +50,7 @@ __all__ = [
     "group_norm",
     "max_pool2d",
     "upsample_nearest2x",
-    "spatial_sum",
-    "spatial_div",
+    "spatial_normalize",
     "mse_loss",
     "bilinear_sample",
     "conv_out_size",
@@ -378,38 +379,35 @@ def _conv_node(op, x, weight, bias, out, grads):
     return _node(out, parents, backward)
 
 
-def _contract(op, x, cols, weight, bias, grad_input):
-    """The channel contraction out[b,k] = sum_c w[k,c] cols[b,c] (+ bias[k])
-    as a tape node over ``x``, ``weight`` and ``bias``.
+def _conv(op, x, weight, w4, stride, padding, bias):
+    """The tape node of the convolution of ``x`` by ``weight``, whose data
+    viewed as (K, C, kh, kw) is ``w4``: the one core of ``conv1x1`` and
+    ``conv2d``, after their rank checks.
 
-    ``cols`` is ``x``'s data or, for a spatial kernel, its patches
-    flattened to (B, C*kh*kw, Ho, Wo), so the forward gathers on the
-    input side: C*kh*kw values per output cell, no more than a
-    projection first would hold where K >= C or the stride skips cells
-    (a stride-1 conv with K < C is ``_tap_sum``). ``weight`` is flattened
-    to (K, -1) to match, and ``grad_input(g)`` builds ``x``'s gradient
-    from the output gradient ``g``. Each product is one batched GEMM over
-    (B, C, Ho*Wo).
-
-    ``conv1x1`` builds the input gradient as ``w.T @ g``; ``conv2d``, at
-    every stride, as the polyphase convolution ``_conv_input_grad``, which
-    gathers on the output-gradient side: K*kh*kw values of ``g`` per input
-    cell, where scattering ``w.T @ g`` back through the windows would
-    write C*kh*kw, so it is the slower form only where C < K (the 7x7
-    stem, 3 to 64).
+    A stride-1 spatial kernel with fewer outputs than inputs (K < C)
+    projects first (``_tap_sum``). Every other conv gathers ``x``'s
+    patches (a view for 1x1), C*kh*kw values per output cell, no more
+    than a projection first would hold where K >= C or the stride skips
+    cells, and contracts them with ``w4`` flattened to (K, C*kh*kw): one
+    batched GEMM over (B, C*kh*kw, Ho*Wo), and one more for the weight
+    gradient. ``_conv_input_grad`` builds the input gradient.
     """
-    k = weight.shape[0]
-    b, c, h, w = cols.shape
-    w2 = weight.data.reshape(k, c)
-    cols3 = cols.reshape(b, c, h * w)
+    k, c, kh, kw = w4.shape
+    if c != x.shape[1]:
+        raise DimensionError(f"{op}: channels: weight expects C={c}, input has C={x.shape[1]}")
+    if stride == 1 and kh * kw > 1 and k < c:
+        return _tap_sum(op, x, weight, w4, padding, bias)
+    cols = _patches(op, x.data, kh, kw, stride, padding)
+    b, _, _, _, ho, wo = cols.shape
+    cols3 = cols.reshape(b, c * kh * kw, ho * wo)
     # a non-finite operand is reported by the training guard; BLAS would
     # add a warning of its own
     with np.errstate(invalid="ignore", over="ignore"):
-        out = _matmul(w2, cols3).reshape(b, k, h, w)
+        out = _matmul(w4.reshape(k, c * kh * kw), cols3).reshape(b, k, ho, wo)
 
     def grads(g, need_input):
-        gw = _matmul(g.reshape(b, k, h * w), cols3.transpose(0, 2, 1)).sum(axis=0)
-        return gw, grad_input(g) if need_input else None
+        gw = _matmul(g.reshape(b, k, ho * wo), cols3.transpose(0, 2, 1)).sum(axis=0)
+        return gw, _conv_input_grad(g, w4, x.shape, stride, padding) if need_input else None
 
     return _conv_node(op, x, weight, bias, out, grads)
 
@@ -418,21 +416,12 @@ def conv1x1(x, weight, bias=None):
     """Pointwise convolution: out[b,k] = sum_c weight[k,c] * x[b,c] (+ bias[k]).
 
     ``weight`` has shape (K, C); this is the channel-mixing primitive the
-    shifting module is built from.
+    shifting module is built from, and ``conv2d``'s 1x1 case.
     """
     _check_rank4(x, "conv1x1")
     if weight.ndim != 2:
         raise DimensionError(f"conv1x1: weight must be rank-2 (K,C), got {weight.shape}")
-    if weight.shape[1] != x.shape[1]:
-        raise DimensionError(
-            f"conv1x1: channels: weight expects C={weight.shape[1]}, input has C={x.shape[1]}")
-    b, c, h, w = x.shape
-    k = weight.shape[0]
-
-    def grad_input(g):
-        return _matmul(weight.data.T, g.reshape(b, k, h * w)).reshape(b, c, h, w)
-
-    return _contract("conv1x1", x, x.data, weight, bias, grad_input)
+    return _conv("conv1x1", x, weight, weight.data[:, :, None, None], 1, 0, bias)
 
 
 def conv_out_size(size, kernel, stride, padding):
@@ -467,13 +456,14 @@ def _pad(x, ph, pw, fill=0):
 
 def _patches(op, x, kh, kw, stride, padding):
     """The (B, C, kh, kw, Ho, Wo) patches of ``x`` zero-padded: the one
-    im2col gather. ``conv2d`` gathers its input with it only where
-    K >= C or the stride is above 1: a stride-1 conv with K < C projects
-    first (``_tap_sum``), so its wider input is never gathered. Every
-    conv2d backward gathers the output gradient with it instead, K*kh*kw
-    values per input cell: for each stride phase of ``_conv_input_grad``,
-    or once in ``_tap_sum``. A 1x1, stride-1, unpadded window is a view
-    of ``x``."""
+    im2col gather. The ``_conv`` forward gathers its input with it only
+    where K >= C or the stride is above 1: a stride-1 conv with K < C
+    projects first (``_tap_sum``), so its wider input is never gathered.
+    Every conv backward gathers the output gradient with it instead,
+    K*kh*kw values per input cell: once at stride 1, at exactly the
+    input's cells (``_grad_patches``), or once per stride phase of
+    ``_conv_input_grad``. A 1x1, stride-1, unpadded window is a view of
+    ``x``."""
     if (kh, kw, stride, padding) == (1, 1, 1, 0):
         return x[:, :, None, None]
     b, c, h, w = x.shape
@@ -485,66 +475,74 @@ def _patches(op, x, kh, kw, stride, padding):
     return cols
 
 
-def _conv_input_grad(g, weight, x_shape, stride, padding):
-    """The input gradient of ``conv2d``'s im2col form from its
-    (B, K, Ho, Wo) output gradient ``g`` and (K, C, kh, kw) ``weight``,
-    as a polyphase convolution. The padded input's cells at stride phase
-    (ry, rx) are reached only by the taps ``weight[:, :, ry::s, rx::s]``,
-    so that phase is a stride-1 correlation of ``g``, zero-padded on each
-    side by the sub-kernel's size less one, with the flipped sub-kernel:
-    one ``_patches`` gather and one batched GEMM, written into the
-    phase's strided view. A phase with no taps stays zero; the padding is
-    cropped at the end.
+def _grad_patches(g, kh, kw, padding):
+    """A stride-1 conv's (B, K, Ho, Wo) output gradient ``g`` gathered at
+    exactly the input's H x W cells: cols[b, k, kh-1-i, kw-1-j, y, x] =
+    g[b, k, y+p-i, x+p-j], zero outside ``g``. That is ``g`` padded by
+    (kernel - 1 - padding) per side, or cropped where that is negative."""
+    ho, wo = g.shape[2:]
+    ea, eb = kh - 1 - padding, kw - 1 - padding
+    gp = g[:, :, max(-ea, 0):ho - max(-ea, 0), max(-eb, 0):wo - max(-eb, 0)]
+    if ea > 0 or eb > 0:
+        gp = _pad(gp, max(ea, 0), max(eb, 0))
+    return _patches("conv2d", gp, kh, kw, 1, 0)
+
+
+def _conv_input_grad(g, weight, x_shape, stride, padding, cols=None):
+    """The input gradient of a conv from its (B, K, Ho, Wo) output
+    gradient ``g`` and (K, C, kh, kw) ``weight``: a gather of ``g``
+    contracted with the flipped kernel in one batched GEMM, which gathers
+    K*kh*kw values per input cell where scattering ``w.T @ g`` back
+    through the windows would write C*kh*kw.
+
+    At stride 1 the gather is ``_grad_patches`` (or ``cols``, the same
+    gather made by the caller), and for a 1x1 kernel the GEMM is
+    ``w.T @ g``. A larger stride runs as a polyphase convolution: the
+    padded input's cells at stride phase (ry, rx) are reached only by the
+    taps ``weight[:, :, ry::s, rx::s]``, so that phase is the input
+    gradient of an unpadded stride-1 conv by that sub-kernel, written
+    into the phase's strided view. A phase with no taps stays zero; the
+    padding is cropped at the end.
     """
     b, k = g.shape[:2]
     _, c, kh, kw = weight.shape
-    h, w = x_shape[2:]
-    # padded once for the largest sub-kernel (phase (0, 0)); a smaller
-    # phase reads the middle of it
-    pa, pb = -(-kh // stride) - 1, -(-kw // stride) - 1
-    gp = _pad(g, pa, pb) if pa or pb else g
 
-    def phase(ry, rx):
-        sub = weight[:, :, ry::stride, rx::stride][:, :, ::-1, ::-1]
+    def correlate(sub, cols):
         na, nb = sub.shape[2:]
-        w2 = sub.transpose(1, 0, 2, 3).reshape(c, k * na * nb)
-        ea, eb = pa + 1 - na, pb + 1 - nb
-        cols = _patches("conv2d", gp[:, :, ea:gp.shape[2] - ea, eb:gp.shape[3] - eb],
-                        na, nb, 1, 0)
+        w2 = sub[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, k * na * nb)
         hq, wq = cols.shape[4:]
         return _matmul(w2, cols.reshape(b, k * na * nb, hq * wq)).reshape(b, c, hq, wq)
 
     if stride == 1:
-        # the one phase covers the whole padded input
-        gxp = phase(0, 0)
-    else:
-        gxp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
-        for ry in range(min(stride, kh)):
-            for rx in range(min(stride, kw)):
-                part = phase(ry, rx)
-                gxp[:, :, ry::stride, rx::stride][:, :, :part.shape[2], :part.shape[3]] = part
+        return correlate(weight, _grad_patches(g, kh, kw, padding) if cols is None else cols)
+    h, w = x_shape[2:]
+    gxp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
+    for ry in range(min(stride, kh)):
+        for rx in range(min(stride, kw)):
+            sub = weight[:, :, ry::stride, rx::stride]
+            part = correlate(sub, _grad_patches(g, *sub.shape[2:], 0))
+            gxp[:, :, ry::stride, rx::stride][:, :, :part.shape[2], :part.shape[3]] = part
     return gxp[:, :, padding:padding + h, padding:padding + w]
 
 
-def _tap_sum(x, weight, padding, bias):
-    """``conv2d`` at stride 1 with fewer outputs than inputs (K < C),
-    projected first: one batched GEMM of ``x`` by the weight viewed as a
+def _tap_sum(op, x, weight, w4, padding, bias):
+    """``_conv`` at stride 1 with fewer outputs than inputs (K < C),
+    projected first: one batched GEMM of ``x`` by ``w4`` viewed as a
     (kh*kw*K, C) matrix gives every tap's K-channel map at every input
     cell, and the output sums those maps through the taps' window views
     of the padded product. That holds kh*kw*K values per cell, where an
     im2col gather of ``x`` would write C*kh*kw.
 
-    Backward gathers the output gradient once, flipped and cropped to the
-    input's cells (K*kh*kw values per cell), and contracts that gather
-    with ``x`` for the weight gradient and with the flipped weight for the
-    input gradient.
+    Backward gathers the output gradient once (``_grad_patches``) and
+    contracts that gather with ``x`` for the weight gradient and, in
+    ``_conv_input_grad``, with the flipped weight for the input gradient.
     """
-    k, c, kh, kw = weight.shape
+    k, c, kh, kw = w4.shape
     b, _, h, w = x.shape
-    ho, wo, windows = _windows("conv2d", h, w, kh, kw, 1, padding)
+    _, _, windows = _windows(op, h, w, kh, kw, 1, padding)
     x3 = x.data.reshape(b, c, h * w)
     with np.errstate(invalid="ignore", over="ignore"):
-        prod = _matmul(weight.data.transpose(2, 3, 0, 1).reshape(kh * kw * k, c), x3)
+        prod = _matmul(w4.transpose(2, 3, 0, 1).reshape(kh * kw * k, c), x3)
     prod = prod.reshape(b, kh * kw * k, h, w)
     if padding:
         prod = _pad(prod, padding, padding)
@@ -554,51 +552,22 @@ def _tap_sum(x, weight, padding, bias):
         out += prod[:, tap][window]
 
     def grads(g, need_input):
-        # cols[b, k, kh-1-i, kw-1-j, y, x] = g[b, k, y+p-i, x+p-j]: g padded
-        # by (kernel - 1 - padding) per side, or cropped where that is negative
-        ea, eb = kh - 1 - padding, kw - 1 - padding
-        gp = g[:, :, max(-ea, 0):ho - max(-ea, 0), max(-eb, 0):wo - max(-eb, 0)]
-        if ea > 0 or eb > 0:
-            gp = _pad(gp, max(ea, 0), max(eb, 0))
-        cols = _patches("conv2d", gp, kh, kw, 1, 0).reshape(b, k * kh * kw, h * w)
-        gw = _matmul(x3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(c, k, kh, kw)
-        gw = gw[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        if not need_input:
-            return gw, None
-        flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, k * kh * kw)
-        return gw, _matmul(flipped, cols).reshape(b, c, h, w)
+        cols = _grad_patches(g, kh, kw, padding)
+        gw = _matmul(x3, cols.reshape(b, k * kh * kw, h * w).transpose(0, 2, 1)).sum(axis=0)
+        gw = gw.reshape(c, k, kh, kw)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        return gw, _conv_input_grad(g, w4, x.shape, 1, padding, cols) if need_input else None
 
-    return _conv_node("conv2d", x, weight, bias, out, grads)
+    return _conv_node(op, x, weight, bias, out, grads)
 
 
 def conv2d(x, weight, stride=1, padding=0, bias=None):
-    """2-D convolution with a (K, C, kh, kw) kernel, zero padding.
-
-    The operand shapes pick the form. A stride-1 spatial kernel with
-    fewer outputs than inputs (K < C, the keypoint heads) projects ``x``
-    first and sums the taps (``_tap_sum``), so nothing is gathered on
-    the wide input side. Every other conv gathers ``x``'s patches
-    (im2col; a view for 1x1) and contracts them in ``_contract``, since
-    there a projection first would hold more values per cell than the
-    patches do (K >= C), or compute outputs the stride skips.
-    """
+    """2-D convolution with a (K, C, kh, kw) kernel, zero padding, run
+    by the one conv core ``_conv`` (see there for the form the operand
+    shapes pick)."""
     _check_rank4(x, "conv2d")
     if weight.ndim != 4:
         raise DimensionError(f"conv2d: weight must be rank-4 (K,C,kh,kw), got {weight.shape}")
-    k, c, kh, kw = weight.shape
-    if c != x.shape[1]:
-        raise DimensionError(
-            f"conv2d: channels: weight expects C={c}, input has C={x.shape[1]}")
-    if stride == 1 and kh * kw > 1 and k < c:
-        return _tap_sum(x, weight, padding, bias)
-    cols = _patches("conv2d", x.data, kh, kw, stride, padding)
-    b, _, _, _, ho, wo = cols.shape
-
-    def grad_input(g):
-        return _conv_input_grad(g, weight.data, x.shape, stride, padding)
-
-    return _contract("conv2d", x, cols.reshape(b, c * kh * kw, ho, wo), weight, bias,
-                     grad_input)
+    return _conv("conv2d", x, weight, weight.data, stride, padding, bias)
 
 
 def max_pool2d(x, kernel=3, stride=2, padding=1):
@@ -762,33 +731,18 @@ def default_groups(channels):
 # reductions
 # ---------------------------------------------------------------------------
 
-def spatial_sum(x):
-    """Sum over H and W, keeping dims: (B,C,H,W) -> (B,C,1,1)."""
-    _check_rank4(x, "spatial_sum")
-    h, w = x.shape[2], x.shape[3]
-
-    def backward(g):
-        return ((x, np.broadcast_to(g, x.shape).copy()),)
-
-    return _node(x.data.sum(axis=(2, 3), keepdims=True), (x,), backward)
-
-
-def spatial_div(x, denom):
-    """Divide (B,C,H,W) by a per-(b,c) scalar field (B,C,1,1)."""
-    _check_rank4(x, "spatial_div")
-    if denom.shape != (x.shape[0], x.shape[1], 1, 1):
-        raise DimensionError(
-            f"spatial_div: denominator must be (B,C,1,1)={x.shape[:2] + (1, 1)}, "
-            f"got {denom.shape}")
-    inv = 1.0 / denom.data
+def spatial_normalize(x):
+    """Divide (B,C,H,W) by its per-(b,c) sum over H and W, so each map
+    sums to one."""
+    _check_rank4(x, "spatial_normalize")
+    inv = 1.0 / x.data.sum(axis=(2, 3), keepdims=True)
     out = x.data * inv
 
     def backward(g):
-        gx = g * inv
-        gd = -(g * out * inv).sum(axis=(2, 3), keepdims=True)
-        return ((x, gx), (denom, gd))
+        # the quotient's term, then the sum's, shared by every cell
+        return ((x, g * inv - (g * out * inv).sum(axis=(2, 3), keepdims=True)),)
 
-    return _node(out, (x, denom), backward)
+    return _node(out, (x,), backward)
 
 
 def mse_loss(pred, target):

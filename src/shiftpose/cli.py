@@ -6,9 +6,11 @@ exits 0 on success; errors print one machine-parseable line to stderr
 (`error: <category>: <detail>`) with exit code 2 for configuration
 problems (`config`), 3 for numeric divergence during training
 (`numeric`), and 1 otherwise: an unusable checkpoint (`checkpoint`),
-an impossible synthetic task (`generation`), a failed allocation
-(`memory`), or a path that cannot be read or written (`file`, naming
-the path).
+an impossible synthetic task (`generation`), a tensor shape an
+operation refuses (`dimension`), an operation in a state that forbids
+it (`state`), a failed allocation (`memory`), or a path that cannot be
+read or written (`file`, naming the path). A package error's category
+is its class name without `Error`.
 
 The only environment variable consulted is SHIFTPOSE_OUT_DIR, which
 overrides the default artifact directory.
@@ -29,8 +31,7 @@ from . import network as net
 from .checkpoint import checkpoint_load, checkpoint_save, restore_graph_state, restore_rng
 from .config import (RunConfig, build_datasets, build_network, load_run_config,
                      parse_run_config, run_config_to_dict)
-from .errors import (CheckpointError, ConfigError, GenerationError,
-                     NumericError, ShiftPoseError)
+from .errors import CheckpointError, ConfigError, ShiftPoseError
 from .training import Trainer
 from .verify import gradcheck_suite, oracle_trials
 
@@ -284,19 +285,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"error: numeric: {exc}", file=sys.stderr)
-        return 3
-    except (CheckpointError, GenerationError) as exc:
-        print(f"error: {type(exc).__name__.lower().replace('error', '')}: {exc}",
-              file=sys.stderr)
-        return 1
     except ShiftPoseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # the category is the class name: ConfigError -> config
+        category = type(exc).__name__.lower().replace("error", "")
+        print(f"error: {category}: {exc}", file=sys.stderr)
+        return {"config": 2, "numeric": 3}.get(category, 1)
     except MemoryError as exc:
         print(f"error: memory: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fsm import CA_SIGMOID, CA_SOFTPLUS
+from .fsm import CA_SIGMOID, CA_VARIANTS
 from .synthdata import SynthSpec
 from .training import TrainConfig
 
@@ -60,7 +60,7 @@ class RunConfig:
 LIMITS = {
     "network.builder": ("toy", "3block3fsm", "fpn"),
     "network.input_size": (1, None),
-    "network.ca_variant": (CA_SIGMOID, CA_SOFTPLUS),
+    "network.ca_variant": CA_VARIANTS,
     "network.shift_channels": (1, None),
     "network.keypoints": (1, None),
     "network.in_channels": (1, None),

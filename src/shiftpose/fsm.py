@@ -31,6 +31,9 @@ __all__ = [
 
 CA_SOFTPLUS = "softplus-normalized"
 CA_SIGMOID = "sigmoid-unnormalized"
+# every correlation-attention variant ``ca_forward`` runs: the allowed
+# values of a run config's and a graph spec's ``ca_variant``
+CA_VARIANTS = (CA_SOFTPLUS, CA_SIGMOID)
 
 # Offsets start uniform in [-1, 1]: breaks symmetry without risking maps
 # being shifted fully out of view at initialization.
@@ -173,8 +176,7 @@ def ca_forward(p, gate_weight, variant=CA_SOFTPLUS):
     """
     raw = ad.conv1x1(p, gate_weight)
     if variant == CA_SOFTPLUS:
-        f = ad.softplus(raw)
-        return ad.spatial_div(f, ad.spatial_sum(f))
+        return ad.spatial_normalize(ad.softplus(raw))
     if variant == CA_SIGMOID:
         return ad.sigmoid(raw)
     raise ValueError(f"unknown correlation-attention variant {variant!r}")

@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor, conv_out_size, default_groups
 from .errors import ConfigError, DimensionError, NumericError
-from .fsm import CA_SIGMOID, CA_SOFTPLUS, FeatureShiftModule
+from .fsm import CA_SIGMOID, CA_SOFTPLUS, CA_VARIANTS, FeatureShiftModule
 
 __all__ = [
     "NetworkGraph", "ConvBlock", "Bottleneck", "MaxPool",
@@ -413,6 +413,9 @@ class NetworkGraph:
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"graph.nodes.{name}",
                                   f"malformed node: {exc!r}") from None
+            except DimensionError as exc:
+                # a node that type-checks but does not fit its inputs
+                raise ConfigError(f"graph.nodes.{name}", str(exc)) from None
         return graph
 
 
@@ -429,7 +432,7 @@ _FIELD_TYPES = {"int": int, "bool": bool, "str": str}
 # forward, and a norm be refused without the name of its node
 _FIELD_CHOICES = {"conv": {"act": (None, "relu"), "norm": (None, "gn", "bn")},
                   "bottleneck": {"norm": ("gn", "bn")},
-                  "fsm": {"ca_variant": (CA_SOFTPLUS, CA_SIGMOID)}}
+                  "fsm": {"ca_variant": CA_VARIANTS}}
 
 
 def _value_fits(field, value):

@@ -122,9 +122,9 @@ class TestReadOnly:
     def test_kp_scores_build_no_gradient_upstream_of_the_module(self, monkeypatch):
         build, shapes = ad._conv_input_grad, []
 
-        def recorded_build(g, weight, x_shape, stride, padding):
+        def recorded_build(g, weight, x_shape, *args):
             shapes.append(tuple(x_shape))
-            return build(g, weight, x_shape, stride, padding)
+            return build(g, weight, x_shape, *args)
 
         monkeypatch.setattr(ad, "_conv_input_grad", recorded_build)
         g, _ = self._graph()

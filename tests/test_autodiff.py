@@ -74,6 +74,24 @@ class TestConv1x1:
         for got, want in zip((out.data, x.grad, w.grad, b.grad), ref):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_equals_conv2d_1x1_bit_for_bit(self, strided):
+        # one core runs both: the same bits, forward and backward
+        for dtype in (np.float32, np.float64):
+            x = rand((2, 5, 7, 6), 10, dtype)
+            x = ad.tensor(strided_copy(x) if strided else x, requires_grad=True)
+            w = ad.Parameter(rand((4, 5), 11, dtype))
+            b = ad.Parameter(rand(4, 12, dtype))
+            pointwise = ad.conv1x1(x, w, b)
+            w4 = ad.Parameter(w.data[:, :, None, None])
+            spatial = ad.conv2d(x, w4, bias=b)
+            g = rand(pointwise.shape, 13, dtype)
+            got = [pointwise.data] + ad.grad(pointwise, [x, w, b], g)
+            want = [spatial.data] + ad.grad(spatial, [x, w4, b], g)
+            want[2] = want[2].reshape(w.shape)
+            for a, e in zip(got, want):
+                assert a.dtype == e.dtype and a.tobytes() == e.tobytes()
+
     def test_linearity_exact(self):
         rng = np.random.default_rng(5)
         w = ad.Parameter(rng.standard_normal((3, 4)))
@@ -427,7 +445,9 @@ class TestPoolAndConv2d:
                 out.backward(rand(out.shape, 24))
                 weight_grads.append(w.grad)
             np.testing.assert_array_equal(weight_grads[0], weight_grads[1])
-        assert builds == [1]
+        # each form builds its input gradient in _conv_input_grad, once,
+        # and only for the input that requires one
+        assert builds == [1, 1]
         assert built == [True, False, True, False]
 
     def test_conv2d_with_fewer_outputs_never_gathers_its_input(self, monkeypatch):
@@ -447,6 +467,24 @@ class TestPoolAndConv2d:
         gathered.clear()
         ad.conv2d(x, ad.Parameter(rand((6, 6, 3, 3), 22)), padding=1)
         assert gathered == [6]
+
+    @pytest.mark.parametrize("k,c", [(4, 3), (2, 6)], ids=["gathered", "projected"])
+    def test_stride1_input_gradient_gathers_only_the_input_cells(self, monkeypatch, k, c):
+        gather, gathered = ad._patches, []
+
+        def recorded_gather(*args):
+            cols = gather(*args)
+            gathered.append(cols.shape)
+            return cols
+
+        monkeypatch.setattr(ad, "_patches", recorded_gather)
+        x = ad.tensor(rand((2, c, 9, 8), 25), requires_grad=True)
+        out = ad.conv2d(x, ad.Parameter(rand((k, c, 3, 3), 26)), padding=1)
+        gathered.clear()
+        ad.grad(out, [x], rand(out.shape, 27))
+        # one gather of the output gradient, at the 9x8 input cells, not
+        # at the 11x10 padded ones
+        assert gathered == [(2, k, 3, 3, 9, 8)]
 
     def test_conv2d_stride_halves_odd_sizes(self):
         x = ad.tensor(np.zeros((1, 1, 7, 9)))

@@ -278,3 +278,21 @@ def test_unknown_layer_choice_in_a_checkpoint_is_one_config_line(tmp_path, check
     lines = out.err.splitlines()
     assert code == 2 and len(lines) == 1, out.err
     assert lines[0].startswith("error: config: graph.nodes.fsm1: ca_variant: "), out.err
+
+
+@pytest.mark.parametrize("argv", [["eval"],
+                                  ["analyze", "offsets", "--out", "{tmp}/offsets.csv"]])
+def test_graph_that_does_not_fit_in_a_checkpoint_is_one_config_line(tmp_path, checkpoint,
+                                                                    capsys, argv):
+    def misfit(header, blobs):
+        # type-checks, but the stem before it has 8 output channels
+        node = next(n for n in header["graph"]["nodes"] if n["name"] == "stem2")
+        node["config"]["in_ch"] = 5
+
+    bad = tmp_path / "bad.ssnc"
+    bad.write_bytes(rewritten(misfit)(checkpoint))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, out = run(capsys, *argv, "--checkpoint", bad)
+    lines = out.err.splitlines()
+    assert code == 2 and len(lines) == 1, out.err
+    assert lines[0].startswith("error: config: graph.nodes.stem2: conv: channels: "), out.err

@@ -182,6 +182,28 @@ class TestShiftBackward:
         gdx, gdy = ad.grad(out, [dx, dy], seed)
         assert gdx[0] == 0.0 and gdy[0] == 0.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_offset_gradients_sum_in_channel_major_order(self, dtype):
+        """At B > 1 the offset gradients' bits depend on the order their
+        per-channel sums walk (B, H, W): the einsum over operands laid out
+        (K, B, H, W), as the translation passes lay out their results."""
+        rng = np.random.default_rng(8)
+        b, k, h, w = 3, 5, 6, 7
+        maps, g = (rng.standard_normal((b, k, h, w)).astype(dtype) for _ in range(2))
+        dx, dy = (rng.uniform(-2.0, 2.0, k).astype(dtype) for _ in range(2))
+        offsets = [ad.Parameter(dx), ad.Parameter(dy)]
+        gdx, gdy = ad.grad(fsm.shift(ad.tensor(maps), *offsets), offsets, g)
+
+        def translated(src, d, axis, difference):
+            dst = np.empty((k, b, h, w), dtype).transpose(1, 0, 2, 3)
+            return fsm._translate_axis(src, d, axis, difference, out=dst)
+
+        g_y = translated(g, -dy, 2, False)
+        d_gx = translated(maps, dx, 3, True)
+        d_gy = translated(translated(maps, dx, 3, False), dy, 2, True)
+        assert gdx.tobytes() == (-np.einsum("bkhw,bkhw->k", g_y, d_gx)).tobytes()
+        assert gdy.tobytes() == (-np.einsum("bkhw,bkhw->k", g, d_gy)).tobytes()
+
     def test_offset_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)
         maps = ad.tensor(rng.standard_normal((2, 3, 6, 6)), requires_grad=True)

@@ -34,4 +34,8 @@ def test_traced_toy_steps_repeat_their_counts(monkeypatch):
     assert t.check_counts() and not t.problems, t.problems
     assert [phase for _, phase, _ in t.ops] == [0, 0, 1, 1]
     assert t.ops[-1][2]["fsm.shift.calls"] > 0
+    # per step: the three module projections are conv1x1 calls once the
+    # module is inserted, and no conv is counted twice
+    assert [c["autodiff.conv1x1.calls"] for _, _, c in t.ops] == [0, 0, 3, 3]
+    assert [c["autodiff.conv2d.calls"] for _, _, c in t.ops] == [7, 7, 7, 7]
     assert t.layer_metrics()["autodiff.conv2d.calls"] > 0
