@@ -20,7 +20,8 @@ from .autodiff import Tensor
 from .errors import ConfigError
 from .fsm import FeatureShiftModule
 
-__all__ = ["keypoint_offset_scores", "contribution_counts", "erf_map", "export_offsets"]
+__all__ = ["keypoint_offset_scores", "contribution_counts", "erf_map", "export_offsets",
+           "csv_text"]
 
 
 def _fsm_module(graph, module_id):
@@ -120,13 +121,19 @@ def erf_map(graph, image, module_id, channel, position):
 
 def export_offsets(graph):
     """Offset table over every shifting module: a ``module_id,k,dx,dy``
-    header, then one row per shifting channel in graph order, values
-    printed with 9 significant digits (lossless for float32)."""
-    lines = ["module_id,k,dx,dy"]
-    for name, module in graph.fsm_layers():
-        dx, dy = module.dx.data, module.dy.data
-        lines += [f"{name},{i},{dx[i]:.9g},{dy[i]:.9g}"
-                  for i in range(module.shift_channels)]
-    if len(lines) == 1:
+    header, then one row per shifting channel in graph order."""
+    rows = [(name, i, dx, dy) for name, module in graph.fsm_layers()
+            for i, (dx, dy) in enumerate(zip(module.dx.data, module.dy.data))]
+    if not rows:
         raise ConfigError("analysis.offsets", "graph contains no shifting modules")
-    return "\n".join(lines) + "\n"
+    return csv_text(("module_id", "k", "dx", "dy"), rows)
+
+
+def csv_text(header, rows):
+    """A comma-separated table: the header line, then one line per row.
+    Floats, numpy floats included, print with 9 significant digits
+    (lossless for float32); any other value prints as ``str``."""
+    def cell(value):
+        return f"{value:.9g}" if isinstance(value, (float, np.floating)) else str(value)
+
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])

@@ -168,8 +168,9 @@ def cmd_count(args):
     if args.config:
         cfg = load_run_config(args.config)
     else:
+        size = [int(v) if v.isdecimal() else v for v in args.input_size.split("x")]
         cfg = parse_run_config({"network": {
-            "builder": "3block3fsm", "input_size": args.input_size.split("x"),
+            "builder": "3block3fsm", "input_size": size,
             "shift_channels": args.shift_channels, "keypoints": args.keypoints}})
     graph = build_network(cfg)
     input_hw = cfg.network.input_size
@@ -196,21 +197,14 @@ def cmd_analyze(args):
         if args.what == "erf":
             emap = ana.erf_map(graph, batch[:1], opts.module_id, opts.channel,
                                tuple(opts.position))
-            lines = ["y,x,value"]
-            h, w = emap.shape
-            for y in range(h):
-                for x in range(w):
-                    lines.append(f"{y},{x},{emap[y, x]:.9g}")
-            text = "\n".join(lines) + "\n"
+            text = ana.csv_text(("y", "x", "value"),
+                                [(y, x, emap[y, x]) for y, x in np.ndindex(emap.shape)])
         else:  # kp-scores
             scores = ana.keypoint_offset_scores(graph, batch, opts.module_id)
             counts = ana.contribution_counts(scores, opts.threshold)
-            lines = ["keypoint,count," + ",".join(
-                f"k{i}" for i in range(scores.shape[1]))]
-            for m in range(scores.shape[0]):
-                row = ",".join(f"{v:.9g}" for v in scores[m])
-                lines.append(f"{m},{counts[m]},{row}")
-            text = "\n".join(lines) + "\n"
+            text = ana.csv_text(
+                ["keypoint", "count"] + [f"k{i}" for i in range(scores.shape[1])],
+                [[m, counts[m], *scores[m]] for m in range(scores.shape[0])])
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -4,13 +4,14 @@ network, dataset, trainer, and analysis options.
 The dataclasses below are the schema and hold the defaults; ``LIMITS``
 adds the bounds and choices their types cannot express. Parsing is
 strict: an unknown key or a bad value raises ``ConfigError`` naming its
-full dotted path.
+full dotted path. Graph specs are read by the same reader (``_read``,
+``_value``) against the network's own limits.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -85,30 +86,35 @@ LIMITS = {
 }
 
 
-def _field(default, value, path):
-    """Read one field shaped like its default: a nested dataclass, a list
-    of the default's length (any length when the default is empty), or a
-    scalar of the default's type within its ``LIMITS``."""
-    if is_dataclass(default):
-        return _read(type(default), value, path)
-    if isinstance(default, tuple):
+# A field's annotation -> the JSON values it takes: a bool is no int, and
+# an int is a float
+_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
+
+
+def _value(kind, value, path, limits, default=MISSING):
+    """``value`` read as a field annotated ``kind`` whose default is
+    ``default``. A ``tuple`` is a list of the default's length and element
+    types (of strings, any length, when the default is empty); a ``str``
+    whose default is None also takes None. Each scalar must fall within
+    ``limits[path]``: inclusive (low, high) bounds, or a string's choices."""
+    if kind == "tuple":
         if not isinstance(value, (list, tuple)):
             raise ConfigError(path, "expected a list")
-        if not default:
-            return tuple(value)
-        if len(value) != len(default):
+        if default and len(value) != len(default):
             raise ConfigError(path, f"expected a list of {len(default)} values")
-        return tuple(_field(d, v, path) for d, v in zip(default, value))
-    if isinstance(default, bool) and not isinstance(value, bool):
-        raise ConfigError(path, "expected true or false")
-    try:
-        value = type(default)(value)
-    except (TypeError, ValueError):
-        raise ConfigError(path, f"expected {type(default).__name__}") from None
-    limit = LIMITS.get(path)
-    if isinstance(default, str):
+        return tuple(_value(type(d).__name__, v, path, limits, d)
+                     for d, v in zip(default or [""] * len(value), value))
+    if not (value is None and default is None and kind == "str"):
+        if isinstance(value, bool) != (kind == "bool") \
+                or not isinstance(value, _TYPES[kind]):
+            raise ConfigError(path, "expected true or false" if kind == "bool"
+                              else f"expected {kind}")
+        if kind == "float":
+            value = float(value)
+    limit = limits.get(path)
+    if kind == "str":
         if limit and value not in limit:
-            raise ConfigError(path, f"must be one of {', '.join(limit)}")
+            raise ConfigError(path, f"must be one of {', '.join(map(str, limit))}")
     elif limit:
         low, high = limit
         if low is not None and value < low:
@@ -118,19 +124,28 @@ def _field(default, value, path):
     return value
 
 
-def _read(cls, doc, path):
-    """Dataclass ``cls`` from a mapping: the keys, nesting, defaults, types
-    and pair lengths all come from the fields and their defaults."""
+def _read(cls, doc, path, limits=LIMITS, **init):
+    """Dataclass ``cls`` from a mapping whose keys name its fields: a
+    nested dataclass from a nested mapping, any other field by ``_value``
+    from its annotation and default, and an absent field takes its
+    default. ``init`` passes the class's init-only arguments."""
     if not isinstance(doc, dict):
         raise ConfigError(path or "config", "must be a mapping")
-    defaults = cls()
-    names = [f.name for f in fields(cls)]
+    flds = fields(cls)
+    names = [f.name for f in flds]
     for key in doc:
         if key not in names:
             raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
-    return cls(**{name: _field(getattr(defaults, name), doc[name],
-                               f"{path}.{name}" if path else name)
-                  for name in names if name in doc})
+    values = {}
+    for f in flds:
+        if f.name in doc:
+            where = f"{path}.{f.name}" if path else f.name
+            values[f.name] = (
+                _read(f.default_factory, doc[f.name], where, limits)
+                if is_dataclass(f.default_factory) else
+                _value(getattr(f.type, "__name__", f.type), doc[f.name], where,
+                       limits, f.default))
+    return cls(**values, **init)
 
 
 def parse_run_config(doc):

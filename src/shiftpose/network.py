@@ -17,7 +17,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor, conv_out_size, default_groups
-from .errors import ConfigError, DimensionError, NumericError
+from .config import _read, _value
+from .errors import ConfigError, DimensionError
 from .fsm import CA_SIGMOID, CA_SOFTPLUS, CA_VARIANTS, FeatureShiftModule
 
 __all__ = [
@@ -32,40 +33,6 @@ GRAPH_FORMAT_VERSION = 1
 def _he_conv(rng, out_ch, in_ch, kh, kw, dtype):
     std = np.sqrt(2.0 / (in_ch * kh * kw))
     return Parameter((rng.standard_normal((out_ch, in_ch, kh, kw)) * std).astype(dtype))
-
-
-class _Norm:
-    """Channel norm attached to a conv: group or batch flavour."""
-
-    def __init__(self, kind, channels, dtype):
-        self.kind = kind
-        self.scale = Parameter(np.ones(channels, dtype=dtype))
-        self.offset = Parameter(np.zeros(channels, dtype=dtype))
-        if kind == "bn":
-            self.running_mean = np.zeros(channels, dtype=dtype)
-            self.running_var = np.ones(channels, dtype=dtype)
-        elif kind == "gn":
-            self.groups = default_groups(channels)
-            if channels % self.groups:
-                raise ConfigError("norm.groups",
-                                  f"{self.groups} does not divide {channels}")
-        else:
-            raise ConfigError("norm.kind", f"unknown norm kind {kind!r}")
-
-    def forward(self, x, mode):
-        if self.kind == "bn":
-            return ad.batch_norm(x, self.scale, self.offset,
-                                 self.running_mean, self.running_var, mode)
-        return ad.group_norm(x, self.scale, self.offset, self.groups)
-
-    def named_params(self, prefix):
-        return [(f"{prefix}.scale", self.scale), (f"{prefix}.offset", self.offset)]
-
-    def buffers(self, prefix):
-        if self.kind == "bn":
-            return [(f"{prefix}.running_mean", self.running_mean),
-                    (f"{prefix}.running_var", self.running_var)]
-        return []
 
 
 @dataclass(eq=False)
@@ -91,12 +58,26 @@ class ConvBlock:
         self.weight = _he_conv(rng, self.out_ch, self.in_ch, k, k, dtype)
         self.bias_param = (Parameter(np.zeros(self.out_ch, dtype=dtype))
                            if self.bias else None)
-        self.norm_layer = _Norm(self.norm, self.out_ch, dtype) if self.norm else None
+        c = self.out_ch
+        if self.norm:
+            self.norm_scale = Parameter(np.ones(c, dtype=dtype))
+            self.norm_offset = Parameter(np.zeros(c, dtype=dtype))
+        if self.norm == "bn":
+            self.running_mean = np.zeros(c, dtype=dtype)
+            self.running_var = np.ones(c, dtype=dtype)
+        elif self.norm == "gn" and c % default_groups(c):
+            raise ConfigError("norm.groups", f"{default_groups(c)} does not divide {c}")
+        elif self.norm not in (None, "gn"):
+            raise ConfigError("norm.kind", f"unknown norm kind {self.norm!r}")
 
     def forward(self, x, mode):
         out = ad.conv2d(x, self.weight, self.stride, self.padding, self.bias_param)
-        if self.norm_layer:
-            out = self.norm_layer.forward(out, mode)
+        if self.norm == "bn":
+            out = ad.batch_norm(out, self.norm_scale, self.norm_offset,
+                                self.running_mean, self.running_var, mode)
+        elif self.norm == "gn":
+            out = ad.group_norm(out, self.norm_scale, self.norm_offset,
+                                default_groups(self.out_ch))
         if self.act == "relu":
             out = ad.relu(out)
         return out
@@ -114,12 +95,15 @@ class ConvBlock:
         out = [("weight", self.weight)]
         if self.bias_param is not None:
             out.append(("bias", self.bias_param))
-        if self.norm_layer:
-            out += self.norm_layer.named_params("norm")
+        if self.norm:
+            out += [("norm.scale", self.norm_scale), ("norm.offset", self.norm_offset)]
         return out
 
     def buffers(self):
-        return self.norm_layer.buffers("norm") if self.norm_layer else []
+        if self.norm == "bn":
+            return [("norm.running_mean", self.running_mean),
+                    ("norm.running_var", self.running_var)]
+        return []
 
     def cost_ops(self, in_shape):
         _, ho, wo = self.out_shape(in_shape)
@@ -322,7 +306,7 @@ class NetworkGraph:
         x = np.ascontiguousarray(x, dtype=self.dtype)
         return np.where(np.abs(x) < np.finfo(self.dtype).tiny, 0, x)
 
-    def forward(self, x, mode="train", check_finite=False):
+    def forward(self, x, mode="train"):
         """Run all nodes; returns (head outputs, every node output).
 
         Head outputs are keyed "main" plus each ESP node name. An ndarray
@@ -345,10 +329,8 @@ class NetworkGraph:
         outputs = {"input": x}
         with ad._recording(taped):
             for node in self.nodes:
-                out = node.layer.forward(*(outputs[i] for i in node.inputs), mode)
-                if check_finite and not np.isfinite(out.data).all():
-                    raise NumericError(f"non-finite output at layer {node.name!r}")
-                outputs[node.name] = out
+                outputs[node.name] = node.layer.forward(
+                    *(outputs[i] for i in node.inputs), mode)
         heads = {"main": outputs[self.main_head]}
         for node in self.nodes:
             if node.is_head:
@@ -395,13 +377,10 @@ class NetworkGraph:
                               f"unsupported version {spec.get('version')!r}, "
                               f"expected {GRAPH_FORMAT_VERSION}")
         rng = np.random.default_rng(0)
-        shape = spec.get("input_shape")
-        if not (isinstance(shape, list) and len(shape) == 3
-                and all(type(v) is int and v > 0 for v in shape)):
-            raise ConfigError("graph.input_shape",
-                              f"expected three positive integers, got {shape!r}")
+        graph = cls(_value("tuple", spec.get("input_shape"), "graph.input_shape",
+                           _GRAPH_LIMITS, (1, 1, 1)),
+                    _value("str", spec.get("dtype"), "graph.dtype", _GRAPH_LIMITS))
         try:
-            graph = cls(tuple(shape), dtype=np.dtype(spec["dtype"]))
             nodes = list(spec["nodes"])
         except (KeyError, TypeError) as exc:
             raise ConfigError("graph", f"malformed spec: {exc!r}") from None
@@ -424,51 +403,41 @@ _LAYER_KINDS = {cls.kind: (cls, fields(cls), "rng" in inspect.signature(cls).par
                 for cls in (ConvBlock, MaxPool, Bottleneck, FeatureShiftModule,
                             UpsampleAdd)}
 
-# a layer field's annotation -> the type its spec value must have
-_FIELD_TYPES = {"int": int, "bool": bool, "str": str}
+# the graph's input: three sizes, and the dtypes the layers are built at
+_GRAPH_LIMITS = {"graph.input_shape": (1, None), "graph.dtype": ("float32", "float64")}
 
-# layer kind -> the allowed values of a str field: with any other value a
-# conv would run with no activation, a shifting module fail only in its
-# forward, and a norm be refused without the name of its node
-_FIELD_CHOICES = {"conv": {"act": (None, "relu"), "norm": (None, "gn", "bn")},
-                  "bottleneck": {"norm": ("gn", "bn")},
-                  "fsm": {"ca_variant": CA_VARIANTS}}
-
-
-def _value_fits(field, value):
-    """Whether a spec value has its field's type: a bool is not an int,
-    and a ``str`` field whose default is None also takes None."""
-    if value is None:
-        return field.type == "str" and field.default is None
-    if isinstance(value, bool):
-        return field.type == "bool"
-    return isinstance(value, _FIELD_TYPES[field.type])
+# layer kind -> each field's bounds or choices: with a size or stride of 0
+# a layer would divide by zero, with any other choice a conv would run with
+# no activation, a shifting module fail only in its forward, and a norm be
+# refused without the name of its node
+_FIELD_LIMITS = {
+    "conv": {"in_ch": (1, None), "out_ch": (1, None), "kernel": (1, None),
+             "stride": (1, None), "padding": (0, None),
+             "norm": (None, "gn", "bn"), "act": (None, "relu")},
+    "maxpool": {"kernel": (1, None), "stride": (1, None), "padding": (0, None)},
+    "bottleneck": {"in_ch": (1, None), "mid_ch": (1, None), "out_ch": (1, None),
+                   "stride": (1, None), "norm": ("gn", "bn")},
+    "fsm": {"channels": (1, None), "shift_channels": (1, None),
+            "ca_variant": CA_VARIANTS},
+}
 
 
 def _layer_from_spec(nd, name, rng, dtype):
     """The node's layer, built from a config whose keys are exactly the
-    layer's fields and whose values have the fields' types and, where
-    ``_FIELD_CHOICES`` lists them, one of the allowed values."""
+    layer's fields, each value read by ``config._read`` within its kind's
+    ``_FIELD_LIMITS``."""
     if nd["kind"] not in _LAYER_KINDS:
         raise ConfigError("graph.kind", f"unknown layer kind {nd['kind']!r}")
     cls, flds, seeded = _LAYER_KINDS[nd["kind"]]
     cfg = dict(nd["config"])
     keys = {f.name for f in flds}
+    where = f"graph.nodes.{name}"
     if set(cfg) != keys:
         missing, unknown = sorted(keys - set(cfg)), sorted(set(cfg) - keys)
-        raise ConfigError(f"graph.nodes.{name}",
-                          f"config keys: missing {missing}, unknown {unknown}")
-    for f in flds:
-        if not _value_fits(f, cfg[f.name]):
-            raise ConfigError(f"graph.nodes.{name}",
-                              f"{f.name}: expected {f.type}, got {cfg[f.name]!r}")
-    for key, allowed in _FIELD_CHOICES.get(nd["kind"], {}).items():
-        if cfg[key] not in allowed:
-            raise ConfigError(f"graph.nodes.{name}",
-                              f"{key}: expected one of {allowed}, got {cfg[key]!r}")
-    if seeded:
-        cfg.update(rng=rng, dtype=dtype)
-    return cls(**cfg)
+        raise ConfigError(where, f"config keys: missing {missing}, unknown {unknown}")
+    limits = {f"{where}.{key}": limit
+              for key, limit in _FIELD_LIMITS.get(nd["kind"], {}).items()}
+    return _read(cls, cfg, where, limits, **(dict(rng=rng, dtype=dtype) if seeded else {}))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .analysis import export_offsets
+from .analysis import csv_text, export_offsets
 from .errors import NumericError, StateError
 from .fsm import FeatureShiftModule
 from .optim import Adam
@@ -194,7 +194,7 @@ class Trainer:
             self.optimizer.set_lr(name, rates[name])
 
         images, samples = self._draw_batch()
-        heads, _ = self.graph.forward(images, mode="train")
+        heads, outputs = self.graph.forward(images, mode="train")
         losses = self._losses(heads, samples)
         total = losses["main"]
         for name, loss in losses.items():
@@ -202,12 +202,10 @@ class Trainer:
                 total = ad.add(total, loss)
 
         if not np.isfinite(total.data):
-            # replay the same batch with per-layer checks to name the culprit
-            try:
-                self.graph.forward(images, mode="train", check_finite=True)
-            except NumericError as exc:
-                raise NumericError(
-                    f"iteration {self.iteration}: {exc}") from None
+            for node in self.graph.nodes:
+                if not np.isfinite(outputs[node.name].data).all():
+                    raise NumericError(f"iteration {self.iteration}: "
+                                       f"non-finite output at layer {node.name!r}")
             raise NumericError(
                 f"iteration {self.iteration}: non-finite loss with finite layer outputs")
 
@@ -255,13 +253,7 @@ class Trainer:
         return total / max(batches, 1)
 
     def metrics_csv(self):
-        """Comma-separated log with one column per metrics key; floats print
-        with 9 significant digits."""
-        def cell(row, key):
-            value = row.get(key, "")
-            return f"{value:.9g}" if isinstance(value, float) else str(value)
-
+        """Comma-separated log with one column per metrics key, empty where
+        a row has no value."""
         keys = list(dict.fromkeys(k for row in self.metrics for k in row))
-        lines = [",".join(keys)] + [",".join(cell(row, k) for k in keys)
-                                    for row in self.metrics]
-        return "\n".join(lines) + "\n"
+        return csv_text(keys, [[row.get(k, "") for k in keys] for row in self.metrics])

@@ -277,7 +277,34 @@ def test_unknown_layer_choice_in_a_checkpoint_is_one_config_line(tmp_path, check
     code, out = run(capsys, "eval", "--checkpoint", bad)
     lines = out.err.splitlines()
     assert code == 2 and len(lines) == 1, out.err
-    assert lines[0].startswith("error: config: graph.nodes.fsm1: ca_variant: "), out.err
+    assert lines[0].startswith("error: config: graph.nodes.fsm1.ca_variant: "), out.err
+
+
+def set_in_spec(node, key, value):
+    """Set one config value of ``node`` in the graph spec, or with ``node``
+    None, one top-level spec value."""
+    def change(header, blobs):
+        graph = header["graph"]
+        target = graph if node is None else \
+            next(n for n in graph["nodes"] if n["name"] == node)["config"]
+        target[key] = value
+    return rewritten(change)
+
+
+@pytest.mark.parametrize("node,key,value", [
+    ("stem", "stride", 0), ("stem", "kernel", 0), ("stem2", "in_ch", 0),
+    ("stem", "padding", -5), (None, "dtype", "int8"), (None, "dtype", "float16"),
+    (None, "dtype", "bool"), (None, "dtype", "complex64"),
+])
+def test_spec_value_out_of_range_is_one_config_line(tmp_path, checkpoint, capsys,
+                                                    node, key, value):
+    bad = tmp_path / "bad.ssnc"
+    bad.write_bytes(set_in_spec(node, key, value)(checkpoint))
+    code, out = run(capsys, "eval", "--checkpoint", bad)
+    lines = out.err.splitlines()
+    path = "graph" if node is None else f"graph.nodes.{node}"
+    assert code == 2 and len(lines) == 1, out.err
+    assert lines[0].startswith(f"error: config: {path}.{key}: must be "), out.err
 
 
 @pytest.mark.parametrize("argv", [["eval"],

@@ -161,6 +161,11 @@ def test_image_size_follows_input_size_only_when_absent():
     ("trainer.augment", "no"),
     ("network.input_size", [32, "x"]),
     ("dataset.displacement", [1.0, None]),
+    ("network.shift_channels", 3.7),
+    ("network.keypoints", True),
+    ("trainer.base_lr", True),
+    ("analysis.module_id", 3),
+    ("network.esp", [{"a": 1}]),
 ])
 def test_wrong_type_rejected_with_its_path(path, value):
     _rejected(_nested(path, value), path)

@@ -1,5 +1,6 @@
 """Graph construction, builders, accounting, serialization."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from shiftpose import autodiff as ad
 from shiftpose import network as net
 from shiftpose.errors import ConfigError, DimensionError, NumericError, StateError
-from shiftpose.fsm import CA_SIGMOID, CA_SOFTPLUS
+from shiftpose.fsm import CA_SIGMOID, CA_SOFTPLUS, FeatureShiftModule
 from shiftpose.gradcheck import finite_diff_gradcheck
 
 
@@ -45,6 +46,23 @@ class TestBottleneck:
         block = net.Bottleneck(4, 2, 4)
         with pytest.raises(DimensionError, match="channels"):
             block.out_shape((3, 5, 5))
+
+
+class TestConvBlockNorm:
+    @pytest.mark.parametrize("channels,norm,key", [(8, "ln", "norm.kind"),
+                                                   (40, "gn", "norm.groups")])
+    def test_norm_refused_at_construction(self, channels, norm, key):
+        with pytest.raises(ConfigError) as info:
+            net.ConvBlock(1, channels, 1, norm=norm)
+        assert info.value.key_path == key
+
+    @pytest.mark.parametrize("norm,slots", [
+        (None, []), ("gn", ["norm.scale", "norm.offset"]),
+        ("bn", ["norm.scale", "norm.offset", "norm.running_mean", "norm.running_var"])])
+    def test_norm_slots_keep_their_names_and_order(self, norm, slots):
+        block = net.ConvBlock(2, 4, 1, norm=norm, bias=True)
+        names = [n for n, _ in block.named_params() + block.buffers()]
+        assert names == ["weight", "bias"] + slots
 
 
 class TestBuild3Block3Fsm:
@@ -193,7 +211,39 @@ class TestSerialization:
     ])
     def test_wrong_value_type_rejected(self, node, key, value):
         spec = self._edited_spec(node, lambda cfg: cfg.update({key: value}))
-        with pytest.raises(ConfigError, match=re.escape(f"graph.nodes.{node}: {key}: ")):
+        with pytest.raises(ConfigError, match=re.escape(f"graph.nodes.{node}.{key}: ")):
+            net.NetworkGraph.from_spec(spec)
+
+    # one layer of each kind with every int field at its bound
+    AT_BOUNDS = {"conv": lambda: net.ConvBlock(1, 1, 1, stride=1, padding=0),
+                 "maxpool": lambda: net.MaxPool(1, 1, 0),
+                 "bottleneck": lambda: net.Bottleneck(1, 1, 1, stride=1),
+                 "fsm": lambda: FeatureShiftModule(1, 1)}
+
+    @pytest.mark.parametrize("kind,key", [
+        (kind, f.name) for kind, make in AT_BOUNDS.items()
+        for f in dataclasses.fields(make()) if f.type == "int"])
+    def test_int_fields_are_bounded(self, kind, key):
+        g = net.NetworkGraph((1, 4, 4))
+        g.add("only", self.AT_BOUNDS[kind]())
+        spec = g.spec()
+        assert net.NetworkGraph.from_spec(spec).spec() == spec
+        bound = spec["nodes"][0]["config"][key]
+        spec["nodes"][0]["config"][key] = bound - 1
+        with pytest.raises(ConfigError, match=re.escape(
+                f"graph.nodes.only.{key}: must be >= {bound}")):
+            net.NetworkGraph.from_spec(spec)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("input_shape", [1, 16, 0], "graph.input_shape: must be >= 1"),
+        ("input_shape", [1, 16.0, 16], "graph.input_shape: expected int"),
+        ("input_shape", [1, 16], "graph.input_shape: expected a list of 3 values"),
+        ("dtype", None, "graph.dtype: expected str"),
+    ])
+    def test_bad_graph_input_rejected(self, key, value, message):
+        spec = net.build_toy_fsm_net((16, 16), 1, 1, 4, 8).spec()
+        spec[key] = value
+        with pytest.raises(ConfigError, match=re.escape(message)):
             net.NetworkGraph.from_spec(spec)
 
     def test_unique_parameter_owners(self):
@@ -356,10 +406,14 @@ class TestTape:
         ad.mse_loss(heads["main"], np.zeros(heads["main"].shape)).backward()
         assert weight.grad.any()
 
-    def test_a_forward_that_raises_leaves_recording_on(self):
+    def test_a_forward_that_raises_leaves_recording_on(self, monkeypatch):
         g, x = self._graph_and_images()
-        x[0, 0, 3, 3] = np.nan
+
+        def fails(*args):
+            raise NumericError("non-finite output")
+
+        monkeypatch.setattr(g.node("block1").layer, "forward", fails)
         with pytest.raises(NumericError, match="non-finite"):
-            g.forward(x, "eval", check_finite=True)
+            g.forward(x, "eval")
         leaf = ad.tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
         assert ad.relu(leaf)._backward is not None
