@@ -424,20 +424,21 @@ def conv1x1(x, weight, bias=None):
     return _conv("conv1x1", x, weight, weight.data[:, :, None, None], 1, 0, bias)
 
 
-def conv_out_size(size, kernel, stride, padding):
-    """Output length of a conv/pool axis: floor semantics after padding."""
-    return (size + 2 * padding - kernel) // stride + 1
+def conv_out_size(op, h, w, kh, kw, stride, padding):
+    """The output size (Ho, Wo) of a kh x kw window sliding over an (H, W)
+    map padded by ``padding``: floor semantics, and at least one cell."""
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    if ho < 1 or wo < 1:
+        raise DimensionError(f"{op}: spatial: {h}x{w} too small for kernel {kh}x{kw}")
+    return ho, wo
 
 
 def _windows(op, h, w, kh, kw, stride, padding):
-    """The output size (Ho, Wo) of a kh x kw window sliding over an (H, W)
-    map padded by ``padding``, and for each kernel cell (i, j), in
-    row-major order, the index of its strided (B, C, Ho, Wo) view of the
-    padded map."""
-    ho = conv_out_size(h, kh, stride, padding)
-    wo = conv_out_size(w, kw, stride, padding)
-    if ho < 1 or wo < 1:
-        raise DimensionError(f"{op}: spatial: {h}x{w} too small for kernel {kh}x{kw}")
+    """``conv_out_size``, and for each kernel cell (i, j), in row-major
+    order, the index of its strided (B, C, Ho, Wo) view of the padded
+    map."""
+    ho, wo = conv_out_size(op, h, w, kh, kw, stride, padding)
     return ho, wo, [(i, j, (slice(None), slice(None), slice(i, i + stride * ho, stride),
                             slice(j, j + stride * wo, stride)))
                     for i in range(kh) for j in range(kw)]

@@ -11,13 +11,14 @@ full dotted path. Graph specs are read by the same reader (``_read``,
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+import sys
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError
 from .fsm import CA_SIGMOID, CA_VARIANTS
-from .synthdata import SynthSpec
+from .synthdata import SynthSpec, generate_dataset
 from .training import TrainConfig
 
 __all__ = ["NetworkSpec", "AnalysisOptions", "RunConfig",
@@ -110,6 +111,10 @@ def _value(kind, value, path, limits, default=MISSING):
             raise ConfigError(path, "expected true or false" if kind == "bool"
                               else f"expected {kind}")
         if kind == "float":
+            # refuses NaN and infinity, which json.load reads, and an int
+            # that no float can hold
+            if not abs(value) <= sys.float_info.max:
+                raise ConfigError(path, "must be finite")
             value = float(value)
     limit = limits.get(path)
     if kind == "str":
@@ -210,10 +215,6 @@ def build_network(cfg):
 def build_datasets(cfg):
     """Training set from the dataset spec; a disjoint eval set from the
     same distribution (seed offset by 1000)."""
-    from dataclasses import replace
-
-    from .synthdata import generate_dataset
-
     train = generate_dataset(cfg.dataset)
     eval_spec = replace(cfg.dataset, count=cfg.eval_count,
                         seed=cfg.dataset.seed + 1000)

@@ -301,13 +301,11 @@ class FeatureShiftModule:
             for d in (self.dx, self.dy):
                 np.clip(d.data, -self.clamp_bound, self.clamp_bound, out=d.data)
 
-    def named_params(self):
-        return [(n, getattr(self, n)) for n in ("in_weight", "gate_weight", "out_weight",
-                                                "norm_scale", "norm_offset", "dx", "dy")]
-
-    def buffers(self):
-        return [("norm.running_mean", self.running_mean),
-                ("norm.running_var", self.running_var)]
+    def state(self):
+        learned = ("in_weight", "gate_weight", "out_weight", "norm_scale", "norm_offset",
+                   "dx", "dy")
+        return [(n, getattr(self, n)) for n in learned] + [
+            ("norm.running_mean", self.running_mean), ("norm.running_var", self.running_var)]
 
 
 def fsm_oracle(p, module, mode="train"):

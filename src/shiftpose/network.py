@@ -87,23 +87,22 @@ class ConvBlock:
         if c != self.in_ch:
             raise DimensionError(
                 f"conv: channels: layer expects C={self.in_ch}, input has C={c}")
+        k = self.kernel
         return (self.out_ch,
-                conv_out_size(h, self.kernel, self.stride, self.padding),
-                conv_out_size(w, self.kernel, self.stride, self.padding))
+                *conv_out_size(self.kind, h, w, k, k, self.stride, self.padding))
 
-    def named_params(self):
+    def state(self):
+        """Every slot as (checkpoint name, Parameter or buffer ndarray), the
+        learned ones first."""
         out = [("weight", self.weight)]
         if self.bias_param is not None:
             out.append(("bias", self.bias_param))
         if self.norm:
             out += [("norm.scale", self.norm_scale), ("norm.offset", self.norm_offset)]
-        return out
-
-    def buffers(self):
         if self.norm == "bn":
-            return [("norm.running_mean", self.running_mean),
+            out += [("norm.running_mean", self.running_mean),
                     ("norm.running_var", self.running_var)]
-        return []
+        return out
 
     def cost_ops(self, in_shape):
         _, ho, wo = self.out_shape(in_shape)
@@ -129,13 +128,10 @@ class MaxPool:
 
     def out_shape(self, in_shape):
         c, h, w = in_shape
-        return (c, conv_out_size(h, self.kernel, self.stride, self.padding),
-                conv_out_size(w, self.kernel, self.stride, self.padding))
+        k = self.kernel
+        return (c, *conv_out_size(self.kind, h, w, k, k, self.stride, self.padding))
 
-    def named_params(self):
-        return []
-
-    def buffers(self):
+    def state(self):
         return []
 
     def cost_ops(self, in_shape):
@@ -184,32 +180,13 @@ class Bottleneck:
         return ad.relu(ad.add(branch, shortcut))
 
     def out_shape(self, in_shape):
-        c, h, w = in_shape
-        if c != self.in_ch:
-            raise DimensionError(
-                f"bottleneck: channels: expects C={self.in_ch}, input has C={c}")
-        shape = self.expand.out_shape(self.spatial.out_shape(
-            self.reduce.out_shape(in_shape)))
-        return shape
+        return self.expand.out_shape(self.spatial.out_shape(self.reduce.out_shape(in_shape)))
 
-    def _pieces(self):
-        pieces = [("reduce", self.reduce), ("spatial", self.spatial),
-                  ("expand", self.expand)]
-        if self.project:
-            pieces.append(("project", self.project))
-        return pieces
-
-    def named_params(self):
-        out = []
-        for label, block in self._pieces():
-            out += [(f"{label}.{n}", p) for n, p in block.named_params()]
-        return out
-
-    def buffers(self):
-        out = []
-        for label, block in self._pieces():
-            out += [(f"{label}.{n}", b) for n, b in block.buffers()]
-        return out
+    def state(self):
+        blocks = {"reduce": self.reduce, "spatial": self.spatial,
+                  "expand": self.expand, "project": self.project}
+        return [(f"{label}.{slot}", v) for label, block in blocks.items() if block
+                for slot, v in block.state()]
 
     def cost_ops(self, in_shape):
         s1 = self.reduce.out_shape(in_shape)
@@ -240,10 +217,7 @@ class UpsampleAdd:
                 f"upsample_add: spatial: cannot merge {deeper_shape} into {lateral_shape}")
         return lateral_shape
 
-    def named_params(self):
-        return []
-
-    def buffers(self):
+    def state(self):
         return []
 
     def cost_ops(self, lateral_shape, deeper_shape):
@@ -341,16 +315,15 @@ class NetworkGraph:
 
     def named_parameters(self):
         """Every parameter slot as (unique name, Parameter)."""
-        out = []
-        for node in self.nodes:
-            out += [(f"{node.name}.{n}", p) for n, p in node.layer.named_params()]
-        return out
+        return [s for s in self._state() if isinstance(s[1], Parameter)]
 
     def named_buffers(self):
-        out = []
-        for node in self.nodes:
-            out += [(f"{node.name}.{n}", b) for n, b in node.layer.buffers()]
-        return out
+        """Every buffer slot as (unique name, ndarray)."""
+        return [s for s in self._state() if not isinstance(s[1], Parameter)]
+
+    def _state(self):
+        return [(f"{node.name}.{slot}", v) for node in self.nodes
+                for slot, v in node.layer.state()]
 
     def fsm_layers(self):
         return [(n.name, n.layer) for n in self.nodes

@@ -39,13 +39,6 @@ class SynthSpec:
     seed: int = 0
     heatmap_sigma: float = 1.0
 
-    def validate(self):
-        h, w = self.image_size
-        dx, dy = self.displacement
-        if abs(dx) >= w or abs(dy) >= h:
-            raise GenerationError(
-                f"displacement ({dx},{dy}) larger than image {h}x{w}")
-
 
 @dataclass
 class SynthSample:
@@ -124,7 +117,6 @@ def generate_sample(spec, rng, dtype=np.float32):
 def generate_dataset(spec, dtype=np.float32):
     """Materialize ``spec.count`` samples; the same spec always produces a
     bit-identical list."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     return [generate_sample(spec, rng, dtype) for _ in range(spec.count)]
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .analysis import csv_text, export_offsets
-from .errors import NumericError, StateError
+from .errors import ConfigError, NumericError, StateError
 from .fsm import FeatureShiftModule
 from .optim import Adam
 from .synthdata import AugmentRanges, augment_sample, heatmap_targets
@@ -52,10 +52,10 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
-        from .errors import ConfigError
-        if self.base_lr <= 0:
+        # each test is written so that NaN fails it
+        if not self.base_lr > 0:
             raise ConfigError("trainer.base_lr", "must be positive")
-        if self.offset_lr <= 0:
+        if not self.offset_lr > 0:
             raise ConfigError("trainer.offset_lr", "must be positive")
         if not 0.0 < self.offset_decay_per_epoch < 1.0:
             raise ConfigError("trainer.offset_decay_per_epoch", "must lie in (0,1)")
@@ -115,10 +115,11 @@ def _parameter_groups(graph):
     groups = {"backbone": [], "fsm_weights": [], "offsets": []}
     for node in graph.nodes:
         fsm = isinstance(node.layer, FeatureShiftModule)
-        for slot, p in node.layer.named_params():
-            group = "backbone" if not fsm else \
-                "offsets" if slot in ("dx", "dy") else "fsm_weights"
-            groups[group].append((f"{node.name}.{slot}", p))
+        for slot, p in node.layer.state():
+            if isinstance(p, ad.Parameter):
+                group = "backbone" if not fsm else \
+                    "offsets" if slot in ("dx", "dy") else "fsm_weights"
+                groups[group].append((f"{node.name}.{slot}", p))
     return groups
 
 

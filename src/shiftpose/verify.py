@@ -113,7 +113,9 @@ def _case_bottleneck(rng):
     # cannot handle; norm offsets pushed positive clear the relu kink
     x = ad.tensor(2.0 * rng.standard_normal((1, c_in, h, w)), requires_grad=True)
     params = []
-    for name, p in layer.named_params():
+    for name, p in layer.state():
+        if not isinstance(p, ad.Parameter):
+            continue
         if name.endswith(".weight"):
             p.data *= 3.0
         if name.endswith("norm.offset"):
@@ -136,7 +138,7 @@ def _case_head(rng):
     x = ad.tensor(rng.standard_normal((b, c_in, h, w)), requires_grad=True)
     # boosted kernels keep the batch variances clear of the 1/sigma regime
     layer.weight.data *= 3.0
-    params = [p for _, p in layer.named_params()]
+    params = [p for _, p in layer.state() if isinstance(p, ad.Parameter)]
 
     def run(x_, *_):
         return layer.forward(x_, "train")

@@ -51,7 +51,7 @@ class TestKeypointOffsetScores:
         g, _ = single_fsm_graph(seed=6)
         images = batch(seed=7)
         before = ana.keypoint_offset_scores(g, images, "fsm1").copy()
-        head = dict(g.node("head").layer.named_params())
+        head = dict(g.node("head").layer.state())
         head["weight"].data *= 3.7
         head["bias"].data *= 3.7
         after = ana.keypoint_offset_scores(g, images, "fsm1")
@@ -67,7 +67,7 @@ class TestKeypointOffsetScores:
     def test_degenerate_all_zero_predictions_warn(self):
         g, module = single_fsm_graph(seed=10)
         module.out_weight.data[...] = 0.0
-        head = dict(g.node("head").layer.named_params())
+        head = dict(g.node("head").layer.state())
         head["weight"].data[...] = 0.0
         head["bias"].data[...] = 0.0
         with pytest.warns(UserWarning, match="all-zero"):
@@ -105,7 +105,8 @@ class TestReadOnly:
     @pytest.mark.parametrize("analysis", ["kp-scores", "erf"])
     def test_leaves_every_gradient_buffer_as_it_was(self, analysis):
         g, module = self._graph()
-        params = [p for node in g.nodes for _, p in node.layer.named_params()]
+        params = [p for node in g.nodes for _, p in node.layer.state()
+                  if isinstance(p, ad.Parameter)]
         for i, p in enumerate(params):
             p.grad[...] = 0.25 + i
         before = [p.grad.tobytes() for p in params]

@@ -323,3 +323,18 @@ def test_graph_that_does_not_fit_in_a_checkpoint_is_one_config_line(tmp_path, ch
     lines = out.err.splitlines()
     assert code == 2 and len(lines) == 1, out.err
     assert lines[0].startswith("error: config: graph.nodes.stem2: conv: channels: "), out.err
+
+
+def test_window_larger_than_its_input_in_a_checkpoint_is_one_config_line(tmp_path, capsys):
+    path = tmp_path / "rgb.json"
+    path.write_text(json.dumps({
+        "network": {"builder": "3block3fsm", "input_size": [32, 32], "shift_channels": 4},
+        "dataset": {"count": 2}, "trainer": {"iterations": 0, "batch_size": 2},
+        "eval_count": 2}))
+    assert run(capsys, "train", "--config", path, "--out", tmp_path / "run")[0] == 0
+    bad = tmp_path / "bad.ssnc"
+    bad.write_bytes(set_in_spec("pool", "kernel", 99)(tmp_path / "run" / "checkpoint.ssnc"))
+    code, out = run(capsys, "eval", "--checkpoint", bad)
+    lines = out.err.splitlines()
+    assert code == 2 and len(lines) == 1, out.err
+    assert lines[0].startswith("error: config: graph.nodes.pool: maxpool: spatial: "), out.err

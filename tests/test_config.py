@@ -171,6 +171,27 @@ def test_wrong_type_rejected_with_its_path(path, value):
     _rejected(_nested(path, value), path)
 
 
+@pytest.mark.parametrize("path,value", [
+    ("dataset.blob_sigma", float("nan")),
+    ("dataset.noise_std", float("inf")),
+    ("trainer.lr_decay.factor", float("nan")),
+    ("trainer.base_lr", float("nan")),
+    ("trainer.offset_lr", float("-inf")),
+    ("dataset.displacement", [float("inf"), 0.0]),
+    pytest.param("trainer.base_lr", 10 ** 400, id="trainer.base_lr-int-past-float"),
+])
+def test_non_finite_float_rejected(path, value):
+    # json.load reads the NaN and Infinity literals as these floats, and
+    # an integer literal of any size as an int
+    assert "must be finite" in str(_rejected(_nested(path, value), path))
+
+
+@pytest.mark.parametrize("field", ["base_lr", "offset_lr"])
+def test_non_finite_rate_refused_by_validate(field):
+    with pytest.raises(ConfigError, match=field):
+        TrainConfig(**{field: float("nan")}).validate()
+
+
 def test_limits_name_real_fields_and_are_all_pinned():
     for path in LIMITS:
         value = RunConfig()

@@ -296,7 +296,7 @@ class TestModuleForward:
         module = module_with_branch(c, k, fsm.CA_SOFTPLUS, rng)
         module.dx.data[...] = [0.31, -1.42, 1.27]
         module.dy.data[...] = [-0.56, 0.44, 2.18]
-        inputs = [p] + [t for _, t in module.named_params()]
+        inputs = [p] + [t for _, t in module.state() if isinstance(t, ad.Parameter)]
         report = finite_diff_gradcheck(lambda p_, *_: module.forward(p_, "train"),
                                        inputs)
         assert report.passed, str(report)

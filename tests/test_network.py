@@ -61,8 +61,41 @@ class TestConvBlockNorm:
         ("bn", ["norm.scale", "norm.offset", "norm.running_mean", "norm.running_var"])])
     def test_norm_slots_keep_their_names_and_order(self, norm, slots):
         block = net.ConvBlock(2, 4, 1, norm=norm, bias=True)
-        names = [n for n, _ in block.named_params() + block.buffers()]
+        names = [n for n, _ in block.state()]
         assert names == ["weight", "bias"] + slots
+
+
+def _held_arrays(layer):
+    """Every Parameter and ndarray attribute of ``layer``, its blocks' included."""
+    held = []
+    for value in vars(layer).values():
+        if isinstance(value, (ad.Parameter, np.ndarray)):
+            held.append(value)
+        elif isinstance(value, net.ConvBlock):
+            held += _held_arrays(value)
+    return held
+
+
+LAYER_VARIANTS = {
+    **{f"conv-{norm}-{'bias' if bias else 'nobias'}":
+       (lambda norm=norm, bias=bias: net.ConvBlock(2, 4, 3, norm=norm, bias=bias))
+       for norm in (None, "gn", "bn") for bias in (False, True)},
+    "bottleneck-identity": lambda: net.Bottleneck(4, 2, 4),
+    "bottleneck-projection": lambda: net.Bottleneck(4, 2, 8, stride=2),
+    "bottleneck-bn-projection": lambda: net.Bottleneck(4, 2, 8, norm="bn"),
+    "maxpool": net.MaxPool,
+    "upsample_add": net.UpsampleAdd,
+    "fsm-active": lambda: FeatureShiftModule(4, 3, active=True),
+    "fsm-bypassed": lambda: FeatureShiftModule(4, 3, active=False),
+}
+
+
+@pytest.mark.parametrize("make", LAYER_VARIANTS.values(), ids=LAYER_VARIANTS.keys())
+def test_state_lists_every_held_array_exactly_once(make):
+    layer = make()
+    state = layer.state()
+    assert len({name for name, _ in state}) == len(state)
+    assert sorted(id(v) for _, v in state) == sorted(map(id, _held_arrays(layer)))
 
 
 class TestBuild3Block3Fsm:
@@ -137,7 +170,7 @@ class TestEsp:
                     rng.standard_normal(pred.shape).astype(np.float32))
                 term = ad.mse_loss(pred, t)
                 loss = term if loss is None else ad.add(loss, term)
-            stem_w = dict(g.node("stem").layer.named_params())["weight"]
+            stem_w = dict(g.node("stem").layer.state())["weight"]
             (gw,) = ad.grad(loss, [stem_w])
             return float(np.linalg.norm(gw))
 

@@ -308,7 +308,7 @@ class TestDeterminismAndDescent:
 
         graph, cfg, data = tiny_setup(iterations=5, insertion=10)
         trainer = Trainer(graph, cfg, data)
-        stem = dict(graph.node("stem").layer.named_params())["weight"]
+        stem = dict(graph.node("stem").layer.state())["weight"]
         stem.data[...] = np.inf
         with pytest.raises(NumericError, match="stem"):
             trainer.step()
