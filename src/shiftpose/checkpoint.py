@@ -22,7 +22,7 @@ import numpy as np
 from .errors import CheckpointError
 
 __all__ = ["MAGIC", "FORMAT_VERSION", "checkpoint_save", "checkpoint_load",
-           "restore_graph_state", "copy_blobs", "rng_state", "restore_rng"]
+           "restore_graph_state", "copy_blobs", "restore_rng"]
 
 MAGIC = b"SSNC"
 FORMAT_VERSION = 1
@@ -30,10 +30,6 @@ FORMAT_VERSION = 1
 # JSON type of each header field, as checkpoint_save writes it
 _HEADER_TYPES = {"graph": dict, "iteration": int, "rng_state": (dict, type(None)),
                  "optimizer": (dict, type(None)), "blobs": list, "extra": dict}
-
-
-def rng_state(rng):
-    return rng.bit_generator.state
 
 
 def restore_rng(state):
@@ -90,7 +86,7 @@ def checkpoint_save(path, graph, optimizer=None, rng=None, iteration=0, extra=No
     header = {
         "graph": graph.spec(),
         "iteration": int(iteration),
-        "rng_state": None if rng is None else rng_state(rng),
+        "rng_state": None if rng is None else rng.bit_generator.state,
         "optimizer": None if optimizer is None else optimizer.meta(),
         "blobs": index,
         "extra": extra or {},

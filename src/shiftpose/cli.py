@@ -22,15 +22,15 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import analysis as ana
 from . import network as net
 from .checkpoint import checkpoint_load, checkpoint_save, restore_graph_state, restore_rng
-from .config import (RunConfig, build_datasets, build_network, load_run_config,
-                     parse_run_config, run_config_to_dict)
+from .config import (LIMITS, RunConfig, _value, build_datasets, build_network,
+                     load_run_config, parse_run_config)
 from .errors import CheckpointError, ConfigError, ShiftPoseError
 from .training import Trainer
 from .verify import gradcheck_suite, oracle_trials
@@ -74,7 +74,8 @@ def cmd_train(args):
         cfg = _load_config(args.config)
         graph = build_network(cfg)
     if args.iterations is not None:
-        cfg.trainer = replace(cfg.trainer, iterations=args.iterations)
+        cfg.trainer = replace(cfg.trainer, iterations=_value(
+            "int", args.iterations, "trainer.iterations", LIMITS))
     out_dir = args.out or _default_out()
     os.makedirs(out_dir, exist_ok=True)
 
@@ -94,7 +95,7 @@ def cmd_train(args):
             fh.write(table)
     ckpt_path = os.path.join(out_dir, "checkpoint.ssnc")
     checkpoint_save(ckpt_path, graph, trainer.optimizer, trainer.rng,
-                    trainer.iteration, extra={"run_config": run_config_to_dict(cfg)})
+                    trainer.iteration, extra={"run_config": asdict(cfg)})
     summary = {"iterations": trainer.iteration,
                "final_eval_loss": final_eval_loss,
                "checkpoint": ckpt_path}
@@ -139,14 +140,22 @@ def cmd_synth(args):
     heatmaps = heatmap_targets(samples, graph.shape_of(graph.main_head),
                                graph.input_shape[1], images.dtype)
     cues = np.stack([s.cue for s in samples], axis=0)
-    meta = json.dumps(run_config_to_dict(cfg)["dataset"])
+    meta = json.dumps(asdict(cfg.dataset))
     np.savez(args.out, images=images, keypoints=keypoints, heatmaps=heatmaps,
              cues=cues, meta=meta)
     print(f"wrote {len(samples)} samples to {args.out}")
     return 0
 
 
+def _finite_positive(flag, value):
+    # written so that NaN fails it
+    if not 0 < value <= sys.float_info.max:
+        raise ConfigError(flag, "must be finite and > 0")
+
+
 def cmd_gradcheck(args):
+    _finite_positive("--step", args.step)
+    _finite_positive("--tolerance", args.tolerance)
     worst = 0.0
     failed = 0
     total = 0
@@ -215,6 +224,9 @@ def cmd_analyze(args):
 
 
 def cmd_oracle_check(args):
+    if args.trials < 1:
+        raise ConfigError("--trials", "must be >= 1")
+    _finite_positive("--tolerance", args.tolerance)
     results, ok = oracle_trials(trials=args.trials, tolerance=args.tolerance)
     worst = max(r[3] for r in results)
     print(f"oracle-check: {len(results)} comparisons, max rel error {worst:.3e} "

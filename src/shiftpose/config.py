@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .synthdata import SynthSpec, generate_dataset
 from .training import TrainConfig
 
 __all__ = ["NetworkSpec", "AnalysisOptions", "RunConfig",
-           "parse_run_config", "load_run_config", "run_config_to_dict",
-           "build_network", "build_datasets"]
+           "parse_run_config", "load_run_config", "build_network",
+           "build_datasets"]
 
 
 @dataclass
@@ -171,19 +171,6 @@ def load_run_config(path):
         except json.JSONDecodeError as exc:
             raise ConfigError("config", f"invalid JSON: {exc}") from None
     return parse_run_config(doc)
-
-
-def run_config_to_dict(cfg):
-    """Plain-dict form of every dataclass field, tuples as lists (embedded
-    into checkpoints for resume/eval); ``parse_run_config`` inverts it."""
-    def plain(value):
-        if isinstance(value, dict):
-            return {k: plain(v) for k, v in value.items()}
-        if isinstance(value, (tuple, list)):
-            return [plain(v) for v in value]
-        return value
-
-    return plain(asdict(cfg))
 
 
 def build_network(cfg):

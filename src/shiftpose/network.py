@@ -365,8 +365,11 @@ class NetworkGraph:
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"graph.nodes.{name}",
                                   f"malformed node: {exc!r}") from None
-            except DimensionError as exc:
-                # a node that type-checks but does not fit its inputs
+            except (ConfigError, DimensionError) as exc:
+                # a node that does not fit its inputs, or that its own layer
+                # refuses (a norm's groups), named by its node path
+                if getattr(exc, "key_path", "").startswith("graph."):
+                    raise
                 raise ConfigError(f"graph.nodes.{name}", str(exc)) from None
         return graph
 

@@ -45,7 +45,8 @@ class SynthSample:
     image: np.ndarray             # (1, C, H, W)
     keypoints: np.ndarray         # (M, 2) as (x, y) in image pixels
     heatmap_sigma: float = 1.0
-    cue: np.ndarray = None        # (2,) cue position, kept for diagnostics
+    cue: np.ndarray = None        # (2,) cue position, kept for diagnostics;
+                                  # None after augmentation
 
 
 @dataclass
@@ -272,8 +273,8 @@ def augment_sample(samples, ranges, rng):
     One ``rng.uniform`` call draws an (N, 4) array: per sample, in order,
     the rotation, scale, x shift and y shift, so the stream matches N
     successive one-sample calls. All images are inverse-warp resampled
-    in one :func:`bilinear_warp` call; each sample's keypoints and cue
-    get its own affine exactly.
+    in one :func:`bilinear_warp` call; each sample's keypoints get its own
+    affine exactly. Augmented samples carry no cue (``cue=None``).
     """
     _, _, h, w = samples[0].image.shape
     rot, frac = ranges.rotation_deg, ranges.shift_frac
@@ -284,7 +285,5 @@ def augment_sample(samples, ranges, rng):
     images = bilinear_warp(np.concatenate([s.image for s in samples]),
                            _invert_affine(mats))
     return [replace(s, image=image[None],
-                    keypoints=apply_affine_to_points(mat, s.keypoints),
-                    cue=None if s.cue is None
-                    else apply_affine_to_points(mat, s.cue[None])[0])
+                    keypoints=apply_affine_to_points(mat, s.keypoints), cue=None)
             for s, image, mat in zip(samples, images, mats)]

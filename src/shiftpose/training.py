@@ -18,14 +18,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .analysis import csv_text, export_offsets
-from .errors import ConfigError, NumericError, StateError
+from .errors import ConfigError, NumericError
 from .fsm import FeatureShiftModule
 from .optim import Adam
 from .synthdata import AugmentRanges, augment_sample, heatmap_targets
 
 __all__ = [
-    "LrDecay", "TrainConfig", "base_lr_schedule", "offset_lr_schedule",
-    "insert_fsm_modules", "Trainer",
+    "LrDecay", "TrainConfig", "base_lr_schedule", "offset_lr_schedule", "Trainer",
 ]
 
 _FSM_GROUPS = ("fsm_weights", "offsets")
@@ -94,17 +93,6 @@ def base_lr_schedule(iteration, config):
 def offset_lr_schedule(epoch, config):
     """Offset lr: initial value decayed by the configured fraction per epoch."""
     return config.offset_lr * (1.0 - config.offset_decay_per_epoch) ** epoch
-
-
-def insert_fsm_modules(graph, rng):
-    """Activate every bypassed shifting module (zeroed output projection,
-    fresh offsets); returns their node names."""
-    modules = [(name, m) for name, m in graph.fsm_layers() if not m.active]
-    if not modules:
-        raise StateError("no bypassed shifting modules left to insert")
-    for _, m in modules:
-        m.insert(rng)
-    return [name for name, _ in modules]
 
 
 def _parameter_groups(graph):
@@ -187,10 +175,12 @@ class Trainer:
         cfg = self.config
         rates = _group_rates(base_lr_schedule(self.iteration, cfg),
                              offset_lr_schedule(self.epoch(), cfg))
-        if self.iteration == cfg.insertion_iteration and \
-                any(not m.active for _, m in self.graph.fsm_layers()):
-            insert_fsm_modules(self.graph, self.rng)
-            self._add_groups(_FSM_GROUPS, rates)
+        if self.iteration == cfg.insertion_iteration:
+            bypassed = [m for _, m in self.graph.fsm_layers() if not m.active]
+            for module in bypassed:
+                module.insert(self.rng)
+            if bypassed:
+                self._add_groups(_FSM_GROUPS, rates)
         for name in self.optimizer.groups:
             self.optimizer.set_lr(name, rates[name])
 

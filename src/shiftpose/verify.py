@@ -20,17 +20,6 @@ from .network import Bottleneck, ConvBlock
 
 __all__ = ["gradcheck_suite", "oracle_trials"]
 
-# (op name, smooth cases to check) for the battery, in run order
-_QUOTAS = (
-    ("conv1x1", 20),
-    ("shift", 20),
-    ("ca-softplus", 10),
-    ("ca-sigmoid", 10),
-    ("fsm", 20),
-    ("bottleneck", 20),
-    ("head", 20),
-)
-
 
 def _push_from_integer(values, margin=0.12):
     """Move each value's fractional part into [margin, 1 - margin]."""
@@ -146,15 +135,16 @@ def _case_head(rng):
     return run, [x] + params
 
 
-_BUILDERS = {
-    "conv1x1": _case_conv1x1,
-    "shift": _case_shift,
-    "ca-softplus": _case_ca(fsm.CA_SOFTPLUS),
-    "ca-sigmoid": _case_ca(fsm.CA_SIGMOID),
-    "fsm": _case_fsm,
-    "bottleneck": _case_bottleneck,
-    "head": _case_head,
-}
+# (op name, smooth cases to check, case builder) for the battery, in run order
+_BATTERY = (
+    ("conv1x1", 20, _case_conv1x1),
+    ("shift", 20, _case_shift),
+    ("ca-softplus", 10, _case_ca(fsm.CA_SOFTPLUS)),
+    ("ca-sigmoid", 10, _case_ca(fsm.CA_SIGMOID)),
+    ("fsm", 20, _case_fsm),
+    ("bottleneck", 20, _case_bottleneck),
+    ("head", 20, _case_head),
+)
 
 _RELU_MARGIN = 0.05
 _VAR_FLOOR = 0.8
@@ -179,8 +169,7 @@ def gradcheck_suite(step=1e-3, tolerance=1e-4):
     met; cases whose random draw lands on a relu kink are skipped, never
     silently passed.
     """
-    for op_name, quota in _QUOTAS:
-        build = _BUILDERS[op_name]
+    for op_name, quota, build in _BATTERY:
         seed = 0
         produced = 0
         while produced < quota:

@@ -9,7 +9,7 @@ import pytest
 from shiftpose import network as net
 from shiftpose.checkpoint import (FORMAT_VERSION, MAGIC, checkpoint_load,
                                   checkpoint_save, restore_graph_state,
-                                  restore_rng, rng_state)
+                                  restore_rng)
 from shiftpose.errors import CheckpointError
 from shiftpose.optim import Adam
 from shiftpose.synthdata import SynthSpec, generate_dataset

@@ -105,6 +105,19 @@ def test_bad_count_flags_are_one_error_line(capsys, flags, message):
     assert (code, out.err) == (2, f"error: config: {message}\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["oracle-check", "--trials", "0"], "--trials: must be >= 1"),
+    (["gradcheck", "--step", "0"], "--step: must be finite and > 0"),
+    (["oracle-check", "--tolerance", "nan"], "--tolerance: must be finite and > 0"),
+    (["train", "--iterations", "-5", "--out", "{tmp}/run"],
+     "trainer.iterations: must be >= 0"),
+])
+def test_bad_command_flags_are_one_error_line(tmp_path, capsys, argv, message):
+    code, out = run(capsys, *[a.format(tmp=tmp_path) for a in argv])
+    assert (code, out.err) == (2, f"error: config: {message}\n")
+    assert not (tmp_path / "run").exists()
+
+
 def test_memory_error_is_one_error_line(monkeypatch, capsys):
     def exhausted(args):
         raise MemoryError("Unable to allocate 11.9 GiB")

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from shiftpose.config import (LIMITS, AnalysisOptions, NetworkSpec, RunConfig,
-                              parse_run_config, run_config_to_dict)
+                              parse_run_config)
 from shiftpose.errors import ConfigError
 from shiftpose.fsm import CA_SOFTPLUS
 from shiftpose.synthdata import AugmentRanges, SynthSpec
@@ -38,7 +38,7 @@ def non_default_config():
 @pytest.mark.parametrize("make", [RunConfig, non_default_config])
 def test_parse_inverts_to_dict(make):
     cfg = make()
-    doc = run_config_to_dict(cfg)
+    doc = dataclasses.asdict(cfg)
     assert parse_run_config(doc) == cfg
     # checkpoints embed the dict as JSON
     assert parse_run_config(json.loads(json.dumps(doc))) == cfg

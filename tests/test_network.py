@@ -279,6 +279,13 @@ class TestSerialization:
         with pytest.raises(ConfigError, match=re.escape(message)):
             net.NetworkGraph.from_spec(spec)
 
+    def test_layer_refusal_names_its_node(self):
+        spec = net.build_3block3fsm((32, 32), 8, 2).spec()
+        next(n for n in spec["nodes"] if n["name"] == "neck")["config"]["out_ch"] = 40
+        with pytest.raises(ConfigError, match=re.escape(
+                "graph.nodes.neck: norm.groups: 32 does not divide 40")):
+            net.NetworkGraph.from_spec(spec)
+
     def test_unique_parameter_owners(self):
         g = net.build_3block3fsm((32, 32), 8, 2)
         names = [n for n, _ in g.named_parameters()]

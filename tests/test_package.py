@@ -1,10 +1,13 @@
-"""Package surface: every name a module exports exists, and is used by
-the package itself."""
+"""Package surface: every module imports on its own, and every name a
+module exports exists and is used by the package itself."""
 
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -30,6 +33,15 @@ UNUSED_EXPORTS = {
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_module_imports_on_its_own(name):
+    # the package root imports no submodule, so an import cycle shows only
+    # for the entry point that starts it: import each one in a fresh process
+    src = str(pathlib.Path(shiftpose.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", f"import {name}"], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def _defined_name(stmt):

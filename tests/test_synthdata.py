@@ -147,10 +147,11 @@ class TestAugmentation:
                    for s in samples]
         assert len(batched) == len(singles) == 16
         for a, b in zip(batched, singles):
-            for field in ("image", "keypoints", "cue"):
+            for field in ("image", "keypoints"):
                 x, y = getattr(a, field), getattr(b, field)
                 assert x.dtype == y.dtype and x.shape == y.shape
                 assert x.tobytes() == y.tobytes(), field
+            assert a.cue is None and b.cue is None
         assert batch_rng.random() == single_rng.random()
 
     def test_translation_warp_matches_shift_kernel(self):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from shiftpose import network as net
-from shiftpose.errors import ConfigError, StateError
+from shiftpose.errors import ConfigError
 from shiftpose.optim import adam_step
 from shiftpose.synthdata import SynthSpec, generate_dataset
 from shiftpose.training import (LrDecay, TrainConfig, Trainer, base_lr_schedule,
-                                insert_fsm_modules, offset_lr_schedule)
+                                offset_lr_schedule)
 
 
 def tiny_setup(seed=0, fsm_active=False, iterations=20, insertion=5,
@@ -123,13 +123,6 @@ class TestInsertion:
                 assert t.grad is None, t
             stack.extend(t._parents)
         assert interior > 0
-
-    def test_double_insertion_raises(self):
-        graph, cfg, data = tiny_setup()
-        rng = np.random.default_rng(0)
-        insert_fsm_modules(graph, rng)
-        with pytest.raises(StateError):
-            insert_fsm_modules(graph, rng)
 
     def test_inserted_groups_use_offset_lr(self):
         graph, cfg, data = tiny_setup(iterations=8, insertion=2)
