@@ -2,12 +2,13 @@
 
 Layout: magic ``SSNC``, little-endian u32 format version, u64 header
 length, a JSON header (graph spec, iteration, generator state, optimizer
-metadata, blob index, free-form extras), then the raw blob payload.
-Values serialize as 32-bit little-endian floats. Saving refuses state
-of any other dtype, which could not be restored exactly (a float64 graph
-would resume rounded), and state holding a NaN or an infinity, which no
-run can resume from; loading refuses a non-finite payload too. Writes go
-to a temp file renamed into place.
+metadata, blob index, free-form extras), then the raw blob payload. The
+format version covers the graph spec too, and every checkpoint can resume
+a run. Values serialize as 32-bit little-endian floats. Saving refuses
+state of any other dtype, which could not be restored exactly (a float64
+graph would resume rounded), and state holding a NaN or an infinity,
+which no run can resume from; loading refuses a non-finite payload too.
+Writes go to a temp file renamed into place.
 """
 
 from __future__ import annotations
@@ -28,8 +29,12 @@ MAGIC = b"SSNC"
 FORMAT_VERSION = 1
 
 # JSON type of each header field, as checkpoint_save writes it
-_HEADER_TYPES = {"graph": dict, "iteration": int, "rng_state": (dict, type(None)),
-                 "optimizer": (dict, type(None)), "blobs": list, "extra": dict}
+_HEADER_TYPES = {"graph": dict, "iteration": int, "rng_state": dict,
+                 "optimizer": dict, "blobs": list, "extra": dict}
+
+
+def _count(v):
+    return type(v) is int and v >= 0
 
 
 def restore_rng(state):
@@ -54,18 +59,17 @@ def _nonfinite_blob(payload, index):
     return None
 
 
-def _collect_blobs(graph, optimizer=None):
+def _collect_blobs(graph, optimizer):
     blobs = {}
     for name, p in graph.named_parameters():
         blobs[f"param.{name}"] = p.data
     for name, b in graph.named_buffers():
         blobs[f"buffer.{name}"] = b
-    if optimizer is not None:
-        blobs.update(optimizer.state_blobs())
+    blobs.update(optimizer.state_blobs())
     return blobs
 
 
-def checkpoint_save(path, graph, optimizer=None, rng=None, iteration=0, extra=None):
+def checkpoint_save(path, graph, optimizer, rng, iteration=0, extra=None):
     """Serialize graph parameters/buffers, optimizer state, and the
     generator state; returns the number of bytes written."""
     blobs = _collect_blobs(graph, optimizer)
@@ -86,8 +90,8 @@ def checkpoint_save(path, graph, optimizer=None, rng=None, iteration=0, extra=No
     header = {
         "graph": graph.spec(),
         "iteration": int(iteration),
-        "rng_state": None if rng is None else rng.bit_generator.state,
-        "optimizer": None if optimizer is None else optimizer.meta(),
+        "rng_state": rng.bit_generator.state,
+        "optimizer": optimizer.meta(),
         "blobs": index,
         "extra": extra or {},
     }
@@ -113,14 +117,11 @@ def checkpoint_save(path, graph, optimizer=None, rng=None, iteration=0, extra=No
 
 
 def _index_entry_ok(entry):
-    def count(v):
-        return type(v) is int and v >= 0
-
     return (isinstance(entry, dict)
             and set(entry) == {"name", "shape", "offset", "nbytes"}
             and isinstance(entry["name"], str)
             and isinstance(entry["shape"], list)
-            and all(map(count, [entry["offset"], entry["nbytes"], *entry["shape"]]))
+            and all(map(_count, [entry["offset"], entry["nbytes"], *entry["shape"]]))
             and entry["offset"] % 4 == 0)
 
 
@@ -129,9 +130,10 @@ def checkpoint_load(path):
 
     Rejects bad magic, unknown versions, truncated or overlong files (with
     the expected/actual byte counts), headers that are not a JSON mapping or
-    lack a field of the type ``checkpoint_save`` writes, blob-index entries
-    that do not describe an aligned float32 array inside the payload, and
-    blobs holding a NaN or an infinity.
+    lack a field of the type ``checkpoint_save`` writes, an iteration that
+    is not a non-negative int, blob-index entries that do not describe an
+    aligned float32 array inside the payload, and blobs holding a NaN or an
+    infinity.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -157,6 +159,8 @@ def checkpoint_load(path):
     for key, kind in _HEADER_TYPES.items():
         if key not in header or not isinstance(header[key], kind):
             raise CheckpointError(f"corrupt header: field {key!r} is missing or malformed")
+    if not _count(header["iteration"]):
+        raise CheckpointError("corrupt header: iteration is not a non-negative int")
     index = header["blobs"]
     if not all(map(_index_entry_ok, index)):
         raise CheckpointError("corrupt header: malformed blob index")

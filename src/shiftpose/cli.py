@@ -12,8 +12,8 @@ it (`state`), a failed allocation (`memory`), or a path that cannot be
 read or written (`file`, naming the path). A package error's category
 is its class name without `Error`.
 
-The only environment variable consulted is SHIFTPOSE_OUT_DIR, which
-overrides the default artifact directory.
+`gradcheck` and `oracle-check` run each suite at its harness contract.
+No command reads an environment variable.
 """
 
 from __future__ import annotations
@@ -31,13 +31,9 @@ from . import network as net
 from .checkpoint import checkpoint_load, checkpoint_save, restore_graph_state, restore_rng
 from .config import (LIMITS, RunConfig, _value, build_datasets, build_network,
                      load_run_config, parse_run_config)
-from .errors import CheckpointError, ConfigError, ShiftPoseError
+from .errors import ConfigError, ShiftPoseError
 from .training import Trainer
-from .verify import gradcheck_suite, oracle_trials
-
-
-def _default_out():
-    return os.environ.get("SHIFTPOSE_OUT_DIR", "run")
+from .verify import _ORACLE_TOLERANCE, gradcheck_suite, oracle_trials
 
 
 def _load_config(path):
@@ -68,16 +64,13 @@ def _datasets(cfg, graph):
 def cmd_train(args):
     if args.resume:
         graph, cfg, header, blobs = _restore(args.resume, args.config)
-        if header["optimizer"] is None or header["rng_state"] is None:
-            raise CheckpointError("no optimizer or generator state to resume from")
     else:
         cfg = _load_config(args.config)
         graph = build_network(cfg)
     if args.iterations is not None:
         cfg.trainer = replace(cfg.trainer, iterations=_value(
             "int", args.iterations, "trainer.iterations", LIMITS))
-    out_dir = args.out or _default_out()
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
 
     train_ds, eval_ds = _datasets(cfg, graph)
     trainer = Trainer(graph, cfg.trainer, train_ds, eval_ds)
@@ -88,18 +81,18 @@ def cmd_train(args):
 
     final_eval_loss = trainer.run()
 
-    with open(os.path.join(out_dir, "metrics.csv"), "w") as fh:
+    with open(os.path.join(args.out, "metrics.csv"), "w") as fh:
         fh.write(trainer.metrics_csv())
     for epoch, table in trainer.offset_snapshots:
-        with open(os.path.join(out_dir, f"offsets_epoch_{epoch}.csv"), "w") as fh:
+        with open(os.path.join(args.out, f"offsets_epoch_{epoch}.csv"), "w") as fh:
             fh.write(table)
-    ckpt_path = os.path.join(out_dir, "checkpoint.ssnc")
+    ckpt_path = os.path.join(args.out, "checkpoint.ssnc")
     checkpoint_save(ckpt_path, graph, trainer.optimizer, trainer.rng,
                     trainer.iteration, extra={"run_config": asdict(cfg)})
     summary = {"iterations": trainer.iteration,
                "final_eval_loss": final_eval_loss,
                "checkpoint": ckpt_path}
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
+    with open(os.path.join(args.out, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=1)
     print(f"trained {trainer.iteration} iterations; "
           f"final_eval_loss={final_eval_loss:.9g}")
@@ -147,20 +140,11 @@ def cmd_synth(args):
     return 0
 
 
-def _finite_positive(flag, value):
-    # written so that NaN fails it
-    if not 0 < value <= sys.float_info.max:
-        raise ConfigError(flag, "must be finite and > 0")
-
-
 def cmd_gradcheck(args):
-    _finite_positive("--step", args.step)
-    _finite_positive("--tolerance", args.tolerance)
     worst = 0.0
     failed = 0
     total = 0
-    for op_name, seed, report in gradcheck_suite(step=args.step,
-                                                 tolerance=args.tolerance):
+    for op_name, seed, report in gradcheck_suite():
         total += 1
         worst = max(worst, report.max_rel_error)
         status = "pass" if report.passed else "FAIL"
@@ -169,7 +153,7 @@ def cmd_gradcheck(args):
             print(f"  {op_name}[seed {seed}]: {status} "
                   f"max_rel={report.max_rel_error:.3e}")
     print(f"gradcheck: {total - failed}/{total} cases pass, "
-          f"max rel error {worst:.3e} (tolerance {args.tolerance:g})")
+          f"max rel error {worst:.3e} (tolerance {report.tolerance:g})")
     return 0 if failed == 0 else 1
 
 
@@ -224,13 +208,10 @@ def cmd_analyze(args):
 
 
 def cmd_oracle_check(args):
-    if args.trials < 1:
-        raise ConfigError("--trials", "must be >= 1")
-    _finite_positive("--tolerance", args.tolerance)
-    results, ok = oracle_trials(trials=args.trials, tolerance=args.tolerance)
+    results, ok = oracle_trials()
     worst = max(r[3] for r in results)
     print(f"oracle-check: {len(results)} comparisons, max rel error {worst:.3e} "
-          f"(tolerance {args.tolerance:g}): {'pass' if ok else 'FAIL'}")
+          f"(tolerance {_ORACLE_TOLERANCE:g}): {'pass' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
@@ -246,7 +227,7 @@ def build_parser():
 
     p = sub.add_parser("train", help="train on the synthetic task")
     p.add_argument("--config", help="run configuration JSON")
-    p.add_argument("--out", help="artifact directory (default: run/ or $SHIFTPOSE_OUT_DIR)")
+    p.add_argument("--out", default="run", help="artifact directory (default: run/)")
     p.add_argument("--resume", help="checkpoint to resume from")
     p.add_argument("--iterations", type=int, help="override trainer.iterations")
     p.set_defaults(fn=cmd_train)
@@ -262,8 +243,6 @@ def build_parser():
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("gradcheck", help="run the finite-difference suite")
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("count", help="parameter and operation counts")
@@ -281,8 +260,6 @@ def build_parser():
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("oracle-check", help="factored vs explicit equivalence")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--tolerance", type=float, default=1e-6)
     p.set_defaults(fn=cmd_oracle_check)
     return parser
 

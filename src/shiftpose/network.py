@@ -24,10 +24,8 @@ from .fsm import CA_SIGMOID, CA_SOFTPLUS, CA_VARIANTS, FeatureShiftModule
 __all__ = [
     "NetworkGraph", "ConvBlock", "Bottleneck", "MaxPool",
     "UpsampleAdd", "build_3block3fsm", "build_toy_fsm_net", "build_fpn_ssn",
-    "attach_esp", "count_params", "count_flops", "CostReport", "GRAPH_FORMAT_VERSION",
+    "attach_esp", "count_params", "count_flops", "CostReport",
 ]
-
-GRAPH_FORMAT_VERSION = 1
 
 
 def _he_conv(rng, out_ch, in_ch, kh, kw, dtype):
@@ -337,18 +335,12 @@ class NetworkGraph:
             nodes.append({"name": n.name, "kind": n.layer.kind,
                           "inputs": list(n.inputs), "is_head": n.is_head,
                           "config": asdict(n.layer)})
-        return {"format": "shiftpose-graph", "version": GRAPH_FORMAT_VERSION,
-                "input_shape": list(self.input_shape), "dtype": str(self.dtype),
+        return {"input_shape": list(self.input_shape), "dtype": str(self.dtype),
                 "nodes": nodes}
 
     @classmethod
     def from_spec(cls, spec):
-        if spec.get("format") != "shiftpose-graph":
-            raise ConfigError("graph.format", "not a graph spec document")
-        if spec.get("version") != GRAPH_FORMAT_VERSION:
-            raise ConfigError("graph.version",
-                              f"unsupported version {spec.get('version')!r}, "
-                              f"expected {GRAPH_FORMAT_VERSION}")
+        """The graph ``spec()`` described; every node error names its node."""
         rng = np.random.default_rng(0)
         graph = cls(_value("tuple", spec.get("input_shape"), "graph.input_shape",
                            _GRAPH_LIMITS, (1, 1, 1)),
@@ -359,18 +351,20 @@ class NetworkGraph:
             raise ConfigError("graph", f"malformed spec: {exc!r}") from None
         for i, nd in enumerate(nodes):
             name = nd.get("name", f"#{i}") if isinstance(nd, dict) else f"#{i}"
+            where = f"graph.nodes.{name}"
             try:
-                graph.add(nd["name"], _layer_from_spec(nd, name, rng, graph.dtype),
-                          nd["inputs"], nd["is_head"])
+                graph.add(_value("str", nd["name"], f"{where}.name", {}),
+                          _layer_from_spec(nd, where, rng, graph.dtype),
+                          _value("tuple", nd["inputs"], f"{where}.inputs", {}, ()),
+                          _value("bool", nd["is_head"], f"{where}.is_head", {}))
             except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"graph.nodes.{name}",
-                                  f"malformed node: {exc!r}") from None
+                raise ConfigError(where, f"malformed node: {exc!r}") from None
             except (ConfigError, DimensionError) as exc:
                 # a node that does not fit its inputs, or that its own layer
-                # refuses (a norm's groups), named by its node path
-                if getattr(exc, "key_path", "").startswith("graph."):
+                # or the graph refuses, named by its node path
+                if f"{getattr(exc, 'key_path', '')}.".startswith(f"{where}."):
                     raise
-                raise ConfigError(f"graph.nodes.{name}", str(exc)) from None
+                raise ConfigError(where, str(exc)) from None
         return graph
 
 
@@ -398,16 +392,15 @@ _FIELD_LIMITS = {
 }
 
 
-def _layer_from_spec(nd, name, rng, dtype):
-    """The node's layer, built from a config whose keys are exactly the
-    layer's fields, each value read by ``config._read`` within its kind's
-    ``_FIELD_LIMITS``."""
+def _layer_from_spec(nd, where, rng, dtype):
+    """The layer of the node at spec path ``where``, built from a config
+    whose keys are exactly the layer's fields, each value read by
+    ``config._read`` within its kind's ``_FIELD_LIMITS``."""
     if nd["kind"] not in _LAYER_KINDS:
-        raise ConfigError("graph.kind", f"unknown layer kind {nd['kind']!r}")
+        raise ConfigError(f"{where}.kind", f"unknown layer kind {nd['kind']!r}")
     cls, flds, seeded = _LAYER_KINDS[nd["kind"]]
     cfg = dict(nd["config"])
     keys = {f.name for f in flds}
-    where = f"graph.nodes.{name}"
     if set(cfg) != keys:
         missing, unknown = sorted(keys - set(cfg)), sorted(set(cfg) - keys)
         raise ConfigError(where, f"config keys: missing {missing}, unknown {unknown}")
@@ -535,7 +528,7 @@ def build_fpn_ssn(input_size=(64, 48), keypoints=17, base_channels=8,
 
 def attach_esp(graph, after_layer, keypoints):
     """Branch an early-stage predictor (pointwise conv to one channel per
-    keypoint) off the named layer; its loss is averaged with the main head's.
+    keypoint) off the named layer; the trainer adds its loss to the main head's.
     Its weights are drawn from a generator seeded by the layer name."""
     node = graph.node(after_layer)
     c = node.out_shape[0]

@@ -1,9 +1,10 @@
 """Adam optimizer with named parameter groups.
 
 Groups exist so the trainer can drive one learning-rate schedule per
-group; ``training`` decides which parameters share a group. A group
-added mid-training (delayed insertion) starts with a fresh step counter,
-so its bias correction treats it as newly initialized.
+group: ``step`` takes each group's rate, and no rate is stored.
+``training`` decides which parameters share a group. A group added
+mid-training (delayed insertion) starts with a fresh step counter, so its
+bias correction treats it as newly initialized.
 
 Each group keeps its values, gradients and moments in four flat
 buffers. Adding a parameter copies it in and rebinds its ``data`` and
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .checkpoint import copy_blobs
+from .checkpoint import _count, copy_blobs
 from .errors import CheckpointError
 
 __all__ = ["adam_step", "Adam"]
@@ -37,7 +38,7 @@ class Adam:
     def __init__(self):
         self.groups = {}
 
-    def add_group(self, name, named_params, lr):
+    def add_group(self, name, named_params):
         """Register parameters as ``(slot_name, Parameter)`` pairs and move
         them into the group's flat buffers. A parameter already held by a
         group, or a group whose parameters differ in dtype, is refused:
@@ -66,23 +67,21 @@ class Adam:
             p.data, p.grad = value[span].reshape(shape), grad[span].reshape(shape)
             entries.append({"name": pname, "param": p,
                             "m": m[span].reshape(shape), "v": v[span].reshape(shape)})
-        self.groups[name] = {"lr": float(lr), "t": 0, "entries": entries,
+        self.groups[name] = {"t": 0, "entries": entries,
                              "value": value, "grad": grad, "m": m, "v": v}
-
-    def set_lr(self, name, lr):
-        self.groups[name]["lr"] = float(lr)
 
     def zero_grad(self):
         for group in self.groups.values():
             group["grad"].fill(0)
 
-    def step(self):
-        for group in self.groups.values():
+    def step(self, rates):
+        """One update of every group, group ``name`` at ``rates[name]``."""
+        for name, group in self.groups.items():
             if not group["entries"]:
                 continue
             group["t"] += 1
             adam_step(group["value"], group["grad"], group["m"], group["v"],
-                      group["t"], group["lr"])
+                      group["t"], rates[name])
 
     # -- checkpoint support ------------------------------------------------
 
@@ -96,18 +95,18 @@ class Adam:
         return blobs
 
     def meta(self):
-        return {name: {"lr": g["lr"], "t": g["t"]} for name, g in self.groups.items()}
+        return {name: {"t": g["t"]} for name, g in self.groups.items()}
 
     def load_state(self, meta, blobs):
-        """Restore every group's lr, step count and moments from ``meta``
-        (as written by :meth:`meta`) and the moment blobs."""
+        """Restore every group's step count (a non-negative int) and moments
+        from ``meta`` (as :meth:`meta` writes it) and the moment blobs."""
         if set(meta) != set(self.groups):
             raise CheckpointError(f"optimizer groups {sorted(meta)} in the checkpoint "
                                   f"do not match {sorted(self.groups)}")
         for gname, info in meta.items():
-            try:
-                self.groups[gname].update(lr=float(info["lr"]), t=int(info["t"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CheckpointError(
-                    f"optimizer group {gname!r}: malformed state {exc!r}") from None
+            t = info.get("t") if isinstance(info, dict) else None
+            if not _count(t):
+                raise CheckpointError(f"optimizer group {gname!r}: step count {t!r} "
+                                      "is not a non-negative int")
+            self.groups[gname]["t"] = t
         copy_blobs(self.state_blobs().items(), blobs, "optimizer")

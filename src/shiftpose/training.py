@@ -111,17 +111,12 @@ def _parameter_groups(graph):
     return groups
 
 
-def _group_rates(base_lr, offset_lr):
-    """Each group's rate: the module weights follow the backbone."""
-    return {"backbone": base_lr, "fsm_weights": base_lr, "offsets": offset_lr}
-
-
 class Trainer:
     """Drives a graph over a materialized synthetic dataset.
 
-    The single ``rng`` is consumed in a fixed per-iteration order (batch
-    indices, then augmentation draws, plus insertion at its iteration),
-    which makes a checkpointed resume replay the exact remaining stream.
+    The single ``rng`` is consumed in a fixed per-iteration order (any
+    insertion's offsets, batch indices, augmentation draws), which makes a
+    checkpointed resume replay the exact remaining stream.
     """
 
     def __init__(self, graph, config, dataset, eval_dataset=None):
@@ -139,13 +134,12 @@ class Trainer:
         self.optimizer = Adam()
         modules = [m for _, m in graph.fsm_layers()]
         active = modules and all(m.active for m in modules)
-        self._add_groups(("backbone",) + (_FSM_GROUPS if active else ()),
-                         _group_rates(config.base_lr, config.offset_lr))
+        self._add_groups(("backbone",) + (_FSM_GROUPS if active else ()))
 
-    def _add_groups(self, names, rates):
+    def _add_groups(self, names):
         groups = _parameter_groups(self.graph)
         for name in names:
-            self.optimizer.add_group(name, groups[name], rates[name])
+            self.optimizer.add_group(name, groups[name])
 
     # -- data ---------------------------------------------------------------
 
@@ -173,16 +167,16 @@ class Trainer:
     def step(self):
         """One optimizer step; returns the per-head loss values."""
         cfg = self.config
-        rates = _group_rates(base_lr_schedule(self.iteration, cfg),
-                             offset_lr_schedule(self.epoch(), cfg))
-        if self.iteration == cfg.insertion_iteration:
+        # each group's rate: the module weights follow the backbone
+        base = base_lr_schedule(self.iteration, cfg)
+        rates = {"backbone": base, "fsm_weights": base,
+                 "offsets": offset_lr_schedule(self.epoch(), cfg)}
+        if self.iteration >= cfg.insertion_iteration:
             bypassed = [m for _, m in self.graph.fsm_layers() if not m.active]
             for module in bypassed:
                 module.insert(self.rng)
             if bypassed:
-                self._add_groups(_FSM_GROUPS, rates)
-        for name in self.optimizer.groups:
-            self.optimizer.set_lr(name, rates[name])
+                self._add_groups(_FSM_GROUPS)
 
         images, samples = self._draw_batch()
         heads, outputs = self.graph.forward(images, mode="train")
@@ -202,7 +196,7 @@ class Trainer:
 
         self.optimizer.zero_grad()
         total.backward()
-        self.optimizer.step()
+        self.optimizer.step(rates)
         for _, module in self.graph.fsm_layers():
             if module.active:
                 module.clamp_offsets()
@@ -233,15 +227,14 @@ class Trainer:
         """Mean main-head loss over the eval set, eval mode, no augmentation."""
         data = self.eval_dataset
         cfg = self.config
-        total, batches = 0.0, 0
+        total = 0.0
         for start in range(0, len(data), cfg.batch_size):
             chunk = data[start:start + cfg.batch_size]
             images = np.concatenate([s.image for s in chunk], axis=0)
             heads, _ = self.graph.forward(images, mode="eval")
             target = self._targets_for(chunk, heads["main"].shape[1:])
-            total += float(ad.mse_loss(heads["main"], target).data)
-            batches += 1
-        return total / max(batches, 1)
+            total += float(ad.mse_loss(heads["main"], target).data) * len(chunk)
+        return total / max(len(data), 1)
 
     def metrics_csv(self):
         """Comma-separated log with one column per metrics key, empty where

@@ -586,11 +586,11 @@ class TestAdam:
     def test_descends_quadratic(self):
         theta = ad.Parameter(np.array([1.0]))
         opt = Adam()
-        opt.add_group("g", [("theta", theta)], lr=0.1)
+        opt.add_group("g", [("theta", theta)])
         values = [float(theta.data[0] ** 2)]
         for _ in range(2):
             theta.grad[...] = 2.0 * theta.data
-            opt.step()
+            opt.step({"g": 0.1})
             values.append(float(theta.data[0] ** 2))
         assert values[1] < values[0] and values[2] < values[1]
 
@@ -598,14 +598,14 @@ class TestAdam:
     def test_group_params_view_the_flat_buffers(self):
         a, b = ad.Parameter(np.ones((2, 3))), ad.Parameter(np.arange(4.0))
         opt = Adam()
-        opt.add_group("g", [("a", a), ("b", b)], lr=0.1)
+        opt.add_group("g", [("a", a), ("b", b)])
         group = opt.groups["g"]
         for p in (a, b):
             assert np.shares_memory(p.data, group["value"])
             assert np.shares_memory(p.grad, group["grad"])
         np.testing.assert_array_equal(b.data, np.arange(4.0))
         a.grad[...], b.grad[...] = 1.0, -1.0
-        opt.step()
+        opt.step({"g": 0.1})
         np.testing.assert_allclose(a.data, 1.0 - 0.1, rtol=1e-6)
         np.testing.assert_allclose(b.data, np.arange(4.0) + 0.1, rtol=1e-6)
         opt.zero_grad()
@@ -614,19 +614,19 @@ class TestAdam:
     def test_parameter_held_by_another_group_refused(self):
         shared, other = ad.Parameter(np.ones(2)), ad.Parameter(np.ones(3))
         opt = Adam()
-        opt.add_group("first", [("shared", shared)], lr=0.1)
+        opt.add_group("first", [("shared", shared)])
         with pytest.raises(ValueError, match="again: already held by optimizer group 'first'"):
-            opt.add_group("second", [("other", other), ("again", shared)], lr=0.1)
+            opt.add_group("second", [("other", other), ("again", shared)])
         assert list(opt.groups) == ["first"]
         assert not np.shares_memory(other.data, opt.groups["first"]["value"])
         with pytest.raises(ValueError, match="twice: already held"):
-            opt.add_group("third", [("once", other), ("twice", other)], lr=0.1)
+            opt.add_group("third", [("once", other), ("twice", other)])
 
     def test_group_mixing_dtypes_refused(self):
         opt = Adam()
         with pytest.raises(ValueError, match="mixes dtypes"):
             opt.add_group("g", [("a", ad.Parameter(np.ones(2, np.float32))),
-                                ("b", ad.Parameter(np.ones(2, np.float64)))], lr=0.1)
+                                ("b", ad.Parameter(np.ones(2, np.float64)))])
         assert not opt.groups
 
 

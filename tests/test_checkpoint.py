@@ -21,6 +21,13 @@ def small_graph(seed=0, fsm_active=True):
                                  rng=np.random.default_rng(seed))
 
 
+def save(path, graph, rng=None, iteration=0):
+    """Save ``graph`` with a one-group optimizer over its parameters."""
+    opt = Adam()
+    opt.add_group("backbone", graph.named_parameters())
+    return checkpoint_save(path, graph, opt, rng or np.random.default_rng(0), iteration)
+
+
 def payload_start(raw):
     """Offset of the payload: the preamble's 16 bytes plus the header."""
     return 16 + int(np.frombuffer(raw[8:16], dtype="<u8")[0])
@@ -35,7 +42,7 @@ class TestRoundTrip:
         graph = small_graph()
         rng = np.random.default_rng(5)
         path = tmp_path / "model.ssnc"
-        checkpoint_save(path, graph, rng=rng, iteration=7)
+        save(path, graph, rng, iteration=7)
         header, blobs = checkpoint_load(path)
         rebuilt = net.NetworkGraph.from_spec(header["graph"])
         restore_graph_state(rebuilt, blobs)
@@ -47,7 +54,7 @@ class TestRoundTrip:
     def test_save_load_save_byte_identical(self, tmp_path):
         graph = small_graph(seed=1)
         opt = Adam()
-        opt.add_group("backbone", graph.named_parameters(), 1e-3)
+        opt.add_group("backbone", graph.named_parameters())
         rng = np.random.default_rng(6)
         p1, p2 = tmp_path / "a.ssnc", tmp_path / "b.ssnc"
         checkpoint_save(p1, graph, opt, rng, iteration=3, extra={"k": 1})
@@ -55,7 +62,7 @@ class TestRoundTrip:
         rebuilt = net.NetworkGraph.from_spec(header["graph"])
         restore_graph_state(rebuilt, blobs)
         opt2 = Adam()
-        opt2.add_group("backbone", rebuilt.named_parameters(), 1e-3)
+        opt2.add_group("backbone", rebuilt.named_parameters())
         opt2.load_state(header["optimizer"], blobs)
         checkpoint_save(p2, rebuilt, opt2, restore_rng(header["rng_state"]),
                         iteration=header["iteration"], extra=header["extra"])
@@ -65,7 +72,7 @@ class TestRoundTrip:
 class TestRejection:
     def _saved(self, tmp_path):
         path = tmp_path / "model.ssnc"
-        checkpoint_save(path, small_graph(), iteration=1)
+        save(path, small_graph(), iteration=1)
         return path
 
     def test_bad_magic(self, tmp_path):
@@ -170,14 +177,14 @@ class TestRejection:
         name, weight = graph.named_parameters()[2]
         weight.data.flat[-1] = np.nan
         with pytest.raises(CheckpointError, match=rf"param\.{name}: .*non-finite"):
-            checkpoint_save(tmp_path / "model.ssnc", graph)
+            save(tmp_path / "model.ssnc", graph)
         assert os.listdir(tmp_path) == []
 
     def test_float64_state_refused_on_save(self, tmp_path):
         graph = net.build_toy_fsm_net((16, 16), 1, 1, 4, 8, dtype=np.float64)
         path = tmp_path / "model.ssnc"
         with pytest.raises(CheckpointError, match="float64"):
-            checkpoint_save(path, graph)
+            save(path, graph)
         assert os.listdir(tmp_path) == []
 
     def test_missing_blob_rejected(self, tmp_path):

@@ -106,9 +106,6 @@ def test_bad_count_flags_are_one_error_line(capsys, flags, message):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["oracle-check", "--trials", "0"], "--trials: must be >= 1"),
-    (["gradcheck", "--step", "0"], "--step: must be finite and > 0"),
-    (["oracle-check", "--tolerance", "nan"], "--tolerance: must be finite and > 0"),
     (["train", "--iterations", "-5", "--out", "{tmp}/run"],
      "trainer.iterations: must be >= 0"),
 ])
@@ -263,9 +260,14 @@ RESUME = ["train", "--iterations", "5", "--out", "{tmp}/resumed", "--resume"]
     (RESUME, null_field("rng_state")),
     (EVAL, rewritten(nan_in_first_blob)),
     (RESUME, rewritten(nan_in_first_blob)),
+    (RESUME, rewritten(lambda header, blobs: header.update(iteration=-4))),
+    (RESUME, rewritten(lambda header, blobs: header.update(iteration=True))),
+    (RESUME, rewritten(lambda header, blobs: header["optimizer"]["offsets"].update(t=-1))),
+    (RESUME, rewritten(lambda header, blobs: header["optimizer"]["offsets"].update(t="3"))),
 ], ids=["graph-key", "kernel-key", "input-shape", "param-blob", "buffer-blob",
         "optimizer-group", "rng-state", "moment-blob", "no-optimizer", "no-rng",
-        "nan-blob-eval", "nan-blob-resume"])
+        "nan-blob-eval", "nan-blob-resume", "iteration-negative", "iteration-bool",
+        "step-count-negative", "step-count-str"])
 def test_unusable_checkpoint_is_one_error_line(tmp_path, checkpoint, capsys,
                                                argv, corrupt):
     bad = tmp_path / "bad.ssnc"
@@ -275,8 +277,49 @@ def test_unusable_checkpoint_is_one_error_line(tmp_path, checkpoint, capsys,
         argv.append("--checkpoint")
     code, out = run(capsys, *argv, bad)
     lines = out.err.splitlines()
-    assert code != 0
-    assert len(lines) == 1 and lines[0].startswith("error: "), out.err
+    # the fault is the file's or its graph spec's, never the run's
+    assert code in (1, 2) and len(lines) == 1, out.err
+    assert lines[0].startswith(("error: checkpoint: ", "error: config: ")), out.err
+    assert not (tmp_path / "resumed" / "checkpoint.ssnc").exists()
+
+
+def older_header_keys(header, blobs):
+    """The keys that earlier checkpoints also wrote: a version of the graph
+    spec of its own, and each optimizer group's last rate."""
+    header["graph"].update(format="shiftpose-graph", version=1)
+    for group in header["optimizer"].values():
+        group["lr"] = 0.0005
+
+
+def test_older_header_keys_resume_like_an_uninterrupted_run(tmp_path, config, capsys):
+    whole, first, rest = (tmp_path / d for d in ("whole", "first", "rest"))
+    assert run(capsys, "train", "--config", config, "--out", whole,
+               "--iterations", 5)[0] == 0
+    assert run(capsys, "train", "--config", config, "--out", first)[0] == 0
+    older = tmp_path / "older.ssnc"
+    older.write_bytes(rewritten(older_header_keys)(first / "checkpoint.ssnc"))
+    assert run(capsys, "train", "--resume", older, "--out", rest, "--iterations", 5)[0] == 0
+    rows = (whole / "metrics.csv").read_text().splitlines()
+    assert (rest / "metrics.csv").read_text().splitlines() == rows[:1] + rows[4:]
+    assert (whole / "checkpoint.ssnc").read_bytes() == \
+        (rest / "checkpoint.ssnc").read_bytes()
+
+
+def test_resume_past_the_insertion_iteration_inserts_the_bypassed_modules(tmp_path,
+                                                                          capsys):
+    late, early = tmp_path / "late.json", tmp_path / "early.json"
+    late.write_text(json.dumps(
+        {**TINY, "trainer": {**TINY["trainer"], "iterations": 4, "insertion_iteration": 10}}))
+    early.write_text(json.dumps(
+        {**TINY, "trainer": {**TINY["trainer"], "insertion_iteration": 2}}))
+    assert run(capsys, "train", "--config", late, "--out", tmp_path / "first")[0] == 0
+    assert run(capsys, "train", "--resume", tmp_path / "first" / "checkpoint.ssnc",
+               "--config", early, "--out", tmp_path / "rest", "--iterations", 8)[0] == 0
+    for run_dir, active, groups in [("first", False, ["backbone"]),
+                                    ("rest", True, ["backbone", "fsm_weights", "offsets"])]:
+        header, _ = checkpoint_load(tmp_path / run_dir / "checkpoint.ssnc")
+        fsm1 = next(n for n in header["graph"]["nodes"] if n["name"] == "fsm1")
+        assert (fsm1["config"]["active"], list(header["optimizer"])) == (active, groups)
 
 
 def test_unknown_layer_choice_in_a_checkpoint_is_one_config_line(tmp_path, checkpoint,
@@ -318,6 +361,30 @@ def test_spec_value_out_of_range_is_one_config_line(tmp_path, checkpoint, capsys
     path = "graph" if node is None else f"graph.nodes.{node}"
     assert code == 2 and len(lines) == 1, out.err
     assert lines[0].startswith(f"error: config: {path}.{key}: must be "), out.err
+
+
+def set_in_node(node, key, value):
+    """Set one key of ``node``'s entry in the graph spec."""
+    def change(header, blobs):
+        next(n for n in header["graph"]["nodes"] if n["name"] == node)[key] = value
+    return rewritten(change)
+
+
+@pytest.mark.parametrize("node,key,value,message", [
+    ("stem2", "kind", "bogus", "graph.nodes.stem2.kind: unknown layer kind 'bogus'"),
+    ("stem2", "inputs", ["nope"], "graph.nodes.stem2: graph.layer: unknown layer id 'nope'"),
+    ("stem2", "inputs", "stem", "graph.nodes.stem2.inputs: expected a list"),
+    ("stem2", "inputs", [3], "graph.nodes.stem2.inputs: expected str"),
+    ("stem2", "name", 5, "graph.nodes.5.name: expected str"),
+    ("head", "is_head", "no", "graph.nodes.head.is_head: expected true or false"),
+    ("neck", "is_head", 1, "graph.nodes.neck.is_head: expected true or false"),
+])
+def test_bad_node_entry_is_one_config_line_naming_the_node(tmp_path, checkpoint, capsys,
+                                                           node, key, value, message):
+    bad = tmp_path / "bad.ssnc"
+    bad.write_bytes(set_in_node(node, key, value)(checkpoint))
+    code, out = run(capsys, "eval", "--checkpoint", bad)
+    assert (code, out.err) == (2, f"error: config: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [["eval"],

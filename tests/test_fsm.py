@@ -342,7 +342,7 @@ class TestOracle:
     def test_equivalence_sweep(self):
         from shiftpose.verify import oracle_trials
 
-        results, ok = oracle_trials(trials=8, tolerance=1e-6)
+        results, ok = oracle_trials(trials=8)
         assert ok, results
 
     def test_sweep_detects_a_wrong_translation_kernel(self, monkeypatch):
@@ -355,7 +355,7 @@ class TestOracle:
             return translate(maps, np.full_like(d, d[0]), axis, difference, out, acc)
 
         monkeypatch.setattr(fsm, "_translate_axis", first_channel_offset)
-        results, ok = oracle_trials(trials=8, tolerance=1e-6)
+        results, ok = oracle_trials(trials=8)
         assert not ok, results
 
 

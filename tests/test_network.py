@@ -210,13 +210,6 @@ class TestSerialization:
         assert [n for n, _ in orig] == [n for n, _ in new]
         assert [p.shape for _, p in orig] == [p.shape for _, p in new]
 
-    def test_unknown_version_rejected(self):
-        g = net.build_toy_fsm_net((16, 16), 1, 1, 4, 8)
-        spec = g.spec()
-        spec["version"] = 99
-        with pytest.raises(ConfigError, match="version"):
-            net.NetworkGraph.from_spec(spec)
-
     @staticmethod
     def _edited_spec(node, change):
         spec = net.build_toy_fsm_net((16, 16), 1, 1, 4, 8).spec()

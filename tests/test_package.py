@@ -44,6 +44,19 @@ def test_every_module_imports_on_its_own(name):
                    env={**os.environ, "PYTHONPATH": src})
 
 
+def test_no_module_reads_an_environment_variable():
+    """Every setting is an argument, a command flag or a config field."""
+    readers = []
+    for path in sorted(pathlib.Path(shiftpose.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = node.attr if isinstance(node, ast.Attribute) else \
+                node.id if isinstance(node, ast.Name) else \
+                node.name if isinstance(node, ast.alias) else None
+            if name in ("environ", "environb", "getenv", "getenvb"):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
+
+
 def _defined_name(stmt):
     if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
         return stmt.name

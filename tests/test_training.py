@@ -127,10 +127,17 @@ class TestInsertion:
     def test_inserted_groups_use_offset_lr(self):
         graph, cfg, data = tiny_setup(iterations=8, insertion=2)
         trainer = Trainer(graph, cfg, data)
+        opt, fused_step, passed = trainer.optimizer, trainer.optimizer.step, []
+
+        def step(rates):
+            passed.append(dict(rates))
+            fused_step(rates)
+
+        opt.step = step
         for _ in range(3):
             trainer.step()
-        assert "offsets" in trainer.optimizer.groups
-        assert trainer.optimizer.groups["offsets"]["lr"] == pytest.approx(
+        assert "offsets" in opt.groups and set(opt.groups) <= set(passed[-1])
+        assert passed[-1]["offsets"] == pytest.approx(
             offset_lr_schedule(trainer.epoch(), cfg))
 
 
@@ -191,7 +198,7 @@ class TestFusedAdam:
         opt, fused_step = trainer.optimizer, trainer.optimizer.step
         ref, steps = {}, {}
 
-        def step():
+        def step(rates):
             for gname, group in opt.groups.items():
                 steps[gname] = steps.get(gname, 0) + 1
                 for e in group["entries"]:
@@ -199,8 +206,8 @@ class TestFusedAdam:
                         e["name"], [e["param"].data.copy(), np.zeros_like(e["m"]),
                                     np.zeros_like(e["v"])])
                     adam_step(value, e["param"].grad.copy(), m, v, steps[gname],
-                              group["lr"])
-            fused_step()
+                              rates[gname])
+            fused_step(rates)
 
         opt.step = step
         for _ in range(6):
@@ -248,6 +255,16 @@ class TestFusedAdam:
         expect = np.concatenate([p.data.ravel() for _, p in graph.named_parameters()])
         got = np.concatenate([p.data.ravel() for _, p in rebuilt.named_parameters()])
         assert expect.tobytes() == got.tobytes()
+
+
+class TestEvaluate:
+    def test_mean_over_the_set_when_the_last_batch_is_short(self):
+        graph, cfg, data = tiny_setup(count=10, batch=4)
+        trainer = Trainer(graph, cfg, data)
+        heads, _ = graph.forward(np.concatenate([s.image for s in data]), "eval")
+        pred = heads["main"].data.astype(np.float64)
+        target = trainer._targets_for(data, pred.shape[1:])
+        assert trainer.evaluate() == pytest.approx(np.mean((pred - target) ** 2), rel=1e-5)
 
 
 class TestDeterminismAndDescent:
