@@ -24,8 +24,15 @@ __all__ = ["keypoint_offset_scores", "contribution_counts", "erf_map", "export_o
            "csv_text"]
 
 
+def _node(graph, module_id):
+    try:
+        return graph.node(module_id)
+    except ConfigError as exc:
+        raise ConfigError("analysis.module_id", str(exc)) from None
+
+
 def _fsm_module(graph, module_id):
-    module = graph.node(module_id).layer
+    module = _node(graph, module_id).layer
     if not isinstance(module, FeatureShiftModule):
         raise ConfigError("analysis.module_id",
                           f"layer {module_id!r} is not a shifting module")
@@ -98,7 +105,7 @@ def erf_map(graph, image, module_id, channel, position):
     network input and the squared sum across input channels returned.
     The network runs in eval mode.
     """
-    node = graph.node(module_id)
+    node = _node(graph, module_id)
     image = _input_leaf(graph, image)
     _, outputs = graph.forward(image, mode="eval")
     if isinstance(node.layer, FeatureShiftModule):

@@ -4,10 +4,12 @@ Layout: magic ``SSNC``, little-endian u32 format version, u64 header
 length, a JSON header (graph spec, iteration, generator state, optimizer
 metadata, blob index, free-form extras), then the raw blob payload. The
 format version covers the graph spec too, and every checkpoint can resume
-a run. Values serialize as 32-bit little-endian floats. Saving refuses
+a run. Values serialize as 32-bit little-endian floats, the blobs back to
+back in index order; loading refuses any other layout (a gap, an overlap,
+a repeated name, a byte count other than the shape's). Saving refuses
 state of any other dtype, which could not be restored exactly (a float64
 graph would resume rounded), and state holding a NaN or an infinity,
-which no run can resume from; loading refuses a non-finite payload too.
+which no run can resume from; loading refuses a non-finite blob too.
 Writes go to a temp file renamed into place.
 """
 
@@ -46,62 +48,46 @@ def restore_rng(state):
     return rng
 
 
-def _nonfinite_blob(payload, index):
-    """Name of the first blob in ``index`` holding a NaN or an infinity, or
-    None. A finite payload costs one pass; index offsets are multiples of 4."""
-    values = np.frombuffer(payload, dtype="<f4")
-    if np.isfinite(values).all():
-        return None
-    for entry in index:
-        start = entry["offset"] // 4
-        if not np.isfinite(values[start:start + entry["nbytes"] // 4]).all():
-            return entry["name"]
-    return None
+def _graph_blobs(graph):
+    """A graph's state as ``(blob name, array)`` in graph order: each
+    parameter as ``param.<node>.<slot>``, then each buffer as ``buffer.``."""
+    return ([(f"param.{n}", p.data) for n, p in graph.named_parameters()]
+            + [(f"buffer.{n}", b) for n, b in graph.named_buffers()])
 
 
-def _collect_blobs(graph, optimizer):
-    blobs = {}
-    for name, p in graph.named_parameters():
-        blobs[f"param.{name}"] = p.data
-    for name, b in graph.named_buffers():
-        blobs[f"buffer.{name}"] = b
-    blobs.update(optimizer.state_blobs())
-    return blobs
+def _nonfinite_blob(blobs):
+    """Name of the first blob holding a NaN or an infinity, or None."""
+    return next((name for name, arr in blobs.items() if not np.isfinite(arr).all()),
+                None)
 
 
 def checkpoint_save(path, graph, optimizer, rng, iteration=0, extra=None):
     """Serialize graph parameters/buffers, optimizer state, and the
     generator state; returns the number of bytes written."""
-    blobs = _collect_blobs(graph, optimizer)
-    index = []
-    payload = bytearray()
-    for name in blobs:
-        if blobs[name].dtype != np.float32:
-            raise CheckpointError(f"{name}: cannot store {blobs[name].dtype} state "
+    blobs = dict(_graph_blobs(graph)) | optimizer.state_blobs()
+    index, offset = [], 0
+    for name, arr in blobs.items():
+        if arr.dtype != np.float32:
+            raise CheckpointError(f"{name}: cannot store {arr.dtype} state "
                                   "exactly; checkpoints hold float32 only")
-        arr = np.ascontiguousarray(blobs[name], dtype="<f4")
         index.append({"name": name, "shape": list(arr.shape),
-                      "offset": len(payload), "nbytes": arr.nbytes})
-        payload += arr.tobytes()
-    bad = _nonfinite_blob(payload, index)
+                      "offset": offset, "nbytes": arr.nbytes})
+        offset += arr.nbytes
+    bad = _nonfinite_blob(blobs)
     if bad is not None:
         raise CheckpointError(f"{bad}: holds non-finite values; refusing to save "
                               "state no run can resume from")
-    header = {
+    header = json.dumps({
         "graph": graph.spec(),
         "iteration": int(iteration),
         "rng_state": rng.bit_generator.state,
         "optimizer": optimizer.meta(),
         "blobs": index,
         "extra": extra or {},
-    }
-    header_bytes = json.dumps(header).encode()
-    out = bytearray()
-    out += MAGIC
-    out += np.uint32(FORMAT_VERSION).tobytes()
-    out += np.uint64(len(header_bytes)).tobytes()
-    out += header_bytes
-    out += payload
+    }).encode()
+    out = b"".join([MAGIC, np.uint32(FORMAT_VERSION).tobytes(),
+                    np.uint64(len(header)).tobytes(), header]
+                   + [arr.astype("<f4", copy=False).tobytes() for arr in blobs.values()])
 
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -116,24 +102,16 @@ def checkpoint_save(path, graph, optimizer, rng, iteration=0, extra=None):
     return len(out)
 
 
-def _index_entry_ok(entry):
-    return (isinstance(entry, dict)
-            and set(entry) == {"name", "shape", "offset", "nbytes"}
-            and isinstance(entry["name"], str)
-            and isinstance(entry["shape"], list)
-            and all(map(_count, [entry["offset"], entry["nbytes"], *entry["shape"]]))
-            and entry["offset"] % 4 == 0)
-
-
 def checkpoint_load(path):
     """Parse and validate a checkpoint; returns (header, {blob name: array}).
 
     Rejects bad magic, unknown versions, truncated or overlong files (with
     the expected/actual byte counts), headers that are not a JSON mapping or
     lack a field of the type ``checkpoint_save`` writes, an iteration that
-    is not a non-negative int, blob-index entries that do not describe an
-    aligned float32 array inside the payload, and blobs holding a NaN or an
-    infinity.
+    is not a non-negative int, a blob index other than the one
+    ``checkpoint_save`` writes (uniquely named float32 arrays, each
+    starting where the one before it ends), and blobs holding a NaN or an
+    infinity. The blobs are views of one array of the payload.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -161,40 +139,37 @@ def checkpoint_load(path):
             raise CheckpointError(f"corrupt header: field {key!r} is missing or malformed")
     if not _count(header["iteration"]):
         raise CheckpointError("corrupt header: iteration is not a non-negative int")
-    index = header["blobs"]
-    if not all(map(_index_entry_ok, index)):
-        raise CheckpointError("corrupt header: malformed blob index")
-    payload = raw[16 + header_len:]
-    expected = sum(b["nbytes"] for b in index)
-    if len(payload) != expected:
-        what = "truncated payload" if len(payload) < expected else "overlong payload"
-        raise CheckpointError(f"{what}: expected {expected} bytes, got {len(payload)}")
-    blobs = {}
-    for entry in index:
-        name, shape = entry["name"], entry["shape"]
-        start, n = entry["offset"], entry["nbytes"]
-        if start + n > len(payload):
-            raise CheckpointError(
-                f"blob {name}: bytes {start}..{start + n} lie outside the "
-                f"{len(payload)}-byte payload")
-        need = math.prod(shape) * 4
-        if need != n:
-            raise CheckpointError(
-                f"blob {name}: shape {shape} needs {need} bytes, index says {n}")
-        arr = np.frombuffer(payload[start:start + n], dtype="<f4")
-        blobs[name] = arr.reshape(shape).copy()
-    bad = _nonfinite_blob(payload, index)
+    index, names, total = header["blobs"], set(), 0
+    for e in index:
+        # the entry checkpoint_save writes: a new name, and a float32 array
+        # of its shape starting where the blob before it ends
+        if not (isinstance(e, dict) and set(e) == {"name", "shape", "offset", "nbytes"}
+                and isinstance(e["name"], str) and e["name"] not in names
+                and isinstance(e["shape"], list)
+                and all(map(_count, [e["offset"], e["nbytes"], *e["shape"]]))
+                and e["offset"] == total and e["nbytes"] == 4 * math.prod(e["shape"])):
+            raise CheckpointError("corrupt header: malformed blob index")
+        names.add(e["name"])
+        total += e["nbytes"]
+    size = len(raw) - 16 - header_len
+    if size != total:
+        what = "truncated payload" if size < total else "overlong payload"
+        raise CheckpointError(f"{what}: expected {total} bytes, got {size}")
+    values = np.frombuffer(raw, dtype="<f4", offset=16 + header_len).copy()
+    blobs = {e["name"]: values[e["offset"] // 4:(e["offset"] + e["nbytes"]) // 4]
+             .reshape(e["shape"]) for e in index}
+    bad = _nonfinite_blob(blobs)
     if bad is not None:
         raise CheckpointError(f"blob {bad}: holds non-finite values")
     return header, blobs
 
 
-def copy_blobs(targets, blobs, what):
+def copy_blobs(targets, blobs):
     """Copy ``blobs[key]`` into each ``(key, array)`` target, casting to the
     target's dtype; every key needs a blob of the target's shape."""
     for key, arr in targets:
         if key not in blobs:
-            raise CheckpointError(f"missing {what} blob {key}")
+            raise CheckpointError(f"missing blob {key}")
         if blobs[key].shape != arr.shape:
             raise CheckpointError(
                 f"blob {key}: shape {blobs[key].shape} does not match {arr.shape}")
@@ -203,7 +178,4 @@ def copy_blobs(targets, blobs, what):
 
 def restore_graph_state(graph, blobs):
     """Copy parameter/buffer blobs into a graph rebuilt from the spec."""
-    copy_blobs([(f"param.{n}", p.data) for n, p in graph.named_parameters()],
-               blobs, "parameter")
-    copy_blobs([(f"buffer.{n}", b) for n, b in graph.named_buffers()],
-               blobs, "buffer")
+    copy_blobs(_graph_blobs(graph), blobs)

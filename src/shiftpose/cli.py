@@ -31,7 +31,7 @@ from . import network as net
 from .checkpoint import checkpoint_load, checkpoint_save, restore_graph_state, restore_rng
 from .config import (LIMITS, RunConfig, _value, build_datasets, build_network,
                      load_run_config, parse_run_config)
-from .errors import ConfigError, ShiftPoseError
+from .errors import CheckpointError, ConfigError, ShiftPoseError
 from .training import Trainer
 from .verify import _ORACLE_TOLERANCE, gradcheck_suite, oracle_trials
 
@@ -99,17 +99,28 @@ def cmd_train(args):
     return 0
 
 
-def _restore(checkpoint_path, config_path=None):
+def _restore(checkpoint_path, config_path=None, need_config=True):
     """Graph rebuilt from a checkpoint with its state restored, the run
-    config (the file at ``config_path``, else the embedded one), and the
-    checkpoint's header and blobs."""
+    config, and the checkpoint's header and blobs. The run config is the
+    file at ``config_path`` (whose network must be the embedded run
+    config's), else the embedded one. A checkpoint with neither is refused
+    unless ``need_config`` is false (the caller reads only the graph), and
+    the run config is then None."""
     header, blobs = checkpoint_load(checkpoint_path)
     graph = net.NetworkGraph.from_spec(header["graph"])
     restore_graph_state(graph, blobs)
+    embedded = header["extra"].get("run_config")
+    cfg = None if embedded is None else parse_run_config(embedded)
     if config_path is not None:
-        cfg = load_run_config(config_path)
-    else:
-        cfg = parse_run_config(header.get("extra", {}).get("run_config", {}))
+        given = load_run_config(config_path)
+        if cfg is not None and given.network != cfg.network:
+            saved = asdict(cfg.network)
+            keys = [k for k, v in asdict(given.network).items() if v != saved[k]]
+            raise ConfigError("network", f"{', '.join(keys)} differ from the "
+                              "checkpoint's run config")
+        cfg = given
+    if cfg is None and need_config:
+        raise CheckpointError(f"{checkpoint_path} holds no run config; pass --config")
     return graph, cfg, header, blobs
 
 
@@ -179,11 +190,11 @@ def cmd_count(args):
 
 
 def cmd_analyze(args):
-    graph, cfg, *_ = _restore(args.checkpoint, args.config)
-    opts = cfg.analysis
+    graph, cfg, *_ = _restore(args.checkpoint, args.config, args.what != "offsets")
     if args.what == "offsets":
         text = ana.export_offsets(graph)
     else:
+        opts = cfg.analysis
         train_ds, _ = _datasets(cfg, graph)
         batch = np.concatenate(
             [s.image for s in train_ds[:min(8, len(train_ds))]], axis=0)

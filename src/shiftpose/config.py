@@ -178,24 +178,34 @@ def build_network(cfg):
 
     spec = cfg.network
     rng = np.random.default_rng(spec.seed)
-    if spec.builder == "3block3fsm":
-        graph = net.build_3block3fsm(spec.input_size, spec.shift_channels,
-                                     spec.keypoints, spec.ca_variant,
-                                     fsm_active=spec.fsm_active, rng=rng)
-    elif spec.builder == "toy":
-        graph = net.build_toy_fsm_net(spec.input_size, spec.in_channels,
-                                      spec.keypoints, spec.shift_channels,
-                                      spec.width, spec.ca_variant,
+    try:
+        if spec.builder == "3block3fsm":
+            graph = net.build_3block3fsm(spec.input_size, spec.shift_channels,
+                                         spec.keypoints, spec.ca_variant,
+                                         fsm_active=spec.fsm_active, rng=rng)
+        elif spec.builder == "toy":
+            graph = net.build_toy_fsm_net(spec.input_size, spec.in_channels,
+                                          spec.keypoints, spec.shift_channels,
+                                          spec.width, spec.ca_variant,
+                                          fsm_active=spec.fsm_active, rng=rng)
+        elif spec.builder == "fpn":
+            graph = net.build_fpn_ssn(spec.input_size, spec.keypoints,
+                                      spec.base_channels, spec.shift_channels,
+                                      ca_variant=spec.ca_variant,
                                       fsm_active=spec.fsm_active, rng=rng)
-    elif spec.builder == "fpn":
-        graph = net.build_fpn_ssn(spec.input_size, spec.keypoints,
-                                  spec.base_channels, spec.shift_channels,
-                                  ca_variant=spec.ca_variant,
-                                  fsm_active=spec.fsm_active, rng=rng)
-    else:
-        raise ConfigError("network.builder", f"unknown builder {spec.builder!r}")
+        else:
+            raise ConfigError("network.builder", f"unknown builder {spec.builder!r}")
+    except ConfigError as exc:
+        # a group norm refuses a width that the builder's width field set
+        if exc.key_path != "norm.groups":
+            raise
+        width = {"toy": "network.width", "fpn": "network.base_channels"}[spec.builder]
+        raise ConfigError(width, str(exc)) from None
     for layer_name in spec.esp:
-        net.attach_esp(graph, layer_name, spec.keypoints)
+        try:
+            net.attach_esp(graph, layer_name, spec.keypoints)
+        except ConfigError as exc:  # an unknown or repeated layer
+            raise ConfigError("network.esp", str(exc)) from None
     return graph
 
 

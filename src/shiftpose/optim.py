@@ -109,4 +109,4 @@ class Adam:
                 raise CheckpointError(f"optimizer group {gname!r}: step count {t!r} "
                                       "is not a non-negative int")
             self.groups[gname]["t"] = t
-        copy_blobs(self.state_blobs().items(), blobs, "optimizer")
+        copy_blobs(self.state_blobs().items(), blobs)

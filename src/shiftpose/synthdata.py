@@ -56,15 +56,6 @@ class AugmentRanges:
     shift_frac: float = 0.05
 
 
-def _render_blobs(h, w, centers, amplitudes, sigma, dtype):
-    ys = np.arange(h, dtype=dtype)[:, None]
-    xs = np.arange(w, dtype=dtype)[None, :]
-    img = np.zeros((h, w), dtype=dtype)
-    for (cx, cy), amp in zip(centers, amplitudes):
-        img += amp * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * sigma ** 2))
-    return img
-
-
 def _place(rng, lo_x, hi_x, lo_y, hi_y, taken, min_sep):
     for _ in range(PLACEMENT_RETRIES):
         x = rng.uniform(lo_x, hi_x)
@@ -104,7 +95,8 @@ def generate_sample(spec, rng, dtype=np.float32):
         centers.append(p)
         amplitudes.append(TARGET_AMPLITUDE)
 
-    img = _render_blobs(h, w, centers, amplitudes, spec.blob_sigma, np.float64)
+    img = (np.array(amplitudes)[:, None, None]
+           * heatmap_target(centers, (h, w), spec.blob_sigma, np.float64)).sum(axis=0)
     if spec.noise_std > 0:
         img = img + rng.normal(0.0, spec.noise_std, img.shape)
     return SynthSample(
@@ -140,7 +132,7 @@ def heatmap_target(keypoints, map_size, sigma, dtype=np.float32):
     ys = np.arange(h, dtype=np.float64)[:, None]
     xs = np.arange(w, dtype=np.float64)[None, :]
     var2 = 2.0 * sigma.reshape(sigma.shape + (1, 1, 1)) ** 2
-    return np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / var2).astype(dtype)
+    return np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / var2).astype(dtype, copy=False)
 
 
 def heatmap_targets(samples, head_shape, input_height, dtype=np.float32):
@@ -187,9 +179,7 @@ def matched_filter_locate(image, blob_sigma):
         img = img[0, 0]
     elif img.ndim == 3:
         img = img[0]
-    ys = np.arange(-1, 2, dtype=np.float64)[:, None]
-    xs = np.arange(-1, 2, dtype=np.float64)[None, :]
-    kernel = np.exp(-(xs ** 2 + ys ** 2) / (2.0 * blob_sigma ** 2))
+    kernel = heatmap_target([(1, 1)], (3, 3), blob_sigma, np.float64)[0]
     kernel /= kernel.sum()
     h, w = img.shape
     padded = np.pad(img, 1)

@@ -193,7 +193,7 @@ class TestRejection:
         rebuilt = net.NetworkGraph.from_spec(header["graph"])
         key = next(iter(k for k in blobs if k.startswith("param.")))
         del blobs[key]
-        with pytest.raises(CheckpointError, match="missing parameter blob"):
+        with pytest.raises(CheckpointError, match=r"missing blob param\."):
             restore_graph_state(rebuilt, blobs)
 
 

@@ -159,12 +159,28 @@ def test_erf_position_out_of_range_is_one_error_line(tmp_path, checkpoint, capsy
     ({"network": {"input_size": [32, "x"]}}, "network.input_size: expected int"),
     ({"trainer": {"augment_ranges": {"scale": [1.25, 0.75]}}},
      "trainer.augment_ranges.scale: (1.25, 0.75) must satisfy 0 < low <= high"),
+    ({"network": {"width": 36}}, "network.width: norm.groups: 32 does not divide 36"),
+    ({"network": {"builder": "fpn", "input_size": [64, 64], "base_channels": 12}},
+     "network.base_channels: norm.groups: 32 does not divide 48"),
+    ({"network": {"esp": ["nope"]}},
+     "network.esp: graph.layer: unknown layer id 'nope'"),
+    ({"network": {"esp": ["block1", "block1"]}},
+     "network.esp: graph.layer: duplicate layer name 'esp_block1'"),
 ])
 def test_bad_config_is_one_error_line(tmp_path, capsys, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     code, out = run(capsys, "train", "--config", path, "--out", tmp_path / "run")
     assert (code, out.err) == (2, f"error: config: {message}\n")
+
+
+@pytest.mark.parametrize("what", ["erf", "kp-scores"])
+def test_unknown_module_id_is_one_error_line(tmp_path, checkpoint, capsys, what):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**TINY, "analysis": {"module_id": "nope"}}))
+    code, out = run(capsys, "analyze", what, "--checkpoint", checkpoint, "--config", path)
+    assert (code, out.err) == (
+        2, "error: config: analysis.module_id: graph.layer: unknown layer id 'nope'\n")
 
 
 @pytest.mark.parametrize("command", ["train", "synth"])
@@ -212,6 +228,13 @@ def byte_edit(old, new):
     return apply
 
 
+def packed(header, payload):
+    """The bytes of a checkpoint with ``header`` and ``payload``."""
+    head = json.dumps(header).encode()
+    return (MAGIC + np.uint32(FORMAT_VERSION).tobytes()
+            + np.uint64(len(head)).tobytes() + head + payload)
+
+
 def rewritten(change):
     """Load, let ``change(header, blobs)`` edit the pieces, write them back."""
     def apply(path):
@@ -223,9 +246,18 @@ def rewritten(change):
             header["blobs"].append({"name": name, "shape": list(arr.shape),
                                     "offset": len(payload), "nbytes": len(data)})
             payload += data
-        head = json.dumps(header).encode()
-        return (MAGIC + np.uint32(FORMAT_VERSION).tobytes()
-                + np.uint64(len(head)).tobytes() + head + payload)
+        return packed(header, payload)
+    return apply
+
+
+def relaid(change):
+    """Let ``change(index, payload)`` edit the blob index in place and
+    return the new payload, and write the file back with both."""
+    def apply(path):
+        raw = path.read_bytes()
+        start = 16 + int(np.frombuffer(raw[8:16], dtype="<u8")[0])
+        header = json.loads(raw[16:start])
+        return packed(header, change(header["blobs"], raw[start:]))
     return apply
 
 
@@ -281,6 +313,86 @@ def test_unusable_checkpoint_is_one_error_line(tmp_path, checkpoint, capsys,
     assert code in (1, 2) and len(lines) == 1, out.err
     assert lines[0].startswith(("error: checkpoint: ", "error: config: ")), out.err
     assert not (tmp_path / "resumed" / "checkpoint.ssnc").exists()
+
+
+def entry(index, name):
+    return next(e for e in index if e["name"] == name)
+
+
+def overlapping(index, payload):
+    """The stem's norm offsets read the bytes of its norm scales."""
+    entry(index, "param.stem.norm.offset")["offset"] = \
+        entry(index, "param.stem.norm.scale")["offset"]
+    return payload
+
+
+def duplicated(index, payload):
+    """A second blob of the stem's norm offsets, of ones, after the last."""
+    first = entry(index, "param.stem.norm.offset")
+    index.append({**first, "offset": len(payload)})
+    return payload + np.ones(first["shape"], dtype="<f4").tobytes()
+
+
+def gapped(index, payload):
+    """Four bytes between the first blob and the second."""
+    end = index[0]["nbytes"]
+    for e in index[1:]:
+        e["offset"] += 4
+    return payload[:end] + bytes(4) + payload[end:]
+
+
+def miscounted(index, payload):
+    """A first entry whose shape holds fewer values than its bytes."""
+    index[0]["shape"][-1] -= 1
+    return payload
+
+
+@pytest.mark.parametrize("change", [overlapping, duplicated, gapped, miscounted])
+def test_blob_layout_unlike_the_writers_is_one_error_line(tmp_path, checkpoint, capsys,
+                                                          change):
+    bad = tmp_path / "bad.ssnc"
+    bad.write_bytes(relaid(change)(checkpoint))
+    code, out = run(capsys, "eval", "--checkpoint", bad)
+    assert (code, out.err) == (1, "error: checkpoint: corrupt header: malformed blob index\n")
+
+
+def no_run_config(header, blobs):
+    del header["extra"]["run_config"]
+
+
+@pytest.mark.parametrize("argv", [["eval", "--checkpoint"], RESUME,
+                                  ["analyze", "erf", "--out", "{tmp}/erf.csv", "--checkpoint"]])
+def test_checkpoint_without_a_run_config_is_one_error_line(tmp_path, checkpoint, capsys,
+                                                           argv):
+    bare = tmp_path / "bare.ssnc"
+    bare.write_bytes(rewritten(no_run_config)(checkpoint))
+    code, out = run(capsys, *[a.format(tmp=tmp_path) for a in argv], bare)
+    assert (code, out.err) == (
+        1, f"error: checkpoint: {bare} holds no run config; pass --config\n")
+    assert not (tmp_path / "resumed").exists()
+
+
+def test_checkpoint_without_a_run_config_runs_with_one(tmp_path, checkpoint, config,
+                                                       capsys):
+    bare = tmp_path / "bare.ssnc"
+    bare.write_bytes(rewritten(no_run_config)(checkpoint))
+    embedded = run(capsys, "eval", "--checkpoint", checkpoint)
+    assert run(capsys, "eval", "--checkpoint", bare, "--config", config) == embedded
+    code, out = run(capsys, "analyze", "offsets", "--checkpoint", bare)
+    assert (code, out.err) == (0, "")
+
+
+@pytest.mark.parametrize("argv", [["eval", "--checkpoint"], RESUME,
+                                  ["analyze", "offsets", "--checkpoint"]])
+def test_config_of_another_network_is_one_config_line(tmp_path, checkpoint, capsys, argv):
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps(
+        {**TINY, "network": {"builder": "3block3fsm", "shift_channels": 16}}))
+    code, out = run(capsys, *[a.format(tmp=tmp_path) for a in argv], checkpoint,
+                    "--config", path)
+    assert (code, out.err) == (2, "error: config: network: builder, shift_channels "
+                                  "differ from the checkpoint's run config\n")
+    assert not (tmp_path / "resumed").exists()
 
 
 def older_header_keys(header, blobs):
