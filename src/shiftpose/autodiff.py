@@ -28,7 +28,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -214,21 +213,28 @@ def _node(data, parents, backward):
 _SPLIT_WORK = 20e6
 _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
           else os.cpu_count() or 1)
-_POOL = ThreadPoolExecutor(1) if _CORES > 1 else None
+_POOL = None    # the worker, made by the first split on more than one core
 
 
 def _halves(fn, n, work):
     """Call ``fn(lo, hi)`` on ``range(n)`` or, from ``_SPLIT_WORK`` on, on
-    its halves cut at ``n // 2``: the first on the worker (or inline)
-    under the caller's errstate. ``fn`` writes preallocated outputs with
-    numpy, never a tape op. Returns after both, even if the second raises."""
+    its halves cut at ``n // 2``: the first on the worker (inline on one
+    core) under the caller's errstate. ``fn`` writes preallocated outputs
+    with numpy, never a tape op. Returns after both, even if the second
+    raises."""
+    global _POOL
     mid = n // 2
     if work < _SPLIT_WORK or mid == 0:
         fn(0, n)
-    elif _POOL is None:
+    elif _CORES == 1:
         fn(0, mid)
         fn(mid, n)
     else:
+        if _POOL is None:
+            # imported here: a run that never splits does without the
+            # module and the logging and queue modules it loads
+            from concurrent.futures import ThreadPoolExecutor
+            _POOL = ThreadPoolExecutor(1)
         err = np.geterr()
 
         def first():
@@ -652,16 +658,18 @@ def _normalize(op, x, gamma, beta, view, axes, stats=None):
 
     def over_slices(bc):
         # (B, C) sums -> the keep-dims shape of the reduction
-        return bc.reshape(slice_shape).sum(axis=axes, keepdims=True)
+        return np.add.reduce(bc.reshape(slice_shape), axis=axes, keepdims=True)
 
     def per_channel(stat):
-        # the keep-dims shape of the reduction -> (B, C)
-        return np.broadcast_to(stat, slice_shape).reshape(b, c)
+        # the keep-dims shape of the reduction -> (B, C), copied out
+        full = np.empty(slice_shape, stat.dtype)
+        full[...] = stat
+        return full.reshape(b, c)
 
     def spread(bc):
         return bc[:, :, None, None]
 
-    n = int(np.prod([view[a] for a in axes]))
+    n = math.prod(view[a] for a in axes)
     if stats is None:
         mean = over_slices(np.einsum("bchw->bc", x.data)) / n
     else:

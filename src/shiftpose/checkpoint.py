@@ -6,7 +6,9 @@ metadata, blob index, free-form extras), then the raw blob payload. The
 format version covers the graph spec too, and every checkpoint can resume
 a run. Values serialize as 32-bit little-endian floats, the blobs back to
 back in index order; loading refuses any other layout (a gap, an overlap,
-a repeated name, a byte count other than the shape's). Saving refuses
+a repeated name, a byte count other than the shape's) and any blob name
+outside the writer's ``param.``, ``buffer.`` and ``opt.``, and restoring
+refuses a blob that no slot of its graph or optimizer takes. Saving refuses
 state of any other dtype, which could not be restored exactly (a float64
 graph would resume rounded), and state holding a NaN or an infinity,
 which no run can resume from; loading refuses a non-finite blob too.
@@ -29,6 +31,8 @@ __all__ = ["MAGIC", "FORMAT_VERSION", "checkpoint_save", "checkpoint_load",
 
 MAGIC = b"SSNC"
 FORMAT_VERSION = 1
+# the blob name prefixes checkpoint_save writes: graph state, then optimizer state
+_BLOB_PREFIXES = ("param.", "buffer.", "opt.")
 
 # JSON type of each header field, as checkpoint_save writes it
 _HEADER_TYPES = {"graph": dict, "iteration": int, "rng_state": dict,
@@ -109,9 +113,10 @@ def checkpoint_load(path):
     the expected/actual byte counts), headers that are not a JSON mapping or
     lack a field of the type ``checkpoint_save`` writes, an iteration that
     is not a non-negative int, a blob index other than the one
-    ``checkpoint_save`` writes (uniquely named float32 arrays, each
-    starting where the one before it ends), and blobs holding a NaN or an
-    infinity. The blobs are views of one array of the payload.
+    ``checkpoint_save`` writes (uniquely named float32 arrays under its
+    name prefixes, each starting where the one before it ends), and blobs
+    holding a NaN or an infinity. The blobs are views of one array of the
+    payload.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -141,10 +146,11 @@ def checkpoint_load(path):
         raise CheckpointError("corrupt header: iteration is not a non-negative int")
     index, names, total = header["blobs"], set(), 0
     for e in index:
-        # the entry checkpoint_save writes: a new name, and a float32 array
-        # of its shape starting where the blob before it ends
+        # the entry checkpoint_save writes: a new name under its prefixes,
+        # and a float32 array of its shape starting where the blob before it ends
         if not (isinstance(e, dict) and set(e) == {"name", "shape", "offset", "nbytes"}
                 and isinstance(e["name"], str) and e["name"] not in names
+                and e["name"].startswith(_BLOB_PREFIXES)
                 and isinstance(e["shape"], list)
                 and all(map(_count, [e["offset"], e["nbytes"], *e["shape"]]))
                 and e["offset"] == total and e["nbytes"] == 4 * math.prod(e["shape"])):
@@ -164,10 +170,16 @@ def checkpoint_load(path):
     return header, blobs
 
 
-def copy_blobs(targets, blobs):
-    """Copy ``blobs[key]`` into each ``(key, array)`` target, casting to the
-    target's dtype; every key needs a blob of the target's shape."""
-    for key, arr in targets:
+def copy_blobs(targets, blobs, prefixes, owner):
+    """Copy ``blobs[key]`` into the array of each key of the ``targets``
+    mapping, casting to the target's dtype; every key needs a blob of the
+    target's shape, and every blob named under ``prefixes`` needs a
+    target: one that ``owner`` has no slot for is refused."""
+    unread = next((name for name in blobs
+                   if name.startswith(prefixes) and name not in targets), None)
+    if unread is not None:
+        raise CheckpointError(f"blob {unread}: {owner} has no slot for it")
+    for key, arr in targets.items():
         if key not in blobs:
             raise CheckpointError(f"missing blob {key}")
         if blobs[key].shape != arr.shape:
@@ -177,5 +189,6 @@ def copy_blobs(targets, blobs):
 
 
 def restore_graph_state(graph, blobs):
-    """Copy parameter/buffer blobs into a graph rebuilt from the spec."""
-    copy_blobs(_graph_blobs(graph), blobs)
+    """Copy parameter/buffer blobs into a graph rebuilt from the spec; a
+    ``param.`` or ``buffer.`` blob that no graph slot takes is refused."""
+    copy_blobs(dict(_graph_blobs(graph)), blobs, ("param.", "buffer."), "the graph")

@@ -99,7 +99,8 @@ class Adam:
 
     def load_state(self, meta, blobs):
         """Restore every group's step count (a non-negative int) and moments
-        from ``meta`` (as :meth:`meta` writes it) and the moment blobs."""
+        from ``meta`` (as :meth:`meta` writes it) and the moment blobs; an
+        ``opt.`` blob that :meth:`state_blobs` does not name is refused."""
         if set(meta) != set(self.groups):
             raise CheckpointError(f"optimizer groups {sorted(meta)} in the checkpoint "
                                   f"do not match {sorted(self.groups)}")
@@ -109,4 +110,4 @@ class Adam:
                 raise CheckpointError(f"optimizer group {gname!r}: step count {t!r} "
                                       "is not a non-negative int")
             self.groups[gname]["t"] = t
-        copy_blobs(self.state_blobs().items(), blobs)
+        copy_blobs(self.state_blobs(), blobs, ("opt.",), "the optimizer")

@@ -201,33 +201,41 @@ def bilinear_warp(images, inverse_matrices):
     inverse map ``inverse_matrices[n]`` of an (N, 2, 3) stack: output pixel
     (x, y) samples the input at ``inverse_matrices[n] @ (x, y, 1)``.
 
-    The images sit in a zero border, so the four corner gathers need no
-    validity mask: an index past an edge clips onto the border.
+    The images sit in a two-cell zero border, and each axis's corner-0
+    coordinate is clamped once to [-2, size]: a corner out of view, and its
+    neighbour, then land in the border, so the four corner gathers need no
+    validity mask and share one flat index.
     """
     n, c, h, w = images.shape
-    ys, xs = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
+    xs = np.arange(w, dtype=np.float64)
+    ys = np.arange(h, dtype=np.float64)[:, None]
     m = inverse_matrices[:, :, :, None, None]
-    sx = m[:, 0, 0] * xs + m[:, 0, 1] * ys + m[:, 0, 2]
-    sy = m[:, 1, 0] * xs + m[:, 1, 1] * ys + m[:, 1, 2]
-    x0 = np.floor(sx).astype(np.int64)
-    y0 = np.floor(sy).astype(np.int64)
+    sx = m[:, 0, 0] * xs + m[:, 0, 1] * ys
+    sx += m[:, 0, 2]
+    sy = m[:, 1, 0] * xs + m[:, 1, 1] * ys
+    sy += m[:, 1, 2]
+    x0 = np.floor(sx)
+    y0 = np.floor(sy)
     fx = (sx - x0).astype(images.dtype)
     fy = (sy - y0).astype(images.dtype)
     # channels last, one row per pixel of the bordered images, so that one
     # gather of (N, H, W) row indices reads every channel
-    pw = w + 2
-    padded = np.zeros((n, h + 2, pw, c), dtype=images.dtype)
-    padded[:, 1:-1, 1:-1] = images.transpose(0, 2, 3, 1)
-    padded = padded.reshape(-1, c)
-    base = np.arange(n)[:, None, None] * ((h + 2) * pw)
-    cols = [np.clip(x0 + ddx, -1, w) + 1 for ddx in (0, 1)]
+    ph, pw = h + 4, w + 4
+    padded = np.zeros((n, ph, pw, c), dtype=images.dtype)
+    padded[:, 2:-2, 2:-2] = images.transpose(0, 2, 3, 1)
+    flat = padded.reshape(-1, c)
+    # the top-left corner's row; float arithmetic on these integers is exact
+    idx = np.clip(y0, -2, h, out=y0)
+    idx *= pw
+    idx += np.clip(x0, -2, w, out=x0)
+    idx += np.arange(n)[:, None, None] * (ph * pw) + (2 * pw + 2)
+    idx = idx.astype(np.intp)
+    wx, wy = (1 - fx, fx), (1 - fy, fy)
     out = np.zeros((n, h, w, c), dtype=images.dtype)
     for ddy in (0, 1):
-        rows = base + (np.clip(y0 + ddy, -1, h) + 1) * pw
         for ddx in (0, 1):
-            wgt = (fy if ddy else 1 - fy) * (fx if ddx else 1 - fx)
-            out += wgt[..., None] * padded[rows + cols[ddx]]
+            corner = np.take(flat[ddy * pw + ddx:], idx, axis=0)
+            out += (wy[ddy] * wx[ddx])[..., None] * corner
     return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
 
@@ -252,8 +260,10 @@ def _invert_affine(mat):
 
 
 def apply_affine_to_points(mat, points):
+    """(M, 2) points through one 2x3 map, or (N, M, 2) points through an
+    (N, 2, 3) stack, set ``n`` through map ``n``."""
     pts = np.asarray(points, dtype=np.float64)
-    return pts @ mat[:, :2].T + mat[:, 2]
+    return pts @ np.swapaxes(mat[..., :2], -1, -2) + mat[..., None, :, 2]
 
 
 def augment_sample(samples, ranges, rng):
@@ -263,8 +273,9 @@ def augment_sample(samples, ranges, rng):
     One ``rng.uniform`` call draws an (N, 4) array: per sample, in order,
     the rotation, scale, x shift and y shift, so the stream matches N
     successive one-sample calls. All images are inverse-warp resampled
-    in one :func:`bilinear_warp` call; each sample's keypoints get its own
-    affine exactly. Augmented samples carry no cue (``cue=None``).
+    in one :func:`bilinear_warp` call, and the stacked keypoints go
+    through their samples' own affines in one :func:`apply_affine_to_points`
+    call. Augmented samples carry no cue (``cue=None``).
     """
     _, _, h, w = samples[0].image.shape
     rot, frac = ranges.rotation_deg, ranges.shift_frac
@@ -274,6 +285,6 @@ def augment_sample(samples, ranges, rng):
                                 draws[:, 2:] * (w, h), (h, w))
     images = bilinear_warp(np.concatenate([s.image for s in samples]),
                            _invert_affine(mats))
-    return [replace(s, image=image[None],
-                    keypoints=apply_affine_to_points(mat, s.keypoints), cue=None)
-            for s, image, mat in zip(samples, images, mats)]
+    keypoints = apply_affine_to_points(mats, np.stack([s.keypoints for s in samples]))
+    return [replace(s, image=image[None], keypoints=kp, cue=None)
+            for s, image, kp in zip(samples, images, keypoints)]

@@ -12,6 +12,7 @@ def split_every_product(monkeypatch):
     """Every GEMM and ``shift`` pass runs as two halves, the first on a
     worker thread of its own, whatever the core count."""
     monkeypatch.setattr(ad, "_SPLIT_WORK", 0)
+    monkeypatch.setattr(ad, "_CORES", 2)
     with ThreadPoolExecutor(1) as pool:
         monkeypatch.setattr(ad, "_POOL", pool)
         yield

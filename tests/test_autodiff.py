@@ -514,7 +514,7 @@ class TestPoolAndConv2dSplit(TestPoolAndConv2d):
 
 class TestHalves:
     def test_small_work_runs_whole_and_large_work_at_the_middle(self, monkeypatch):
-        monkeypatch.setattr(ad, "_POOL", None)
+        monkeypatch.setattr(ad, "_CORES", 1)
         calls = []
         ad._halves(lambda lo, hi: calls.append((lo, hi)), 7, ad._SPLIT_WORK - 1)
         ad._halves(lambda lo, hi: calls.append((lo, hi)), 7, ad._SPLIT_WORK)

@@ -356,6 +356,45 @@ def test_blob_layout_unlike_the_writers_is_one_error_line(tmp_path, checkpoint, 
     assert (code, out.err) == (1, "error: checkpoint: corrupt header: malformed blob index\n")
 
 
+def added_blob(name):
+    """A 3x3 blob of ones named ``name``, after the last."""
+    return rewritten(lambda header, blobs: blobs.update({name: np.ones((3, 3), "<f4")}))
+
+
+@pytest.mark.parametrize("argv,name,owner", [
+    (["eval", "--checkpoint"], "param.ghost.weight", "the graph"),
+    (["eval", "--checkpoint"], "buffer.ghost.running_mean", "the graph"),
+    (["analyze", "offsets", "--checkpoint"], "param.ghost.weight", "the graph"),
+    (RESUME, "param.ghost.weight", "the graph"),
+    (RESUME, "opt.m.backbone.ghost.weight", "the optimizer"),
+    (RESUME, "opt.v.offsets.ghost.weight", "the optimizer"),
+])
+def test_blob_that_nothing_reads_is_one_error_line(tmp_path, checkpoint, capsys,
+                                                   argv, name, owner):
+    bad = tmp_path / "bad.ssnc"
+    bad.write_bytes(added_blob(name)(checkpoint))
+    code, out = run(capsys, *[a.format(tmp=tmp_path) for a in argv], bad)
+    assert (code, out.err) == (1, f"error: checkpoint: blob {name}: {owner} "
+                                  "has no slot for it\n")
+    assert not (tmp_path / "resumed" / "checkpoint.ssnc").exists()
+
+
+def test_blob_outside_the_writers_prefixes_is_one_error_line(tmp_path, checkpoint,
+                                                             capsys):
+    bad = tmp_path / "bad.ssnc"
+    bad.write_bytes(added_blob("ghost.weight")(checkpoint))
+    code, out = run(capsys, "eval", "--checkpoint", bad)
+    assert (code, out.err) == (1, "error: checkpoint: corrupt header: malformed blob index\n")
+
+
+def test_eval_reads_no_optimizer_blob(tmp_path, checkpoint, capsys):
+    # eval builds no optimizer, so even an optimizer blob of no entry is unread
+    extra = tmp_path / "extra.ssnc"
+    extra.write_bytes(added_blob("opt.m.backbone.ghost.weight")(checkpoint))
+    assert run(capsys, "eval", "--checkpoint", extra) == \
+        run(capsys, "eval", "--checkpoint", checkpoint)
+
+
 def no_run_config(header, blobs):
     del header["extra"]["run_config"]
 

@@ -386,7 +386,7 @@ class TestSplitProducts:
     def test_the_worker_gives_the_same_bits_as_both_halves_inline(self, monkeypatch,
                                                                   split_every_product):
         on_worker = self._forward_and_gradients()
-        monkeypatch.setattr(ad, "_POOL", None)
+        monkeypatch.setattr(ad, "_CORES", 1)
         inline = self._forward_and_gradients()
         assert len(on_worker) == 29
         for a, b in zip(on_worker, inline):

@@ -44,6 +44,18 @@ def test_every_module_imports_on_its_own(name):
                    env={**os.environ, "PYTHONPATH": src})
 
 
+def test_training_imports_no_thread_pool():
+    """The worker of ``autodiff._halves`` is made on the first split, so a
+    run that never splits loads no ``concurrent.futures``."""
+    src = str(pathlib.Path(shiftpose.__file__).parents[1])
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, shiftpose.training; "
+         "print('concurrent.futures' in sys.modules)"],
+        check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}).stdout
+    assert loaded == "False\n"
+
+
 def test_no_module_reads_an_environment_variable():
     """Every setting is an argument, a command flag or a config field."""
     readers = []

@@ -1,5 +1,7 @@
 """Cue/target generation, heatmap codec, augmentation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,30 @@ class TestAugmentation:
                             ad.tensor(np.full(3, dy))).data[0]
             np.testing.assert_allclose(sd.bilinear_warp(image[None], inverse[None])[0],
                                        shifted, rtol=0, atol=1e-12)
+
+    def test_warp_samples_each_pixel_like_bilinear_sample(self):
+        # inverse maps that rotate, scale and shift, sending some corners
+        # out of view on every side; the last moves the whole image out
+        from shiftpose import autodiff as ad
+
+        inverse = np.array([
+            [[1.2372, 0.7143, -4.0432], [-0.7143, 1.2372, 2.6227]],
+            [[0.43, 1.61, -3.2], [-1.61, 0.43, 10.7]],
+            [[-0.52, 0.19, 14.3], [-0.19, -0.52, 6.1]],
+            [[3.5, -2.0, -9.0], [2.0, 3.5, -20.0]],
+            [[1.0, 0.0, -40.0], [0.0, 1.0, 25.0]],
+        ])
+        images = np.random.default_rng(25).uniform(0.0, 1.0, (5, 2, 9, 11)).astype(np.float32)
+        out = sd.bilinear_warp(images, inverse)
+        assert out.shape == images.shape and out.dtype == np.float32
+        want = np.array([[[[ad.bilinear_sample(images[n, c], *(inverse[n] @ (x, y, 1.0)))
+                            for x in range(11)] for y in range(9)] for c in range(2)]
+                         for n in range(5)])
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-6)
+        assert 0 < (out[:4] == 0).mean() < 1 and not out[4].any()
+        # elementwise float work and gathers only, so the bytes are the
+        # same on every machine
+        assert hashlib.sha256(out.tobytes()).hexdigest()[:16] == "37f1e2be2541d278"
 
     def test_training_targets_follow_moved_keypoints(self):
         from shiftpose.network import build_toy_fsm_net
