@@ -165,10 +165,10 @@ def parse_run_config(doc):
 
 
 def load_run_config(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad UTF-8 or bad JSON
             raise ConfigError("config", f"invalid JSON: {exc}") from None
     return parse_run_config(doc)
 

@@ -174,6 +174,18 @@ def test_bad_config_is_one_error_line(tmp_path, capsys, doc, message):
     assert (code, out.err) == (2, f"error: config: {message}\n")
 
 
+@pytest.mark.parametrize("raw", [b"\xff\xfe{}", b'{"network": '], ids=["not-utf8", "truncated"])
+@pytest.mark.parametrize("command", [["count"], ["train", "--out", "{tmp}/run"]],
+                         ids=["count", "train"])
+def test_unreadable_config_is_one_error_line(tmp_path, capsys, raw, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    code, out = run(capsys, *[a.format(tmp=tmp_path) for a in command], "--config", path)
+    lines = out.err.splitlines()
+    assert code == 2 and len(lines) == 1, out.err
+    assert lines[0].startswith("error: config: config: invalid JSON: "), out.err
+
+
 @pytest.mark.parametrize("what", ["erf", "kp-scores"])
 def test_unknown_module_id_is_one_error_line(tmp_path, checkpoint, capsys, what):
     path = tmp_path / "bad.json"

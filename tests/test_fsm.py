@@ -1,5 +1,7 @@
 """Shifting, correlation attention, module assembly, oracle, costs."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,25 @@ class TestShiftBackward:
         d_gy = translated(translated(maps, dx, 3, False), dy, 2, True)
         assert gdx.tobytes() == (-np.einsum("bkhw,bkhw->k", g_y, d_gx)).tobytes()
         assert gdy.tobytes() == (-np.einsum("bkhw,bkhw->k", g, d_gy)).tobytes()
+
+    def test_forward_and_map_gradient_bytes_are_pinned(self):
+        """Integer, fractional and out-of-view offsets in float32. Every
+        step is an elementwise multiply or add, a gather or a scatter, so
+        the bytes are the same on any machine."""
+        rng = np.random.default_rng(21)
+        maps = ad.tensor(rng.standard_normal((2, 6, 9, 11)).astype(np.float32),
+                         requires_grad=True)
+        dx = ad.Parameter(np.array([-3.25, -0.5, 0, 0.75, 2, 7.5], np.float32))
+        dy = ad.Parameter(np.array([1.5, -2.25, 0.25, 0, -12, 3], np.float32))
+        g = rng.standard_normal(maps.shape).astype(np.float32)
+        out = fsm.shift(maps, dx, dy)
+        (maps_grad,) = ad.grad(out, [maps], g)
+        # laid out (K, B, H, W): a batch step is one map, a channel step two
+        assert out.data.strides == (9 * 11 * 4, 2 * 9 * 11 * 4, 11 * 4, 4)
+        assert hashlib.sha256(out.data.tobytes()).hexdigest() == (
+            "7a15dc1f2be7d38f58ebde6ee185f498ce1d47cdf4f4cf7ebf1b40cbd222fc08")
+        assert hashlib.sha256(maps_grad.tobytes()).hexdigest() == (
+            "ffcddee05ece7d5fbaff718ffd9c9fc1e4b6e47b51ea8a1419178a7d349a4d08")
 
     def test_offset_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)

@@ -45,15 +45,20 @@ def test_every_module_imports_on_its_own(name):
 
 
 def test_training_imports_no_thread_pool():
-    """The worker of ``autodiff._halves`` is made on the first split, so a
-    run that never splits loads no ``concurrent.futures``."""
+    """The worker of ``autodiff._halves`` is made on the first split, so
+    importing the command line and running a product below
+    ``_SPLIT_WORK`` (a 6-MFLOP conv) loads no ``concurrent.futures`` and
+    starts no thread."""
     src = str(pathlib.Path(shiftpose.__file__).parents[1])
     loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, shiftpose.training; "
-         "print('concurrent.futures' in sys.modules)"],
+        [sys.executable, "-c", "import sys, threading, numpy as np, shiftpose.cli\n"
+         "from shiftpose import autodiff as ad\n"
+         "ad.conv1x1(ad.tensor(np.ones((1, 64, 16, 12), np.float32)),\n"
+         "           ad.Parameter(np.ones((256, 64), np.float32)))\n"
+         "print('concurrent.futures' in sys.modules, threading.active_count())"],
         check=True, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": src}).stdout
-    assert loaded == "False\n"
+    assert loaded == "False 1\n"
 
 
 def test_no_module_reads_an_environment_variable():
