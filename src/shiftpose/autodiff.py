@@ -42,14 +42,12 @@ __all__ = [
     "mul",
     "relu",
     "sigmoid",
-    "softplus",
     "conv1x1",
     "conv2d",
     "batch_norm",
     "group_norm",
     "max_pool2d",
     "upsample_nearest2x",
-    "spatial_normalize",
     "mse_loss",
     "bilinear_sample",
     "conv_out_size",
@@ -330,27 +328,14 @@ def relu(x):
 
 
 def sigmoid(x):
-    out = _sigmoid_raw(x.data)
-    def backward(g):
-        return ((x, g * out * (1.0 - out)),)
-    return _node(out, (x,), backward)
-
-
-def softplus(x):
-    # log(1 + exp(x)) via logaddexp for overflow safety
-    out = np.logaddexp(np.zeros((), dtype=x.dtype), x.data)
-    def backward(g):
-        return ((x, g * _sigmoid_raw(x.data)),)
-    return _node(out, (x,), backward)
-
-
-def _sigmoid_raw(v):
-    # 0.5 * (1 + tanh(0.5 * v)), built in one buffer
-    out = np.multiply(v, 0.5)
+    # 0.5 * (1 + tanh(0.5 * x)), built in one buffer
+    out = np.multiply(x.data, 0.5)
     np.tanh(out, out=out)
     out += 1.0
     out *= 0.5
-    return out
+    def backward(g):
+        return ((x, g * out * (1.0 - out)),)
+    return _node(out, (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -739,20 +724,6 @@ def default_groups(channels):
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
-
-def spatial_normalize(x):
-    """Divide (B,C,H,W) by its per-(b,c) sum over H and W, so each map
-    sums to one."""
-    _check_rank4(x, "spatial_normalize")
-    inv = 1.0 / x.data.sum(axis=(2, 3), keepdims=True)
-    out = x.data * inv
-
-    def backward(g):
-        # the quotient's term, then the sum's, shared by every cell
-        return ((x, g * inv - (g * out * inv).sum(axis=(2, 3), keepdims=True)),)
-
-    return _node(out, (x,), backward)
-
 
 def mse_loss(pred, target):
     """Mean squared error against a constant target array."""

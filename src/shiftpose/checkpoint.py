@@ -30,7 +30,7 @@ __all__ = ["MAGIC", "FORMAT_VERSION", "checkpoint_save", "checkpoint_load",
            "restore_graph_state", "copy_blobs", "restore_rng"]
 
 MAGIC = b"SSNC"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 # the blob name prefixes checkpoint_save writes: graph state, then optimizer state
 _BLOB_PREFIXES = ("param.", "buffer.", "opt.")
 

@@ -220,7 +220,7 @@ def cmd_analyze(args):
 
 def cmd_oracle_check(args):
     results, ok = oracle_trials()
-    worst = max(r[3] for r in results)
+    worst = max(r[2] for r in results)
     print(f"oracle-check: {len(results)} comparisons, max rel error {worst:.3e} "
           f"(tolerance {_ORACLE_TOLERANCE:g}): {'pass' if ok else 'FAIL'}")
     return 0 if ok else 1

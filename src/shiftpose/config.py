@@ -17,7 +17,6 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .fsm import CA_SIGMOID, CA_VARIANTS
 from .synthdata import SynthSpec, generate_dataset
 from .training import TrainConfig
 
@@ -32,7 +31,6 @@ class NetworkSpec:
     input_size: tuple = (32, 32)
     shift_channels: int = 8
     keypoints: int = 1
-    ca_variant: str = CA_SIGMOID
     in_channels: int = 1                # toy builder only
     width: int = 16                     # toy builder only
     base_channels: int = 8              # fpn builder only
@@ -62,7 +60,6 @@ class RunConfig:
 LIMITS = {
     "network.builder": ("toy", "3block3fsm", "fpn"),
     "network.input_size": (1, None),
-    "network.ca_variant": CA_VARIANTS,
     "network.shift_channels": (1, None),
     "network.keypoints": (1, None),
     "network.in_channels": (1, None),
@@ -181,17 +178,16 @@ def build_network(cfg):
     try:
         if spec.builder == "3block3fsm":
             graph = net.build_3block3fsm(spec.input_size, spec.shift_channels,
-                                         spec.keypoints, spec.ca_variant,
-                                         fsm_active=spec.fsm_active, rng=rng)
+                                         spec.keypoints, fsm_active=spec.fsm_active,
+                                         rng=rng)
         elif spec.builder == "toy":
             graph = net.build_toy_fsm_net(spec.input_size, spec.in_channels,
                                           spec.keypoints, spec.shift_channels,
-                                          spec.width, spec.ca_variant,
-                                          fsm_active=spec.fsm_active, rng=rng)
+                                          spec.width, fsm_active=spec.fsm_active,
+                                          rng=rng)
         elif spec.builder == "fpn":
             graph = net.build_fpn_ssn(spec.input_size, spec.keypoints,
                                       spec.base_channels, spec.shift_channels,
-                                      ca_variant=spec.ca_variant,
                                       fsm_active=spec.fsm_active, rng=rng)
         else:
             raise ConfigError("network.builder", f"unknown builder {spec.builder!r}")

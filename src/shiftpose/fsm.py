@@ -24,16 +24,9 @@ from .autodiff import Parameter, Tensor
 from .errors import DimensionError, StateError
 
 __all__ = [
-    "CA_SOFTPLUS", "CA_SIGMOID",
     "shift", "ca_forward", "fsm_oracle", "fsm_param_count",
     "FeatureShiftModule", "OFFSET_INIT_RANGE",
 ]
-
-CA_SOFTPLUS = "softplus-normalized"
-CA_SIGMOID = "sigmoid-unnormalized"
-# every correlation-attention variant ``ca_forward`` runs: the allowed
-# values of a run config's and a graph spec's ``ca_variant``
-CA_VARIANTS = (CA_SOFTPLUS, CA_SIGMOID)
 
 # Offsets start uniform in [-1, 1]: breaks symmetry without risking maps
 # being shifted fully out of view at initialization.
@@ -167,19 +160,10 @@ def shift(maps, dx, dy):
 # correlation attention
 # ---------------------------------------------------------------------------
 
-def ca_forward(p, gate_weight, variant=CA_SOFTPLUS):
-    """Attention maps gating each shifting channel at each position.
-
-    softplus-normalized: softplus of a 1x1 conv, normalized to sum to 1
-    over all spatial positions per (batch, channel).
-    sigmoid-unnormalized: plain sigmoid of the 1x1 conv, each value in (0,1).
-    """
-    raw = ad.conv1x1(p, gate_weight)
-    if variant == CA_SOFTPLUS:
-        return ad.spatial_normalize(ad.softplus(raw))
-    if variant == CA_SIGMOID:
-        return ad.sigmoid(raw)
-    raise ValueError(f"unknown correlation-attention variant {variant!r}")
+def ca_forward(p, gate_weight):
+    """Attention maps gating each shifting channel at each position: the
+    sigmoid of a 1x1 conv of the input, each value in (0, 1)."""
+    return ad.sigmoid(ad.conv1x1(p, gate_weight))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +191,6 @@ class FeatureShiftModule:
 
     channels: int
     shift_channels: int
-    ca_variant: str = CA_SOFTPLUS
     rng: InitVar = None
     dtype: InitVar = np.float32
     active: bool = True
@@ -255,7 +238,7 @@ class FeatureShiftModule:
                 f"input has {p.shape[1] if p.ndim == 4 else p.shape}")
         pre_shift = ad.conv1x1(p, self.in_weight)
         post_shift = shift(pre_shift, self.dx, self.dy)
-        gate = ca_forward(p, self.gate_weight, self.ca_variant)
+        gate = ca_forward(p, self.gate_weight)
         nonlocal_maps = ad.conv1x1(ad.mul(gate, post_shift), self.out_weight)
         normed = ad.batch_norm(ad.add(p, nonlocal_maps), self.norm_scale,
                                self.norm_offset, self.running_mean,
@@ -280,8 +263,6 @@ class FeatureShiftModule:
         ops += 7 * k * px                # shifting: 4 mul + 3 add per pixel/channel
         ops += k * px                    # attention gating multiply
         ops += 2 * k * px               # attention activation
-        if self.ca_variant == CA_SOFTPLUS:
-            ops += 2 * k * px           # spatial normalization
         ops += c * px                    # residual add
         ops += 4 * c * px               # branch norm + final relu
         return ops
@@ -321,7 +302,7 @@ def fsm_oracle(p, module, mode="train"):
     pv = p.data if isinstance(p, Tensor) else np.asarray(p)
     b, c, h, w = pv.shape
     k = module.shift_channels
-    gate = ca_forward(Tensor(pv), module.gate_weight, module.ca_variant).data
+    gate = ca_forward(Tensor(pv), module.gate_weight).data
 
     # input maps resampled at every offset, one scalar bilinear sample per
     # pixel so that the fast path's translation kernel is not involved:

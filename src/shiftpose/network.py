@@ -19,7 +19,7 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tensor, conv_out_size, default_groups
 from .config import _read, _value
 from .errors import ConfigError, DimensionError
-from .fsm import CA_SIGMOID, CA_SOFTPLUS, CA_VARIANTS, FeatureShiftModule
+from .fsm import FeatureShiftModule
 
 __all__ = [
     "NetworkGraph", "ConvBlock", "Bottleneck", "MaxPool",
@@ -387,8 +387,7 @@ _FIELD_LIMITS = {
     "maxpool": {"kernel": (1, None), "stride": (1, None), "padding": (0, None)},
     "bottleneck": {"in_ch": (1, None), "mid_ch": (1, None), "out_ch": (1, None),
                    "stride": (1, None), "norm": ("gn", "bn")},
-    "fsm": {"channels": (1, None), "shift_channels": (1, None),
-            "ca_variant": CA_VARIANTS},
+    "fsm": {"channels": (1, None), "shift_channels": (1, None)},
 }
 
 
@@ -414,8 +413,7 @@ def _layer_from_spec(nd, where, rng, dtype):
 # ---------------------------------------------------------------------------
 
 def build_3block3fsm(input_size=(256, 192), shift_channels=256, keypoints=17,
-                     ca_variant=CA_SIGMOID, fsm_active=True, rng=None,
-                     dtype=np.float32):
+                     fsm_active=True, rng=None, dtype=np.float32):
     """Lightweight backbone: stem, pool, then FSM/Bottleneck interleaved 3x,
     a pointwise neck, and a 3x3 predictor producing one heatmap per keypoint
     at quarter resolution."""
@@ -430,8 +428,8 @@ def build_3block3fsm(input_size=(256, 192), shift_channels=256, keypoints=17,
     g.add("pool", MaxPool(3, 2, 1))
     for i in range(3):
         in_ch = 64 if i == 0 else 256
-        g.add(f"fsm{i + 1}", FeatureShiftModule(in_ch, shift_channels, ca_variant,
-                                                rng, dtype, active=fsm_active))
+        g.add(f"fsm{i + 1}", FeatureShiftModule(in_ch, shift_channels, rng, dtype,
+                                                active=fsm_active))
         g.add(f"block{i + 1}", Bottleneck(in_ch, 64, 256, norm="gn",
                                           rng=rng, dtype=dtype))
     g.add("neck", ConvBlock(256, 256, 1, norm="gn", act="relu", rng=rng, dtype=dtype))
@@ -441,8 +439,8 @@ def build_3block3fsm(input_size=(256, 192), shift_channels=256, keypoints=17,
 
 
 def build_toy_fsm_net(input_size=(32, 32), in_channels=1, keypoints=1,
-                      shift_channels=8, width=16, ca_variant=CA_SIGMOID,
-                      fsm_active=False, rng=None, dtype=np.float32):
+                      shift_channels=8, width=16, fsm_active=False, rng=None,
+                      dtype=np.float32):
     """Desk-scale net for the synthetic tasks: two stride-2 stem convs, one
     FSM/Bottleneck pair, and the usual neck + predictor at quarter resolution."""
     h, w = input_size
@@ -455,7 +453,7 @@ def build_toy_fsm_net(input_size=(32, 32), in_channels=1, keypoints=1,
                             norm="gn", act="relu", rng=rng, dtype=dtype))
     g.add("stem2", ConvBlock(half, width, 3, stride=2, padding=1,
                              norm="gn", act="relu", rng=rng, dtype=dtype))
-    g.add("fsm1", FeatureShiftModule(width, shift_channels, ca_variant, rng, dtype,
+    g.add("fsm1", FeatureShiftModule(width, shift_channels, rng, dtype,
                                      active=fsm_active))
     g.add("block1", Bottleneck(width, half, width, norm="gn", rng=rng, dtype=dtype))
     g.add("neck", ConvBlock(width, width, 1, norm="gn", act="relu",
@@ -466,8 +464,8 @@ def build_toy_fsm_net(input_size=(32, 32), in_channels=1, keypoints=1,
 
 
 def build_fpn_ssn(input_size=(64, 48), keypoints=17, base_channels=8,
-                  shift_channels=None, ca_variant=CA_SOFTPLUS, fsm_active=True,
-                  rng=None, dtype=np.float32):
+                  shift_channels=None, fsm_active=True, rng=None,
+                  dtype=np.float32):
     """Structural U-shaped variant: four bottleneck stages (3,4,6,3 blocks)
     with shifting modules before every block except right after the
     stride-2 downsampling blocks (the first module with half the shifting
@@ -502,7 +500,7 @@ def build_fpn_ssn(input_size=(64, 48), keypoints=17, base_channels=8,
             if not after_downsample:
                 k = shift_channels // 2 if s == 0 and bidx == 0 else shift_channels
                 g.add(f"s{s + 1}_fsm{bidx + 1}", FeatureShiftModule(
-                    in_ch, k, ca_variant, rng, dtype, active=fsm_active))
+                    in_ch, k, rng, dtype, active=fsm_active))
             g.add(f"s{s + 1}_block{bidx + 1}",
                   Bottleneck(in_ch, mid, out_ch, stride=stride, norm="gn",
                              rng=rng, dtype=dtype))

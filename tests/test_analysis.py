@@ -7,7 +7,7 @@ from shiftpose import analysis as ana
 from shiftpose import autodiff as ad
 from shiftpose import network as net
 from shiftpose.errors import ConfigError
-from shiftpose.fsm import CA_SIGMOID, FeatureShiftModule, OFFSET_INIT_RANGE
+from shiftpose.fsm import FeatureShiftModule, OFFSET_INIT_RANGE
 from shiftpose.network import ConvBlock, NetworkGraph
 
 
@@ -15,7 +15,7 @@ def single_fsm_graph(c=2, k=5, keypoints=1, hw=(8, 8), seed=0, offsets=None):
     """Input -> shifting module -> pointwise head, eval-identity norm."""
     rng = np.random.default_rng(seed)
     g = NetworkGraph((c, hw[0], hw[1]), dtype=np.float64)
-    module = FeatureShiftModule(c, k, CA_SIGMOID, rng, np.float64, active=True)
+    module = FeatureShiftModule(c, k, rng, np.float64, active=True)
     module.out_weight.data[...] = rng.standard_normal((c, k)) * 0.4
     if offsets is not None:
         module.dx.data[...] = offsets[0]

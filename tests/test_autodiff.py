@@ -256,11 +256,7 @@ class TestActivations:
     def test_sigmoid_at_zero(self):
         assert ad.sigmoid(ad.tensor(np.zeros((1, 1, 1, 1)))).data[0, 0, 0, 0] == 0.5
 
-    def test_softplus_at_zero(self):
-        val = ad.softplus(ad.tensor(np.zeros((1, 1, 1, 1)))).data[0, 0, 0, 0]
-        assert val == pytest.approx(np.log(2.0), rel=1e-12)
-
-    @pytest.mark.parametrize("op", [ad.relu, ad.sigmoid, ad.softplus])
+    @pytest.mark.parametrize("op", [ad.relu, ad.sigmoid])
     def test_gradcheck(self, op):
         x = ad.tensor(rand((2, 2, 3, 3), 12) + 0.31, requires_grad=True)
         report = finite_diff_gradcheck(op, [x])

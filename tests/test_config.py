@@ -8,7 +8,6 @@ import pytest
 from shiftpose.config import (LIMITS, AnalysisOptions, NetworkSpec, RunConfig,
                               parse_run_config)
 from shiftpose.errors import ConfigError
-from shiftpose.fsm import CA_SOFTPLUS
 from shiftpose.synthdata import AugmentRanges, SynthSpec
 from shiftpose.training import LrDecay, TrainConfig
 
@@ -16,7 +15,7 @@ from shiftpose.training import LrDecay, TrainConfig
 def non_default_config():
     return RunConfig(
         network=NetworkSpec(builder="fpn", input_size=(64, 96), shift_channels=12,
-                            keypoints=3, ca_variant=CA_SOFTPLUS, in_channels=3,
+                            keypoints=3, in_channels=3,
                             width=24, base_channels=6, fsm_active=True,
                             esp=("s1_block3", "s2_block4"), seed=4),
         dataset=SynthSpec(image_size=(64, 96), displacement=(6.5, -2.0),
@@ -124,7 +123,7 @@ def test_bounds_are_inclusive(path, bound, past):
     assert "must be" in str(_rejected(_nested(path, past), path))
 
 
-@pytest.mark.parametrize("path", ["network.builder", "network.ca_variant"])
+@pytest.mark.parametrize("path", ["network.builder"])
 def test_unknown_choice_rejected(path):
     _rejected(_nested(path, "resnet"), path)
 

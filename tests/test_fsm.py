@@ -15,12 +15,12 @@ def tmap(values):
     return ad.tensor(np.asarray(values, dtype=np.float64)[None, None])
 
 
-def module_with_branch(c, k, variant=fsm.CA_SIGMOID, rng=0):
+def module_with_branch(c, k, rng=0):
     """Active double-precision module with a random output projection and
     eval-identity norm: a bypassed module's draws, switched on without
     ``insert`` (which would zero the projection)."""
-    module = fsm.FeatureShiftModule(c, k, variant, np.random.default_rng(rng),
-                                    np.float64, active=False)
+    module = fsm.FeatureShiftModule(c, k, np.random.default_rng(rng), np.float64,
+                                    active=False)
     module.active = True
     return module
 
@@ -240,39 +240,23 @@ class TestShiftBackwardSplit(TestShiftBackward):
 
 
 class TestCorrelationAttention:
-    def test_constant_input_softplus_is_uniform(self):
-        p = ad.tensor(np.full((2, 3, 4, 5), 1.7))
-        w = ad.Parameter(np.random.default_rng(3).standard_normal((2, 3)))
-        gate = fsm.ca_forward(p, w, fsm.CA_SOFTPLUS)
-        np.testing.assert_allclose(gate.data, 1.0 / 20.0, rtol=1e-12)
-
     def test_zero_gate_weight_sigmoid_is_half(self):
         p = ad.tensor(np.random.default_rng(4).standard_normal((1, 2, 3, 3)))
-        gate = fsm.ca_forward(p, ad.Parameter(np.zeros((4, 2))), fsm.CA_SIGMOID)
+        gate = fsm.ca_forward(p, ad.Parameter(np.zeros((4, 2))))
         np.testing.assert_array_equal(gate.data, np.full((1, 4, 3, 3), 0.5))
-
-    def test_softplus_spatial_sums_are_one(self):
-        rng = np.random.default_rng(5)
-        p = ad.tensor(rng.standard_normal((3, 4, 6, 5)))
-        w = ad.Parameter(rng.standard_normal((7, 4)))
-        gate = fsm.ca_forward(p, w, fsm.CA_SOFTPLUS)
-        sums = gate.data.sum(axis=(2, 3))
-        np.testing.assert_allclose(sums, 1.0, atol=1e-6)
 
     def test_sigmoid_values_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(6)
         p = ad.tensor(rng.standard_normal((2, 3, 4, 4)))
         w = ad.Parameter(rng.standard_normal((5, 3)))
-        gate = fsm.ca_forward(p, w, fsm.CA_SIGMOID).data
+        gate = fsm.ca_forward(p, w).data
         assert (gate > 0.0).all() and (gate < 1.0).all()
 
-    @pytest.mark.parametrize("variant", [fsm.CA_SOFTPLUS, fsm.CA_SIGMOID])
-    def test_gradcheck(self, variant):
+    def test_gradcheck(self):
         rng = np.random.default_rng(7)
         p = ad.tensor(rng.standard_normal((2, 2, 4, 4)), requires_grad=True)
         w = ad.Parameter(rng.standard_normal((3, 2)))
-        report = finite_diff_gradcheck(
-            lambda p_, w_: fsm.ca_forward(p_, w_, variant), [p, w])
+        report = finite_diff_gradcheck(fsm.ca_forward, [p, w])
         assert report.passed, str(report)
 
 
@@ -302,7 +286,7 @@ class TestModuleForward:
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(9)
-        module = module_with_branch(3, 4, fsm.CA_SOFTPLUS, rng=9)
+        module = module_with_branch(3, 4, rng=9)
         module.dx.data[...] = rng.uniform(-2, 2, 4)
         module.dy.data[...] = rng.uniform(-2, 2, 4)
         p = ad.tensor(rng.standard_normal((1, 3, 6, 5)))
@@ -314,7 +298,7 @@ class TestModuleForward:
         rng = np.random.default_rng(10)
         c, k = 2, 3
         p = ad.tensor(rng.standard_normal((2, c, 5, 5)), requires_grad=True)
-        module = module_with_branch(c, k, fsm.CA_SOFTPLUS, rng)
+        module = module_with_branch(c, k, rng)
         module.dx.data[...] = [0.31, -1.42, 1.27]
         module.dy.data[...] = [-0.56, 0.44, 2.18]
         inputs = [p] + [t for _, t in module.state() if isinstance(t, ad.Parameter)]
@@ -388,7 +372,7 @@ class TestGateProperty:
         p = ad.tensor(rng.standard_normal((1, c, 5, 5)))
         pre = fsm.shift(ad.conv1x1(p, module.in_weight),
                         module.dx, module.dy).data
-        gate = fsm.ca_forward(p, module.gate_weight, fsm.CA_SIGMOID).data.copy()
+        gate = fsm.ca_forward(p, module.gate_weight).data.copy()
         kk, y, x = 2, 3, 1
         gate_mod = gate.copy()
         gate_mod[0, kk, y, x] = 0.0

@@ -9,7 +9,7 @@ import pytest
 from shiftpose import autodiff as ad
 from shiftpose import network as net
 from shiftpose.errors import ConfigError, DimensionError, NumericError, StateError
-from shiftpose.fsm import CA_SIGMOID, CA_SOFTPLUS, FeatureShiftModule
+from shiftpose.fsm import FeatureShiftModule
 from shiftpose.gradcheck import finite_diff_gradcheck
 
 
@@ -231,8 +231,7 @@ class TestSerialization:
     @pytest.mark.parametrize("node,key,value", [
         ("fsm1", "active", "false"), ("fsm1", "shift_channels", 4.0),
         ("stem", "kernel", True), ("stem", "bias", 0), ("stem", "norm", 3),
-        ("block1", "norm", None), ("head", "act", ["relu"]),
-        ("fsm1", "ca_variant", "bogus"), ("head", "act", "gelu"),
+        ("block1", "norm", None), ("head", "act", ["relu"]), ("head", "act", "gelu"),
         ("stem", "norm", "ln"), ("block1", "norm", "ln"),
     ])
     def test_wrong_value_type_rejected(self, node, key, value):
