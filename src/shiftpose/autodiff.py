@@ -16,9 +16,12 @@ backward, from the inputs the tape keeps. Every convolution is one core,
 Channel contractions run as BLAS matrix products, in an order that is
 fixed for a given BLAS build and thread count, and by the two fixed
 halves of a large product's output columns (``_halves``); other
-reductions run in numpy's fixed internal order. So repeated backward
-passes from the same loss produce bit-identical gradients, at any core
-count.
+reductions run in numpy's fixed internal order. The normalizations,
+max-pool and sigmoid run large maps as ``_halves`` of their channels (a
+group norm's cut falls between groups), each half writing its slice of
+arrays made before the split, so no sum crosses the cut. So repeated
+backward passes from the same loss produce bit-identical gradients, at
+any core count.
 There is no general broadcasting: each op accepts exactly the shapes it
 documents and raises :class:`DimensionError` otherwise.
 """
@@ -207,7 +210,8 @@ def _node(data, parents, backward):
 
 
 # A product of at least this many FLOPs (or a pass of as much work) runs
-# as two halves, one on the worker; a toy step's largest is 2.4 MFLOP
+# as two halves, one on the worker; a toy step's largest is 2.4 MFLOP,
+# and its largest pass over a map (32,768 values) is costed below it
 _SPLIT_WORK = 20e6
 _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
           else os.cpu_count() or 1)
@@ -217,9 +221,11 @@ _POOL = None    # the worker, made by the first split on more than one core
 def _halves(fn, n, work):
     """Call ``fn(lo, hi)`` on ``range(n)`` or, from ``_SPLIT_WORK`` on, on
     its halves cut at ``n // 2``: the first on the worker (inline on one
-    core) under the caller's errstate. ``fn`` writes preallocated outputs
-    with numpy, never a tape op. Returns after both, even if the second
-    raises."""
+    core) under the caller's errstate. ``range(n)`` counts a product's
+    output columns, or the channels (or channel groups) of a ``shift``
+    pass, normalization, max-pool or sigmoid. ``fn`` writes its slice of
+    outputs made before the call, with numpy, never a tape op. Returns
+    after both, even if the second raises."""
     global _POOL
     mid = n // 2
     if work < _SPLIT_WORK or mid == 0:
@@ -328,13 +334,37 @@ def relu(x):
 
 
 def sigmoid(x):
-    # 0.5 * (1 + tanh(0.5 * x)), built in one buffer
-    out = np.multiply(x.data, 0.5)
-    np.tanh(out, out=out)
-    out += 1.0
-    out *= 0.5
+    """0.5 * (1 + tanh(0.5 * x)), built in one buffer; forward and
+    backward run as ``_halves`` over channels."""
+    _check_rank4(x, "sigmoid")
+    # either pass takes about as long as 150 FLOPs a value of a large
+    # GEMM (one thread, Intel Xeon)
+    work = 150 * x.size
+    out = np.empty_like(x.data)
+
+    def forward(lo, hi):
+        o = out[:, lo:hi]
+        np.multiply(x.data[:, lo:hi], 0.5, out=o)
+        np.tanh(o, out=o)
+        o += 1.0
+        o *= 0.5
+
+    _halves(forward, x.shape[1], work)
+
     def backward(g):
-        return ((x, g * out * (1.0 - out)),)
+        # g * out * (1 - out), in that order
+        gx = np.empty_like(g, dtype=np.result_type(g, out))
+        rest = np.empty_like(out)
+
+        def part(lo, hi):
+            ch = slice(lo, hi)
+            np.multiply(g[:, ch], out[:, ch], out=gx[:, ch])
+            np.subtract(1.0, out[:, ch], out=rest[:, ch])
+            gx[:, ch] *= rest[:, ch]
+
+        _halves(part, x.shape[1], work)
+        return ((x, gx),)
+
     return _node(out, (x,), backward)
 
 
@@ -571,33 +601,60 @@ def max_pool2d(x, kernel=3, stride=2, padding=1):
     goes to the first cell equal to its maximum, or to the first NaN where
     the maximum is a NaN. As in ``relu``, the gradient is selected by a
     product with the mask, so a non-finite ``g`` spreads over its window.
+    Both run as ``_halves`` over channels, padding included, into arrays
+    made before the split.
     """
     _check_rank4(x, "max_pool2d")
-    _, _, h, w = x.shape
-    _, _, windows = _windows("max_pool2d", h, w, kernel, kernel, stride, padding)
-    xp = _pad(x.data, padding, padding, np.finfo(x.dtype).min)
-    out = xp[windows[0][2]].copy()
-    for _, _, window in windows[1:]:
-        # the running maximum second: numpy keeps it on a tie of signed
-        # zeros, so the first cell's value wins
-        np.maximum(xp[window], out, out=out)
+    b, c, h, w = x.shape
+    ho, wo, windows = _windows("max_pool2d", h, w, kernel, kernel, stride, padding)
+    inner = (slice(None), slice(None), slice(padding, padding + h),
+             slice(padding, padding + w))
+    # forward takes about as long as 300 FLOPs an input value of a large
+    # GEMM (one thread, Intel Xeon), backward at least twice as long
+    work = 300 * x.size
+    xp = np.empty((b, c, h + 2 * padding, w + 2 * padding), x.dtype)
+    out = np.empty((b, c, ho, wo), x.dtype)
+
+    def forward(lo, hi):
+        ch = slice(lo, hi)
+        # the input padded with the lowest finite value, as ``_pad`` pads
+        if padding:
+            xp[:, ch] = np.finfo(x.dtype).min
+        xp[:, ch][inner] = x.data[:, ch]
+        o = out[:, ch]
+        o[...] = xp[:, ch][windows[0][2]]
+        for _, _, window in windows[1:]:
+            # the running maximum second: numpy keeps it on a tie of signed
+            # zeros, so the first cell's value wins
+            np.maximum(xp[:, ch][window], o, out=o)
+
+    _halves(forward, c, work)
 
     def backward(g):
-        gxp = np.zeros(xp.shape, dtype=x.dtype)
-        pending = np.ones(out.shape, dtype=bool)
-        # the NaN test would add about half to the pass: skip it where no
-        # window's maximum is a NaN
-        any_nan = np.isnan(out).any()
-        for _, _, window in windows:
-            v = xp[window]
-            won = v == out
-            if any_nan:
-                won |= np.isnan(v)
-            won &= pending
-            pending ^= won
-            dst = gxp[window]
-            dst += g * won
-        return ((x, gxp[:, :, padding:padding + h, padding:padding + w]),)
+        gxp = np.empty(xp.shape, dtype=x.dtype)
+        pending, won, nan = (np.empty(out.shape, dtype=bool) for _ in range(3))
+        picked = np.empty_like(g)
+
+        def part(lo, hi):
+            ch = slice(lo, hi)
+            gxp[:, ch] = 0
+            pending[:, ch] = True
+            o, todo, win, isnan, pick = (a[:, ch] for a in (out, pending, won, nan, picked))
+            # the NaN test would add about half to the pass: skip it where
+            # no window's maximum is a NaN (a NaN maximum wins ``max``)
+            any_nan = np.isnan(o.max())
+            for _, _, window in windows:
+                v = xp[:, ch][window]
+                np.equal(v, o, out=win)
+                if any_nan:
+                    win |= np.isnan(v, out=isnan)
+                win &= todo
+                todo ^= win
+                dst = gxp[:, ch][window]
+                dst += np.multiply(g[:, ch], win, out=pick)
+
+        _halves(part, c, 2 * work)
+        return ((x, gxp[inner]),)
 
     return _node(out, (x,), backward)
 
@@ -625,61 +682,109 @@ EPS = 1e-5
 def _normalize(op, x, gamma, beta, view, axes, stats=None):
     """gamma * xhat + beta as a tape node, where xhat normalizes ``x``
     reshaped to ``view`` over ``axes``; the last two axes of ``view`` are
-    (H, W) and both are reduced. ``stats`` fixes (mean, var) in the
-    keep-dims shape of that reduction; without it they are taken from
-    ``x`` and differentiated through. Returns the node, mean and var.
+    (H, W) and both are reduced, and axis 1 (channels, or groups of them)
+    is not. ``stats`` fixes (mean, var) in the keep-dims shape of that
+    reduction; without it they are taken from ``x`` and differentiated
+    through. Returns the node, mean and var.
 
     Every sum is an einsum to per-(b, c) sums over (H, W), then a sum of
     those over the rest of ``axes``, so no product array is made. Only the
     centred ``x - mean`` is kept: xhat = (x - mean) * inv_std is merged
-    into per-(b, c) coefficients, forward and backward.
+    into per-(b, c) coefficients, forward and backward. With no tape
+    recording nothing reads it afterwards, so the output is the centred
+    array, scaled and offset in place. Forward and backward run as
+    ``_halves`` of ``view``'s axis 1, so a group's sums stay in one half,
+    into arrays made before the split.
     """
     b, c, h, w = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise DimensionError(
             f"{op}: channels: scale/offset need shape ({c},), "
             f"got {gamma.shape}/{beta.shape}")
-    slice_shape = view[:-2] + (1, 1)
+    units, per_unit = view[1], c // view[1]
+    n = math.prod(view[a] for a in axes)
+    # a pass over the values takes about as long as 100 FLOPs a value of
+    # a large GEMM (one thread, Intel Xeon); forward makes about two,
+    # backward three
+    work = 100 * x.size
 
-    def over_slices(bc):
-        # (B, C) sums -> the keep-dims shape of the reduction
-        return np.add.reduce(bc.reshape(slice_shape), axis=axes, keepdims=True)
+    def over_slices(bc, shape):
+        # a half's (B, C) sums, as ``shape`` -> the keep-dims shape of the
+        # reduction
+        return np.add.reduce(bc.reshape(shape), axis=axes, keepdims=True)
 
-    def per_channel(stat):
-        # the keep-dims shape of the reduction -> (B, C), copied out
-        full = np.empty(slice_shape, stat.dtype)
-        full[...] = stat
-        return full.reshape(b, c)
+    def halves(fn, passes):
+        # fn(u, ch) on a half's units ``u`` and their channels ``ch``
+        def part(lo, hi):
+            fn(slice(lo, hi), slice(lo * per_unit, hi * per_unit))
+
+        if 0 in axes and units < 4:
+            # numpy sums one channel over the batch pairwise, and two or
+            # more in order: a batch norm splits into halves of two or more
+            part(0, units)
+        else:
+            _halves(part, units, passes * work)
 
     def spread(bc):
         return bc[:, :, None, None]
 
-    n = math.prod(view[a] for a in axes)
-    if stats is None:
-        mean = over_slices(np.einsum("bchw->bc", x.data)) / n
-    else:
-        mean, var = stats
-    xc = (x.data.reshape(view) - mean).reshape(x.shape)
-    if stats is None:
-        var = over_slices(np.einsum("bchw,bchw->bc", xc, xc)) / n
+    xv = x.data.reshape(view)
+    xcv = np.empty_like(xv)
+    xc = xcv.reshape(x.shape)
+    # the keep-dims shape of the reduction: every axis past 1 is reduced
+    stat_shape = (1 if 0 in axes else b, units) + (1,) * (len(view) - 2)
+    mean, var = stats or (np.empty(stat_shape, x.dtype), np.empty(stat_shape, x.dtype))
+    # 1 / sigma per (b, c), laid out as ``view`` with (H, W) summed, so a
+    # statistic broadcasts onto it
+    inv_view = np.empty(view[:-2] + (1, 1), var.dtype)
+    inv_std = inv_view.reshape(b, c)
+    # every dtype as numpy's promotion of the parent arrays gives it
+    scale = np.empty((b, c), np.promote_types(gamma.dtype, var.dtype))
+    dtype = np.promote_types(x.dtype, scale.dtype)
+    out = xc if not _RECORD and dtype == xc.dtype else np.empty_like(xc, dtype=dtype)
+
+    def forward(u, ch):
+        inv, xcs, o = inv_view[:, u], xc[:, ch], out[:, ch]
+        if stats is None:
+            np.divide(over_slices(np.einsum("bchw->bc", x.data[:, ch]), inv.shape), n,
+                      out=mean[:, u])
+        np.subtract(xv[:, u], mean[:, u], out=xcv[:, u])
+        if stats is None:
+            np.divide(over_slices(np.einsum("bchw,bchw->bc", xcs, xcs), inv.shape), n,
+                      out=var[:, u])
+        np.divide(1.0, np.sqrt(var[:, u] + EPS), out=inv)
+        np.multiply(gamma.data[ch], inv_std[:, ch], out=scale[:, ch])
+        np.multiply(xcs, spread(scale[:, ch]), out=o)
+        o += beta.data[None, ch, None, None]
+
+    halves(forward, 2)
     if _SMOOTHNESS is not None:
         _SMOOTHNESS["var"].append(float(var.min()))
-    inv_std = per_channel(1.0 / np.sqrt(var + EPS))
-    scale = gamma.data * inv_std
-    out = xc * spread(scale)
-    out += beta.data[None, :, None, None]
 
     def backward(g):
-        sum_g = np.einsum("bchw->bc", g)
-        sum_gxhat = np.einsum("bchw,bchw->bc", g, xc) * inv_std
-        gx = g * spread(scale)
-        if stats is None:
-            # gx = (gamma g - s1 / n - xhat s2 / n) * inv_std, with s1 and
-            # s2 the slice sums of gamma g and of gamma g xhat
-            s1 = per_channel(over_slices(gamma.data * sum_g) / n)
-            s2 = per_channel(over_slices(gamma.data * sum_gxhat) / n)
-            gx -= xc * spread(s2 * inv_std * inv_std)
-            gx -= spread(s1 * inv_std)
+        sum_g = np.empty((b, c), g.dtype)
+        sum_gxhat = np.empty((b, c), np.result_type(g.dtype, x.dtype, var.dtype))
+        gx = np.empty_like(g, dtype=np.promote_types(g.dtype, scale.dtype))
+        centred = np.empty_like(gx) if stats is None else None
+
+        def part(u, ch):
+            gs = g[:, ch]
+            sum_g[:, ch] = np.einsum("bchw->bc", gs)
+            np.multiply(np.einsum("bchw,bchw->bc", gs, xc[:, ch]), inv_std[:, ch],
+                        out=sum_gxhat[:, ch])
+            np.multiply(gs, spread(scale[:, ch]), out=gx[:, ch])
+            if stats is None:
+                # gx = (gamma g - s1 / n - xhat s2 / n) * inv_std, with s1
+                # and s2 the slice sums of gamma g and of gamma g xhat
+                inv = inv_view[:, u]
+                s1 = over_slices(gamma.data[ch] * sum_g[:, ch], inv.shape) / n
+                s2 = over_slices(gamma.data[ch] * sum_gxhat[:, ch], inv.shape) / n
+                np.multiply(xc[:, ch], spread((s2 * inv * inv).reshape(b, -1)),
+                            out=centred[:, ch])
+                gx[:, ch] -= centred[:, ch]
+                gx[:, ch] -= spread((s1 * inv).reshape(b, -1))
+
+        halves(part, 3)
         return ((x, gx), (gamma, sum_gxhat.sum(axis=0)), (beta, sum_g.sum(axis=0)))
 
     return _node(out, (x, gamma, beta), backward), mean, var

@@ -196,6 +196,7 @@ class Trainer:
 
         self.optimizer.zero_grad()
         total.backward()
+        self._check_gradients()
         self.optimizer.step(rates)
         for _, module in self.graph.fsm_layers():
             if module.active:
@@ -211,6 +212,19 @@ class Trainer:
         })
         self.iteration += 1
         return values
+
+    def _check_gradients(self):
+        """Raise :class:`NumericError` naming the first parameter, in graph
+        order, whose gradient holds a non-finite value, before any
+        parameter or moment moves; each group's flat buffer is checked once."""
+        groups = self.optimizer.groups.values()
+        if all(np.isfinite(group["grad"]).all() for group in groups):
+            return
+        held = {id(e["param"]) for group in groups for e in group["entries"]}
+        for name, p in self.graph.named_parameters():
+            if id(p) in held and not np.isfinite(p.grad).all():
+                raise NumericError(f"iteration {self.iteration}: "
+                                   f"non-finite gradient at parameter {name!r}")
 
     def run(self):
         """Step to ``config.iterations``, snapshotting the offset table at

@@ -1,5 +1,6 @@
 """Tensor substrate: forward semantics, analytic backwards, Adam."""
 
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -248,6 +249,11 @@ class TestNormalization:
         assert rv[0] == pytest.approx(0.9)
 
 
+@pytest.mark.usefixtures("split_every_product")
+class TestNormalizationSplit(TestNormalization):
+    """The normalization tests with every op split in two halves."""
+
+
 class TestActivations:
     def test_relu(self):
         out = ad.relu(ad.tensor(np.array([[[[-1.0, 0.0, 2.0]]]])))
@@ -261,6 +267,68 @@ class TestActivations:
         x = ad.tensor(rand((2, 2, 3, 3), 12) + 0.31, requires_grad=True)
         report = finite_diff_gradcheck(op, [x])
         assert report.passed, str(report)
+
+
+@pytest.mark.usefixtures("split_every_product")
+class TestActivationsSplit(TestActivations):
+    """The activation tests with every op split in two halves."""
+
+
+class TestSplitAgainstWhole:
+    """Each op that runs as ``_halves`` of its channels (or channel
+    groups) gives the bytes of the whole op, output and every gradient, on
+    cuts that fall oddly."""
+
+    @staticmethod
+    def _run(op, x):
+        t = ad.tensor(x, requires_grad=True)
+        c = x.shape[1]
+        params = [ad.Parameter(rand(c, 41)), ad.Parameter(rand(c, 42))]
+        running = [rand(c, 43), np.exp(rand(c, 44))]
+        with ad.trace_smoothness() as trace:
+            if op == "gn":
+                out = ad.group_norm(t, *params, groups=3)
+            elif op.startswith("bn"):
+                out = ad.batch_norm(t, *params, *running, op[3:])
+            else:
+                params = []
+                out = ad.max_pool2d(t, 3, 2, 1) if op == "pool" else ad.sigmoid(t)
+        g = rand(out.shape, 45)
+        return [out.data, *ad.grad(out, [t, *params], g), *running], trace["var"]
+
+    # the number of units cut at its middle, forward and backward: group
+    # norm cuts 6 channels after the first of 3 groups, and a batch norm
+    # of fewer than 4 channels runs whole (a one-channel half would sum
+    # its batch in another order)
+    @pytest.mark.parametrize("op,shape,units", [
+        ("gn", (1, 6, 5, 7), 3), ("gn", (3, 6, 5, 7), 3),
+        ("bn-train", (1, 5, 5, 7), 5), ("bn-train", (3, 5, 5, 7), 5),
+        ("bn-train", (9, 5, 4, 3), 5), ("bn-train", (9, 2, 4, 3), None),
+        ("bn-eval", (1, 5, 5, 7), 5), ("bn-eval", (3, 5, 5, 7), 5),
+        ("bn-eval", (9, 2, 4, 3), None),
+        ("pool", (1, 5, 7, 8), 5), ("pool", (3, 5, 7, 8), 5),
+        ("sigmoid", (1, 5, 4, 3), 5), ("sigmoid", (3, 5, 4, 3), 5),
+    ])
+    def test_split_gives_the_bytes_of_the_whole(self, monkeypatch, split_every_product,
+                                                op, shape, units):
+        x = rand(shape, 40) * 2.0 + 1.0
+        if op == "pool":
+            # integers, so most windows tie, and a NaN on each side of the cut
+            x = np.round(x)
+            x[:, 1, 2, 3] = x[:, 3, 4, 4] = np.nan
+        cut = []
+        halves = ad._halves
+        monkeypatch.setattr(ad, "_halves",
+                            lambda fn, n, work: (cut.append(n), halves(fn, n, work)))
+        split, split_var = self._run(op, x)
+        assert cut == ([] if units is None else [units, units])
+        monkeypatch.setattr(ad, "_SPLIT_WORK", math.inf)
+        whole, whole_var = self._run(op, x)
+        for a, b in zip(split, whole, strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        # one variance minimum per call, the whole op's
+        assert split_var == whole_var
+        assert len(whole_var) == (0 if op in ("pool", "sigmoid") else 1)
 
 
 def conv2d_reference(x, w, b, g, stride, padding):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from shiftpose import cli
+from shiftpose.autodiff import Parameter
 from shiftpose.checkpoint import FORMAT_VERSION, MAGIC, checkpoint_load
 from shiftpose.synthdata import heatmap_target
 
@@ -122,6 +123,13 @@ def test_memory_error_is_one_error_line(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_count", exhausted)
     code, out = run(capsys, "count")
     assert (code, out.err) == (1, "error: memory: Unable to allocate 11.9 GiB\n")
+
+
+def test_nonfinite_gradient_is_one_numeric_line(tmp_path, config, capsys, nan_gradients):
+    nan_gradients(lambda t: isinstance(t, Parameter))
+    code, out = run(capsys, "train", "--config", config, "--out", tmp_path / "run")
+    assert (code, out.err) == (
+        3, "error: numeric: iteration 0: non-finite gradient at parameter 'stem.weight'\n")
 
 
 @pytest.mark.parametrize("argv,path", [

@@ -61,6 +61,28 @@ def test_training_imports_no_thread_pool():
     assert loaded == "False 1\n"
 
 
+def test_a_toy_step_and_evaluation_start_no_thread():
+    """Every product, pass, normalization, max-pool and sigmoid of a
+    default-config training step (its module inserted) and of an
+    evaluation works below ``_SPLIT_WORK``: the desk-scale step runs on
+    one thread, with no ``concurrent.futures``."""
+    src = str(pathlib.Path(shiftpose.__file__).parents[1])
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, threading\n"
+         "from dataclasses import replace\n"
+         "from shiftpose.config import RunConfig, build_datasets, build_network\n"
+         "from shiftpose.training import Trainer\n"
+         "cfg = RunConfig()\n"
+         "trainer = Trainer(build_network(cfg), replace(cfg.trainer, insertion_iteration=0),\n"
+         "                  *build_datasets(cfg))\n"
+         "trainer.step()\n"
+         "trainer.evaluate()\n"
+         "print('concurrent.futures' in sys.modules, threading.active_count())"],
+        check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}).stdout
+    assert loaded == "False 1\n"
+
+
 def test_no_module_reads_an_environment_variable():
     """Every setting is an argument, a command flag or a config field."""
     readers = []

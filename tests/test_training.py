@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shiftpose import network as net
-from shiftpose.errors import ConfigError
+from shiftpose.errors import ConfigError, NumericError
 from shiftpose.optim import adam_step
 from shiftpose.synthdata import SynthSpec, generate_dataset
 from shiftpose.training import (LrDecay, TrainConfig, Trainer, base_lr_schedule,
@@ -322,6 +322,31 @@ class TestDeterminismAndDescent:
         stem.data[...] = np.inf
         with pytest.raises(NumericError, match="stem"):
             trainer.step()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nonfinite_gradient_names_the_first_parameter_and_moves_nothing(
+            self, nan_gradients):
+        graph, cfg, data = tiny_setup(iterations=5, insertion=0)
+        trainer = Trainer(graph, cfg, data)
+        trainer.step()
+        params = dict(graph.named_parameters())
+        # fsm1.dx (group "offsets") comes before neck.weight ("backbone") in
+        # graph order, though its group is registered after the backbone's
+        poisoned = {id(params["fsm1.dx"]), id(params["neck.weight"])}
+        nan_gradients(lambda t: id(t) in poisoned)
+
+        def buffers():
+            return {(name, key): group[key].tobytes()
+                    for name, group in trainer.optimizer.groups.items()
+                    for key in ("value", "m", "v")}
+
+        before = buffers()
+        with pytest.raises(NumericError, match=r"^iteration 1: non-finite gradient "
+                                               r"at parameter 'fsm1\.dx'$"):
+            trainer.step()
+        assert buffers() == before
+        assert {name: g["t"] for name, g in trainer.optimizer.groups.items()} == \
+            {"backbone": 1, "fsm_weights": 1, "offsets": 1}
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_guard_names_layer_with_every_product_split(self,
