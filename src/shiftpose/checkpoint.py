@@ -4,14 +4,15 @@ Layout: magic ``SSNC``, little-endian u32 format version, u64 header
 length, a JSON header (graph spec, iteration, generator state, optimizer
 metadata, blob index, free-form extras), then the raw blob payload. The
 format version covers the graph spec too, and every checkpoint can resume
-a run. Values serialize as 32-bit little-endian floats, the blobs back to
-back in index order; loading refuses any other layout (a gap, an overlap,
-a repeated name, a byte count other than the shape's) and any blob name
-outside the writer's ``param.``, ``buffer.`` and ``opt.``, and restoring
-refuses a blob that no slot of its graph or optimizer takes. Saving refuses
-state of any other dtype, which could not be restored exactly (a float64
-graph would resume rounded), and state holding a NaN or an infinity,
-which no run can resume from; loading refuses a non-finite blob too.
+a run. A blob index entry is a name and a shape: the blobs lie back to
+back in index order as 32-bit little-endian floats, so each starts where
+the values before it end, and the payload holds 4 bytes per value.
+Loading refuses a repeated name and any blob name outside the writer's
+``param.``, ``buffer.`` and ``opt.``, and restoring refuses a blob that no
+slot of its graph or optimizer takes. Saving refuses state of any other
+dtype, which could not be restored exactly (a float64 graph would resume
+rounded), and state holding a NaN or an infinity, which no run can resume
+from; loading refuses a non-finite blob too.
 Writes go to a temp file renamed into place.
 """
 
@@ -30,7 +31,7 @@ __all__ = ["MAGIC", "FORMAT_VERSION", "checkpoint_save", "checkpoint_load",
            "restore_graph_state", "copy_blobs", "restore_rng"]
 
 MAGIC = b"SSNC"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 # the blob name prefixes checkpoint_save writes: graph state, then optimizer state
 _BLOB_PREFIXES = ("param.", "buffer.", "opt.")
 
@@ -69,14 +70,10 @@ def checkpoint_save(path, graph, optimizer, rng, iteration=0, extra=None):
     """Serialize graph parameters/buffers, optimizer state, and the
     generator state; returns the number of bytes written."""
     blobs = dict(_graph_blobs(graph)) | optimizer.state_blobs()
-    index, offset = [], 0
     for name, arr in blobs.items():
         if arr.dtype != np.float32:
             raise CheckpointError(f"{name}: cannot store {arr.dtype} state "
                                   "exactly; checkpoints hold float32 only")
-        index.append({"name": name, "shape": list(arr.shape),
-                      "offset": offset, "nbytes": arr.nbytes})
-        offset += arr.nbytes
     bad = _nonfinite_blob(blobs)
     if bad is not None:
         raise CheckpointError(f"{bad}: holds non-finite values; refusing to save "
@@ -86,7 +83,7 @@ def checkpoint_save(path, graph, optimizer, rng, iteration=0, extra=None):
         "iteration": int(iteration),
         "rng_state": rng.bit_generator.state,
         "optimizer": optimizer.meta(),
-        "blobs": index,
+        "blobs": [{"name": name, "shape": list(arr.shape)} for name, arr in blobs.items()],
         "extra": extra or {},
     }).encode()
     out = b"".join([MAGIC, np.uint32(FORMAT_VERSION).tobytes(),
@@ -113,10 +110,10 @@ def checkpoint_load(path):
     the expected/actual byte counts), headers that are not a JSON mapping or
     lack a field of the type ``checkpoint_save`` writes, an iteration that
     is not a non-negative int, a blob index other than the one
-    ``checkpoint_save`` writes (uniquely named float32 arrays under its
-    name prefixes, each starting where the one before it ends), and blobs
-    holding a NaN or an infinity. The blobs are views of one array of the
-    payload.
+    ``checkpoint_save`` writes (unique names under its name prefixes, each
+    with a shape), and blobs holding a NaN or an infinity. Each blob starts
+    where the values of the blobs before it end; the blobs are views of one
+    array of the payload.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -144,26 +141,24 @@ def checkpoint_load(path):
             raise CheckpointError(f"corrupt header: field {key!r} is missing or malformed")
     if not _count(header["iteration"]):
         raise CheckpointError("corrupt header: iteration is not a non-negative int")
-    index, names, total = header["blobs"], set(), 0
+    index, names, ends = header["blobs"], set(), [0]
     for e in index:
-        # the entry checkpoint_save writes: a new name under its prefixes,
-        # and a float32 array of its shape starting where the blob before it ends
-        if not (isinstance(e, dict) and set(e) == {"name", "shape", "offset", "nbytes"}
+        # the entry checkpoint_save writes: a new name under its prefixes
+        # and the shape of its float32 array
+        if not (isinstance(e, dict) and set(e) == {"name", "shape"}
                 and isinstance(e["name"], str) and e["name"] not in names
                 and e["name"].startswith(_BLOB_PREFIXES)
-                and isinstance(e["shape"], list)
-                and all(map(_count, [e["offset"], e["nbytes"], *e["shape"]]))
-                and e["offset"] == total and e["nbytes"] == 4 * math.prod(e["shape"])):
+                and isinstance(e["shape"], list) and all(map(_count, e["shape"]))):
             raise CheckpointError("corrupt header: malformed blob index")
         names.add(e["name"])
-        total += e["nbytes"]
-    size = len(raw) - 16 - header_len
+        ends.append(ends[-1] + math.prod(e["shape"]))
+    size, total = len(raw) - 16 - header_len, 4 * ends[-1]
     if size != total:
         what = "truncated payload" if size < total else "overlong payload"
         raise CheckpointError(f"{what}: expected {total} bytes, got {size}")
     values = np.frombuffer(raw, dtype="<f4", offset=16 + header_len).copy()
-    blobs = {e["name"]: values[e["offset"] // 4:(e["offset"] + e["nbytes"]) // 4]
-             .reshape(e["shape"]) for e in index}
+    blobs = {e["name"]: values[lo:hi].reshape(e["shape"])
+             for e, lo, hi in zip(index, ends, ends[1:])}
     bad = _nonfinite_blob(blobs)
     if bad is not None:
         raise CheckpointError(f"blob {bad}: holds non-finite values")

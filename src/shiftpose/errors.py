@@ -22,7 +22,8 @@ class ConfigError(ShiftPoseError):
 
 
 class StateError(ShiftPoseError):
-    """An operation was applied in a state that forbids it (e.g. double insertion)."""
+    """An operation was applied in a state that forbids it (e.g. backward
+    from a root that requires no gradient)."""
 
 
 class NumericError(ShiftPoseError):

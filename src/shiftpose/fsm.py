@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .errors import DimensionError, StateError
+from .errors import DimensionError
 
 __all__ = [
     "shift", "ca_forward", "fsm_oracle", "fsm_param_count",
@@ -183,10 +183,11 @@ class FeatureShiftModule:
     ``running_var``).
 
     A module built for delayed insertion starts in bypass, acting as an
-    exact identity with frozen parameters; :meth:`insert` activates it.
-    The tensors of the most recent active forward (pre-shift, post-shift,
-    attention, branch output) stay accessible for analyses. The graph sets
-    ``name`` and ``clamp_bound`` when the module is added.
+    exact identity with frozen parameters. It holds the bytes an active
+    module drawn from the same generator holds, so insertion only sets
+    ``active``. The tensors of the most recent active forward (pre-shift,
+    post-shift, attention, branch output) stay accessible for analyses.
+    The graph sets ``name`` and ``clamp_bound`` when the module is added.
     """
 
     channels: int
@@ -203,13 +204,8 @@ class FeatureShiftModule:
         std = np.sqrt(2.0 / c)
         self.in_weight = Parameter((rng.standard_normal((k, c)) * std).astype(dtype))
         self.gate_weight = Parameter((rng.standard_normal((k, c)) * std).astype(dtype))
-        # an active module starts with the branch silent; a bypassed one
-        # draws a random projection that insert() zeroes
-        if self.active:
-            self.out_weight = Parameter(np.zeros((c, k), dtype=dtype))
-        else:
-            self.out_weight = Parameter(
-                (rng.standard_normal((c, k)) * np.sqrt(2.0 / k)).astype(dtype))
+        # the branch starts silent
+        self.out_weight = Parameter(np.zeros((c, k), dtype=dtype))
         self.dx, self.dy = (Parameter(d) for d in _draw_offsets(rng, k, dtype))
         self.norm_scale = Parameter(np.ones(c, dtype=dtype))
         self.norm_offset = Parameter(np.zeros(c, dtype=dtype))
@@ -266,16 +262,6 @@ class FeatureShiftModule:
         ops += c * px                    # residual add
         ops += 4 * c * px               # branch norm + final relu
         return ops
-
-    def insert(self, rng):
-        """Activate a bypassed module: zero the output projection, draw
-        fresh offsets, unfreeze."""
-        if self.active:
-            raise StateError(f"{self.name}: already inserted")
-        self.out_weight.data[...] = 0
-        self.dx.data[...], self.dy.data[...] = _draw_offsets(
-            rng, self.shift_channels, self.dx.dtype)
-        self.active = True
 
     def clamp_offsets(self):
         if self.clamp_bound is not None:

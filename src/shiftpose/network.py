@@ -115,11 +115,11 @@ class ConvBlock:
 
 @dataclass(eq=False)
 class MaxPool:
-    kernel: int = 3
-    stride: int = 2
-    padding: int = 1
+    """3x3 max pooling at stride 2 with padding 1, the one window every
+    builder uses."""
 
     kind = "maxpool"
+    kernel, stride, padding = 3, 2, 1
 
     def forward(self, x, mode):
         return ad.max_pool2d(x, self.kernel, self.stride, self.padding)
@@ -139,7 +139,8 @@ class MaxPool:
 
 @dataclass(eq=False)
 class Bottleneck:
-    """Residual block: 1x1 reduce, 3x3, 1x1 expand, shortcut, ReLU.
+    """Residual block: 1x1 reduce, 3x3, 1x1 expand, shortcut, ReLU, each
+    conv group-normed.
 
     The projection shortcut exists exactly when the input/output shapes
     differ (channel change or stride).
@@ -149,7 +150,6 @@ class Bottleneck:
     mid_ch: int
     out_ch: int
     stride: int = 1
-    norm: str = "gn"
     rng: InitVar = None
     dtype: InitVar = np.float32
 
@@ -157,16 +157,15 @@ class Bottleneck:
 
     def __post_init__(self, rng, dtype):
         rng = rng or np.random.default_rng()
-        in_ch, mid_ch, out_ch = self.in_ch, self.mid_ch, self.out_ch
-        stride, norm = self.stride, self.norm
-        self.reduce = ConvBlock(in_ch, mid_ch, 1, norm=norm, act="relu",
+        in_ch, mid_ch, out_ch, stride = self.in_ch, self.mid_ch, self.out_ch, self.stride
+        self.reduce = ConvBlock(in_ch, mid_ch, 1, norm="gn", act="relu",
                                 rng=rng, dtype=dtype)
         self.spatial = ConvBlock(mid_ch, mid_ch, 3, stride=stride, padding=1,
-                                 norm=norm, act="relu", rng=rng, dtype=dtype)
-        self.expand = ConvBlock(mid_ch, out_ch, 1, norm=norm, act=None,
+                                 norm="gn", act="relu", rng=rng, dtype=dtype)
+        self.expand = ConvBlock(mid_ch, out_ch, 1, norm="gn", act=None,
                                 rng=rng, dtype=dtype)
         if in_ch != out_ch or stride != 1:
-            self.project = ConvBlock(in_ch, out_ch, 1, stride=stride, norm=norm,
+            self.project = ConvBlock(in_ch, out_ch, 1, stride=stride, norm="gn",
                                      act=None, rng=rng, dtype=dtype)
         else:
             self.project = None
@@ -384,9 +383,8 @@ _FIELD_LIMITS = {
     "conv": {"in_ch": (1, None), "out_ch": (1, None), "kernel": (1, None),
              "stride": (1, None), "padding": (0, None),
              "norm": (None, "gn", "bn"), "act": (None, "relu")},
-    "maxpool": {"kernel": (1, None), "stride": (1, None), "padding": (0, None)},
     "bottleneck": {"in_ch": (1, None), "mid_ch": (1, None), "out_ch": (1, None),
-                   "stride": (1, None), "norm": ("gn", "bn")},
+                   "stride": (1, None)},
     "fsm": {"channels": (1, None), "shift_channels": (1, None)},
 }
 
@@ -425,13 +423,12 @@ def build_3block3fsm(input_size=(256, 192), shift_channels=256, keypoints=17,
     g = NetworkGraph((3, h, w), dtype=dtype)
     g.add("stem", ConvBlock(3, 64, 7, stride=2, padding=3, norm="gn", act="relu",
                             rng=rng, dtype=dtype))
-    g.add("pool", MaxPool(3, 2, 1))
+    g.add("pool", MaxPool())
     for i in range(3):
         in_ch = 64 if i == 0 else 256
         g.add(f"fsm{i + 1}", FeatureShiftModule(in_ch, shift_channels, rng, dtype,
                                                 active=fsm_active))
-        g.add(f"block{i + 1}", Bottleneck(in_ch, 64, 256, norm="gn",
-                                          rng=rng, dtype=dtype))
+        g.add(f"block{i + 1}", Bottleneck(in_ch, 64, 256, rng=rng, dtype=dtype))
     g.add("neck", ConvBlock(256, 256, 1, norm="gn", act="relu", rng=rng, dtype=dtype))
     g.add("head", ConvBlock(256, keypoints, 3, padding=1, norm="bn", act=None,
                             rng=rng, dtype=dtype))
@@ -455,7 +452,7 @@ def build_toy_fsm_net(input_size=(32, 32), in_channels=1, keypoints=1,
                              norm="gn", act="relu", rng=rng, dtype=dtype))
     g.add("fsm1", FeatureShiftModule(width, shift_channels, rng, dtype,
                                      active=fsm_active))
-    g.add("block1", Bottleneck(width, half, width, norm="gn", rng=rng, dtype=dtype))
+    g.add("block1", Bottleneck(width, half, width, rng=rng, dtype=dtype))
     g.add("neck", ConvBlock(width, width, 1, norm="gn", act="relu",
                             rng=rng, dtype=dtype))
     g.add("head", ConvBlock(width, keypoints, 3, padding=1, norm="bn", act=None,
@@ -485,7 +482,7 @@ def build_fpn_ssn(input_size=(64, 48), keypoints=17, base_channels=8,
     g = NetworkGraph((3, h, w), dtype=dtype)
     g.add("stem", ConvBlock(3, cb, 7, stride=2, padding=3, norm="gn", act="relu",
                             rng=rng, dtype=dtype))
-    g.add("pool", MaxPool(3, 2, 1))
+    g.add("pool", MaxPool())
 
     stage_blocks = (3, 4, 6, 3)
     stage_out = [4 * cb * (2 ** i) for i in range(4)]
@@ -502,8 +499,7 @@ def build_fpn_ssn(input_size=(64, 48), keypoints=17, base_channels=8,
                 g.add(f"s{s + 1}_fsm{bidx + 1}", FeatureShiftModule(
                     in_ch, k, rng, dtype, active=fsm_active))
             g.add(f"s{s + 1}_block{bidx + 1}",
-                  Bottleneck(in_ch, mid, out_ch, stride=stride, norm="gn",
-                             rng=rng, dtype=dtype))
+                  Bottleneck(in_ch, mid, out_ch, stride=stride, rng=rng, dtype=dtype))
             in_ch = out_ch
         stage_tips.append(f"s{s + 1}_block{blocks}")
 

@@ -10,7 +10,8 @@ Each group keeps its values, gradients and moments in four flat
 buffers. Adding a parameter copies it in and rebinds its ``data`` and
 ``grad`` to views of the buffers, so one elementwise ``adam_step`` per
 group updates every parameter of the group in place, and the per-entry
-moment views keep the checkpoint blobs per parameter.
+moment views keep the checkpoint blobs per parameter. The checkpoint
+metadata is each group's step count, ``{group: t}``.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ class Adam:
         return blobs
 
     def meta(self):
-        return {name: {"t": g["t"]} for name, g in self.groups.items()}
+        return {name: g["t"] for name, g in self.groups.items()}
 
     def load_state(self, meta, blobs):
         """Restore every group's step count (a non-negative int) and moments
@@ -104,8 +105,7 @@ class Adam:
         if set(meta) != set(self.groups):
             raise CheckpointError(f"optimizer groups {sorted(meta)} in the checkpoint "
                                   f"do not match {sorted(self.groups)}")
-        for gname, info in meta.items():
-            t = info.get("t") if isinstance(info, dict) else None
+        for gname, t in meta.items():
             if not _count(t):
                 raise CheckpointError(f"optimizer group {gname!r}: step count {t!r} "
                                       "is not a non-negative int")

@@ -1,8 +1,8 @@
 """Desk-scale training loop: Adam groups, schedules, delayed insertion.
 
 Everything is a deterministic function of (config, seed): one generator
-drives data order, augmentation draws, and the offset re-initialization
-at insertion time, so checkpoints restore mid-run bit-exactly.
+draws the batch indices and the augmentation, and nothing else (insertion
+draws nothing), so checkpoints restore mid-run bit-exactly.
 
 Defaults mirror the reference regime (base lr 5e-4, offsets at 1e-3
 decaying 10% per epoch, batch 16, insertion after 6000 iterations);
@@ -114,9 +114,10 @@ def _parameter_groups(graph):
 class Trainer:
     """Drives a graph over a materialized synthetic dataset.
 
-    The single ``rng`` is consumed in a fixed per-iteration order (any
-    insertion's offsets, batch indices, augmentation draws), which makes a
-    checkpointed resume replay the exact remaining stream.
+    The single ``rng`` draws only each iteration's batch indices, then its
+    augmentation, which makes a checkpointed resume replay the exact
+    remaining stream. Insertion sets each bypassed module ``active``, in
+    graph order, and registers the module groups; it draws nothing.
     """
 
     def __init__(self, graph, config, dataset, eval_dataset=None):
@@ -174,7 +175,7 @@ class Trainer:
         if self.iteration >= cfg.insertion_iteration:
             bypassed = [m for _, m in self.graph.fsm_layers() if not m.active]
             for module in bypassed:
-                module.insert(self.rng)
+                module.active = True
             if bypassed:
                 self._add_groups(_FSM_GROUPS)
 

@@ -94,8 +94,7 @@ def _case_bottleneck(rng):
     c_out = int(rng.integers(2, 4))
     stride = int(rng.integers(1, 3))
     h, w = int(rng.integers(6, 8)), int(rng.integers(6, 8))
-    layer = Bottleneck(c_in, mid, c_out, stride=stride, norm="gn",
-                       rng=rng, dtype=np.float64)
+    layer = Bottleneck(c_in, mid, c_out, stride=stride, rng=rng, dtype=np.float64)
     # wide activations and boosted kernels keep the group statistics away
     # from the ill-conditioned small-variance regime finite differences
     # cannot handle; norm offsets pushed positive clear the relu kink

@@ -1,6 +1,7 @@
 """Checkpoint format: round-trips, rejection paths, bit-exact resume."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -31,6 +32,15 @@ def save(path, graph, rng=None, iteration=0):
 def payload_start(raw):
     """Offset of the payload: the preamble's 16 bytes plus the header."""
     return 16 + int(np.frombuffer(raw[8:16], dtype="<u8")[0])
+
+
+def blob_offsets(header):
+    """Each blob's offset in the payload, from the shapes alone: 4 bytes
+    for every value of the blobs before it, then the payload's size."""
+    offsets = [0]
+    for b in header["blobs"]:
+        offsets.append(offsets[-1] + 4 * math.prod(b["shape"]))
+    return offsets
 
 
 def all_params(graph):
@@ -94,8 +104,11 @@ class TestRejection:
     def test_truncated_payload_names_byte_counts(self, tmp_path):
         path = self._saved(tmp_path)
         raw = path.read_bytes()
+        size = blob_offsets(checkpoint_load(path)[0])[-1]
+        assert len(raw) - payload_start(raw) == size
         path.write_bytes(raw[:-20])
-        with pytest.raises(CheckpointError, match=r"expected \d+ bytes, got \d+"):
+        with pytest.raises(CheckpointError, match=rf"^truncated payload: expected "
+                                                  rf"{size} bytes, got {size - 20}$"):
             checkpoint_load(path)
 
     def test_corrupted_preamble_or_header_raises_checkpoint_error(self, tmp_path):
@@ -128,7 +141,7 @@ class TestRejection:
         payload_at = payload_start(raw)
         header = json.loads(raw[16:payload_at])
         return ([0, 4, 8, 15, 16, payload_at - 1, payload_at]
-                + [payload_at + b["offset"] for b in header["blobs"]][1:]
+                + [payload_at + at for at in blob_offsets(header)[1:-1]]
                 + [len(raw) - 1])
 
     def _rejects(self, tmp_path, raw):
@@ -157,16 +170,21 @@ class TestRejection:
 
     @pytest.mark.parametrize("extra", [b"\x00", b"\x00" * 4, b"SSNC" * 9])
     def test_appended_bytes_rejected(self, tmp_path, extra):
-        raw = self._saved(tmp_path).read_bytes()
-        assert self._rejects(tmp_path, raw + extra) is True
+        path = self._saved(tmp_path)
+        size = blob_offsets(checkpoint_load(path)[0])[-1]
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(CheckpointError, match=rf"^overlong payload: expected "
+                                                  rf"{size} bytes, got {size + len(extra)}$"):
+            checkpoint_load(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_nonfinite_payload_names_its_blob(self, tmp_path, value):
         path = self._saved(tmp_path)
         raw = bytearray(path.read_bytes())
         header, _ = checkpoint_load(path)
-        entry = header["blobs"][len(header["blobs"]) // 2]
-        at = payload_start(raw) + entry["offset"]
+        middle = len(header["blobs"]) // 2
+        entry = header["blobs"][middle]
+        at = payload_start(raw) + blob_offsets(header)[middle]
         raw[at:at + 4] = np.float32(value).astype("<f4").tobytes()
         path.write_bytes(raw)
         with pytest.raises(CheckpointError, match=rf"blob {entry['name']}: .*non-finite"):

@@ -264,8 +264,7 @@ def rewritten(change):
         header["blobs"], payload = [], b""
         for name, arr in blobs.items():
             data = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-            header["blobs"].append({"name": name, "shape": list(arr.shape),
-                                    "offset": len(payload), "nbytes": len(data)})
+            header["blobs"].append({"name": name, "shape": list(arr.shape)})
             payload += data
         return packed(header, payload)
     return apply
@@ -315,8 +314,8 @@ RESUME = ["train", "--iterations", "5", "--out", "{tmp}/resumed", "--resume"]
     (RESUME, rewritten(nan_in_first_blob)),
     (RESUME, rewritten(lambda header, blobs: header.update(iteration=-4))),
     (RESUME, rewritten(lambda header, blobs: header.update(iteration=True))),
-    (RESUME, rewritten(lambda header, blobs: header["optimizer"]["offsets"].update(t=-1))),
-    (RESUME, rewritten(lambda header, blobs: header["optimizer"]["offsets"].update(t="3"))),
+    (RESUME, rewritten(lambda header, blobs: header["optimizer"].update(offsets=-1))),
+    (RESUME, rewritten(lambda header, blobs: header["optimizer"].update(offsets="3"))),
 ], ids=["graph-key", "kernel-key", "input-shape", "param-blob", "buffer-blob",
         "optimizer-group", "rng-state", "moment-blob", "no-optimizer", "no-rng",
         "nan-blob-eval", "nan-blob-resume", "iteration-negative", "iteration-bool",
@@ -340,35 +339,20 @@ def entry(index, name):
     return next(e for e in index if e["name"] == name)
 
 
-def overlapping(index, payload):
-    """The stem's norm offsets read the bytes of its norm scales."""
-    entry(index, "param.stem.norm.offset")["offset"] = \
-        entry(index, "param.stem.norm.scale")["offset"]
-    return payload
-
-
 def duplicated(index, payload):
     """A second blob of the stem's norm offsets, of ones, after the last."""
     first = entry(index, "param.stem.norm.offset")
-    index.append({**first, "offset": len(payload)})
+    index.append(dict(first))
     return payload + np.ones(first["shape"], dtype="<f4").tobytes()
 
 
-def gapped(index, payload):
-    """Four bytes between the first blob and the second."""
-    end = index[0]["nbytes"]
-    for e in index[1:]:
-        e["offset"] += 4
-    return payload[:end] + bytes(4) + payload[end:]
-
-
-def miscounted(index, payload):
-    """A first entry whose shape holds fewer values than its bytes."""
-    index[0]["shape"][-1] -= 1
+def stale_offset(index, payload):
+    """A first entry that still names its payload offset, as format 2 did."""
+    index[0]["offset"] = 0
     return payload
 
 
-@pytest.mark.parametrize("change", [overlapping, duplicated, gapped, miscounted])
+@pytest.mark.parametrize("change", [duplicated, stale_offset])
 def test_blob_layout_unlike_the_writers_is_one_error_line(tmp_path, checkpoint, capsys,
                                                           change):
     bad = tmp_path / "bad.ssnc"
@@ -457,10 +441,8 @@ def test_config_of_another_network_is_one_config_line(tmp_path, checkpoint, caps
 
 def older_header_keys(header, blobs):
     """The keys that earlier checkpoints also wrote: a version of the graph
-    spec of its own, and each optimizer group's last rate."""
+    spec of its own."""
     header["graph"].update(format="shiftpose-graph", version=1)
-    for group in header["optimizer"].values():
-        group["lr"] = 0.0005
 
 
 def test_older_header_keys_resume_like_an_uninterrupted_run(tmp_path, config, capsys):
@@ -505,15 +487,15 @@ def test_unknown_layer_choice_in_a_checkpoint_is_one_config_line(tmp_path, check
 
 
 def test_checkpoint_of_an_older_format_is_one_error_line(tmp_path, checkpoint, capsys):
-    # version 1 specs hold a key this build's modules no longer have
+    # version 2 indexes name blob offsets, and its bypassed modules hold a
+    # random projection that only the old insertion zeroed
     raw = bytearray(checkpoint.read_bytes())
-    raw[4:8] = np.uint32(1).tobytes()
+    raw[4:8] = np.uint32(2).tobytes()
     old = tmp_path / "old.ssnc"
     old.write_bytes(raw)
     code, out = run(capsys, "eval", "--checkpoint", old)
     assert (code, out.err) == (
-        1, f"error: checkpoint: unknown checkpoint version 1, this build reads "
-           f"{FORMAT_VERSION}\n")
+        1, "error: checkpoint: unknown checkpoint version 2, this build reads 3\n")
 
 
 def set_in_spec(node, key, value):
@@ -593,8 +575,8 @@ def test_window_larger_than_its_input_in_a_checkpoint_is_one_config_line(tmp_pat
         "eval_count": 2}))
     assert run(capsys, "train", "--config", path, "--out", tmp_path / "run")[0] == 0
     bad = tmp_path / "bad.ssnc"
-    bad.write_bytes(set_in_spec("pool", "kernel", 99)(tmp_path / "run" / "checkpoint.ssnc"))
+    bad.write_bytes(set_in_spec("stem", "kernel", 99)(tmp_path / "run" / "checkpoint.ssnc"))
     code, out = run(capsys, "eval", "--checkpoint", bad)
     lines = out.err.splitlines()
     assert code == 2 and len(lines) == 1, out.err
-    assert lines[0].startswith("error: config: graph.nodes.pool: maxpool: spatial: "), out.err
+    assert lines[0].startswith("error: config: graph.nodes.stem: conv: spatial: "), out.err

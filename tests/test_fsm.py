@@ -16,12 +16,11 @@ def tmap(values):
 
 
 def module_with_branch(c, k, rng=0):
-    """Active double-precision module with a random output projection and
-    eval-identity norm: a bypassed module's draws, switched on without
-    ``insert`` (which would zero the projection)."""
-    module = fsm.FeatureShiftModule(c, k, np.random.default_rng(rng), np.float64,
-                                    active=False)
-    module.active = True
+    """Active double-precision module with eval-identity norm and a random
+    output projection, drawn after the module's own draws."""
+    rng = np.random.default_rng(rng)
+    module = fsm.FeatureShiftModule(c, k, rng, np.float64)
+    module.out_weight.data[...] = rng.standard_normal((c, k)) * np.sqrt(2.0 / k)
     return module
 
 
@@ -434,17 +433,14 @@ class TestBypassAndInsertion:
         p = ad.tensor(np.random.default_rng(16).standard_normal((1, 3, 4, 4)))
         assert module.forward(p, "train") is p
 
-    def test_insert_activates_and_double_insert_raises(self):
-        from shiftpose.errors import StateError
-
-        module = fsm.FeatureShiftModule(2, 3, active=False)
-        rng = np.random.default_rng(17)
-        module.insert(rng)
-        assert module.active
-        assert np.all(module.out_weight.data == 0.0)
-        assert np.abs(module.dx.data).max() <= fsm.OFFSET_INIT_RANGE
-        with pytest.raises(StateError):
-            module.insert(rng)
+    def test_bypassed_module_holds_the_bytes_of_an_active_one(self):
+        # so inserting a module is setting ``active``, and draws nothing
+        modules = [fsm.FeatureShiftModule(2, 3, np.random.default_rng(17), active=a)
+                   for a in (False, True)]
+        bypassed, active = ([(n, (v.data if isinstance(v, ad.Parameter) else v).tobytes())
+                             for n, v in m.state()] for m in modules)
+        assert bypassed == active
+        assert not modules[1].out_weight.data.any()
 
     def test_fresh_offsets_within_init_range(self):
         module = fsm.FeatureShiftModule(2, 64, rng=np.random.default_rng(18))

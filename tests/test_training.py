@@ -1,9 +1,12 @@
 """Schedules, delayed insertion, determinism, descent."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from shiftpose import network as net
+from shiftpose.config import RunConfig, build_datasets, build_network
 from shiftpose.errors import ConfigError, NumericError
 from shiftpose.optim import adam_step
 from shiftpose.synthdata import SynthSpec, generate_dataset
@@ -139,6 +142,22 @@ class TestInsertion:
         assert "offsets" in opt.groups and set(opt.groups) <= set(passed[-1])
         assert passed[-1]["offsets"] == pytest.approx(
             offset_lr_schedule(trainer.epoch(), cfg))
+
+    def test_active_run_equals_a_bypassed_run_inserted_at_iteration_zero(self):
+        runs = []
+        for active in (True, False):
+            cfg = RunConfig(eval_count=1)
+            cfg.network = replace(cfg.network, fsm_active=active)
+            cfg.dataset = replace(cfg.dataset, count=16)
+            cfg.trainer = replace(cfg.trainer, batch_size=4, iterations=12,
+                                  insertion_iteration=0)
+            train, evals = build_datasets(cfg)
+            trainer = Trainer(build_network(cfg), cfg.trainer, train, evals)
+            while trainer.iteration < 12:
+                trainer.step()
+            runs.append((trainer.metrics, [(n, p.data.tobytes())
+                                           for n, p in trainer.graph.named_parameters()]))
+        assert runs[0] == runs[1]
 
 
 def group_slots(trainer):
