@@ -216,11 +216,11 @@ class FeatureShiftModule:
         # After a train-mode forward, the tensors of that forward keep the
         # step's whole tape (activations and closures; no gradient copies,
         # which backward keeps on leaves only) alive until the next forward
-        # replaces them. That is deliberate: freeing the tape after each step
-        # let the allocator return its pages and fault them in again
-        # (mid-train: 3x the minor faults, a slower step) and lowered no
-        # peak RSS. An untaped eval forward caches plain tensors, which hold
-        # only their own maps.
+        # replaces them, because analyses read the last forward's tensors.
+        # A trainer keeps its freed heap (training._retain_heap), so
+        # dropping the tape after each step would no longer cost page
+        # faults; it is a question of memory only. An untaped eval forward
+        # caches plain tensors, which hold only their own maps.
         self.cache = {}
 
     def forward(self, p, mode="train"):

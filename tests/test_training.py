@@ -1,11 +1,21 @@
 """Schedules, delayed insertion, determinism, descent."""
 
+import hashlib
+import json
+import os
+import pathlib
+import platform
+import subprocess
+import sys
+import types
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import shiftpose
 from shiftpose import network as net
+from shiftpose import training
 from shiftpose.config import RunConfig, build_datasets, build_network
 from shiftpose.errors import ConfigError, NumericError
 from shiftpose.optim import adam_step
@@ -373,3 +383,98 @@ class TestDeterminismAndDescent:
         # the worker half of a product must keep the caller's errstate, or
         # the inf weight warns there before the guard can name the layer
         self.test_nonfinite_guard_names_layer()
+
+
+# the benchmark's toy-train set-up with its module inserted at step 6, in a
+# fresh interpreter; the caller adds the run and what it prints
+TOY_TRAINER = (
+    "import hashlib, json, resource\n"
+    "from shiftpose.config import RunConfig, build_datasets, build_network\n"
+    "from shiftpose.training import TrainConfig, Trainer\n"
+    "cfg = RunConfig()\n"
+    "trainer = Trainer(build_network(cfg), TrainConfig.desk_scale(\n"
+    "    400, seed=11, batch_size=16, insertion_iteration=6), *build_datasets(cfg))\n"
+)
+
+
+def run_fresh(code):
+    src = str(pathlib.Path(shiftpose.__file__).parents[1])
+    return subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}).stdout
+
+
+def fake_libc(calls, answer=1):
+    def mallopt(param, value):
+        calls.append((param, value))
+        return answer
+    return lambda name: types.SimpleNamespace(mallopt=mallopt)
+
+
+def refuse_library(name):
+    raise OSError("cannot open the C library")
+
+
+class TestRetainedHeap:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
+    def test_a_steady_toy_step_takes_no_page_faults(self):
+        """Freed pages stay in the process, so a step after warm-up faults
+        none in: 0.1 faults per step with the setting, 128-158 without."""
+        faults = float(run_fresh(
+            TOY_TRAINER
+            + "for _ in range(40):\n    trainer.step()\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(20):\n    trainer.step()\n"
+            "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)"))
+        assert faults <= 10
+
+    def test_the_setting_changes_no_bit(self):
+        """Twelve steps on the allocator's defaults and on the retained heap
+        give the same losses, rates and parameter bytes."""
+        defaults = json.loads(run_fresh(
+            "from shiftpose import training\n"
+            "training._retain_heap = lambda: None\n"
+            + TOY_TRAINER
+            + "for _ in range(12):\n    trainer.step()\n"
+            "print(json.dumps({'metrics': trainer.metrics, 'params': {\n"
+            "    name: hashlib.sha256(p.data.tobytes()).hexdigest()\n"
+            "    for name, p in trainer.graph.named_parameters()}}))"))
+        cfg = RunConfig()
+        trainer = Trainer(build_network(cfg), TrainConfig.desk_scale(
+            400, seed=11, batch_size=16, insertion_iteration=6), *build_datasets(cfg))
+        for _ in range(12):
+            trainer.step()
+        assert {"metrics": trainer.metrics, "params": {
+            name: hashlib.sha256(p.data.tobytes()).hexdigest()
+            for name, p in trainer.graph.named_parameters()}} == defaults
+
+    @pytest.mark.parametrize("libc, cdll", [
+        (("musl", "1.2.4"), fake_libc([])),
+        (("glibc", "2.36"), refuse_library),
+        (("glibc", "2.36"), lambda name: types.SimpleNamespace()),
+    ], ids=["other-libc", "no-library", "no-mallopt"])
+    def test_a_trainer_without_mallopt_steps_the_same(self, monkeypatch, libc, cdll):
+        graph, cfg, data = tiny_setup(iterations=4, insertion=2)
+        reference = Trainer(graph, cfg, data)
+        expect = [reference.step() for _ in range(4)]
+        monkeypatch.setattr(training, "_heap_retained", False)
+        monkeypatch.setattr(training.platform, "libc_ver", lambda: libc)
+        monkeypatch.setattr(training.ctypes, "CDLL", cdll)
+        graph, cfg, data = tiny_setup(iterations=4, insertion=2)
+        trainer = Trainer(graph, cfg, data)
+        assert [trainer.step() for _ in range(4)] == expect
+
+    @pytest.mark.parametrize("libc, answer, expect", [
+        ("glibc", 1, [(-3, 32 << 20), (-1, 1 << 30)]),
+        # alone, the trim threshold would map every array over 128 KiB
+        ("glibc", 0, [(-3, 32 << 20)]),
+        ("musl", 1, []),
+    ])
+    def test_mmap_threshold_first_and_once(self, monkeypatch, libc, answer, expect):
+        calls = []
+        monkeypatch.setattr(training, "_heap_retained", False)
+        monkeypatch.setattr(training.platform, "libc_ver", lambda: (libc, "1.0"))
+        monkeypatch.setattr(training.ctypes, "CDLL", fake_libc(calls, answer))
+        training._retain_heap()
+        training._retain_heap()
+        assert calls == expect
