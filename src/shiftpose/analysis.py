@@ -64,9 +64,9 @@ def keypoint_offset_scores(graph, images, module_id):
     network runs in eval mode.
     """
     module = _fsm_module(graph, module_id)
-    heads, _ = graph.forward(_input_leaf(graph, images), mode="eval")
+    heads, outputs = graph.forward(_input_leaf(graph, images), mode="eval")
     pred = heads["main"]
-    post_shift = module.cache["post_shift"]
+    post_shift = module.branches(outputs[module_id])["post_shift"]
     m_channels = pred.shape[1]
     k = post_shift.shape[1]
 
@@ -109,7 +109,7 @@ def erf_map(graph, image, module_id, channel, position):
     image = _input_leaf(graph, image)
     _, outputs = graph.forward(image, mode="eval")
     if isinstance(node.layer, FeatureShiftModule):
-        nonlocal_maps = _fsm_module(graph, module_id).cache["nonlocal"]
+        nonlocal_maps = _fsm_module(graph, module_id).branches(outputs[module_id])["nonlocal"]
     else:
         nonlocal_maps = outputs[module_id]
     x, y = position

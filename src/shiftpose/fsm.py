@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .errors import DimensionError
+from .errors import DimensionError, StateError
 
 __all__ = [
     "shift", "ca_forward", "fsm_oracle", "fsm_param_count",
@@ -172,8 +172,7 @@ def ca_forward(p, gate_weight):
 
 @dataclass(eq=False)
 class FeatureShiftModule:
-    """Graph layer holding a module's parameters, bypass state and
-    last-forward tensors.
+    """Graph layer holding a module's parameters and bypass state.
 
     ``in_weight`` (K,C) feeds the shifting channels, ``gate_weight`` (K,C)
     feeds the attention branch, ``out_weight`` (C,K) projects back, and
@@ -185,9 +184,10 @@ class FeatureShiftModule:
     A module built for delayed insertion starts in bypass, acting as an
     exact identity with frozen parameters. It holds the bytes an active
     module drawn from the same generator holds, so insertion only sets
-    ``active``. The tensors of the most recent active forward (pre-shift,
-    post-shift, attention, branch output) stay accessible for analyses.
-    The graph sets ``name`` and ``clamp_bound`` when the module is added.
+    ``active``. A forward's tensors live as long as its caller holds
+    them; ``branches`` recovers a taped forward's branch tensors from its
+    output. The graph sets ``name`` and ``clamp_bound`` when the module
+    is added.
     """
 
     channels: int
@@ -213,15 +213,6 @@ class FeatureShiftModule:
         self.running_var = np.ones(c, dtype=dtype)
         self.name = "fsm"
         self.clamp_bound = None
-        # After a train-mode forward, the tensors of that forward keep the
-        # step's whole tape (activations and closures; no gradient copies,
-        # which backward keeps on leaves only) alive until the next forward
-        # replaces them, because analyses read the last forward's tensors.
-        # A trainer keeps its freed heap (training._retain_heap), so
-        # dropping the tape after each step would no longer cost page
-        # faults; it is a question of memory only. An untaped eval forward
-        # caches plain tensors, which hold only their own maps.
-        self.cache = {}
 
     def forward(self, p, mode="train"):
         """Project, shift, gate, project back, add the shortcut, batch-norm
@@ -239,10 +230,30 @@ class FeatureShiftModule:
         normed = ad.batch_norm(ad.add(p, nonlocal_maps), self.norm_scale,
                                self.norm_offset, self.running_mean,
                                self.running_var, mode)
-        out = ad.relu(normed)
-        self.cache = {"pre_shift": pre_shift, "post_shift": post_shift,
-                      "attention": gate, "nonlocal": nonlocal_maps}
-        return out
+        return ad.relu(normed)
+
+    def branches(self, out):
+        """The branch tensors of the taped forward whose output is ``out``:
+        ``pre_shift``, ``post_shift``, ``attention`` and ``nonlocal`` (the
+        output of the final projection), read off ``out``'s tape in
+        ``forward``'s op order. Raises :class:`StateError` for a bypassed
+        module or an output that is not this module's taped output."""
+        if not self.active:
+            raise StateError(f"{self.name}: bypassed: the module has no branch")
+        try:
+            (normed,) = out._parents
+            summed, _, _ = normed._parents
+            _, nonlocal_maps = summed._parents
+            gated, out_weight = nonlocal_maps._parents
+            gate, post_shift = gated._parents
+            pre_shift, dx, dy = post_shift._parents
+        except ValueError:
+            raise StateError(f"{self.name}: the output holds no tape of this "
+                             "module's forward (an untaped forward records none)") from None
+        if not (out_weight is self.out_weight and dx is self.dx and dy is self.dy):
+            raise StateError(f"{self.name}: the output is another module's")
+        return {"pre_shift": pre_shift, "post_shift": post_shift,
+                "attention": gate, "nonlocal": nonlocal_maps}
 
     def out_shape(self, in_shape):
         c = in_shape[0]

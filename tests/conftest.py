@@ -1,5 +1,6 @@
 """Fixtures shared by the test modules."""
 
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -36,3 +37,37 @@ def nan_gradients(monkeypatch):
         monkeypatch.setattr(ad, "_node", poisoned_node)
 
     return poison
+
+
+@pytest.fixture
+def tape_arrays(monkeypatch):
+    """A list that gathers a weak reference to every array that becomes a
+    tensor from here on, and to the array it views, if any."""
+    node, refs = ad._node, []
+
+    def recorded_node(data, parents, backward):
+        for a in (data, data.base):
+            if isinstance(a, np.ndarray):
+                refs.append(weakref.ref(a))
+        return node(data, parents, backward)
+
+    monkeypatch.setattr(ad, "_node", recorded_node)
+    return refs
+
+
+@pytest.fixture
+def kept_outputs(monkeypatch):
+    """``keep(graph)`` returns a list that gathers the node outputs of every
+    forward ``graph`` runs from then on."""
+    def keep(graph):
+        forward, kept = graph.forward, []
+
+        def kept_forward(*args, **kwargs):
+            heads, outputs = forward(*args, **kwargs)
+            kept.append(outputs)
+            return heads, outputs
+
+        monkeypatch.setattr(graph, "forward", kept_forward)
+        return kept
+
+    return keep

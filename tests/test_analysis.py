@@ -1,5 +1,7 @@
 """Keypoint-offset scores, receptive-field probes, offset export."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -93,8 +95,8 @@ class TestReadOnly:
         return g, module
 
     @staticmethod
-    def _tape(module):
-        seen, stack = {}, list(module.cache.values())
+    def _tape(module, outputs):
+        seen, stack = {}, list(module.branches(outputs["fsm1"]).values())
         while stack:
             t = stack.pop()
             if id(t) not in seen:
@@ -103,7 +105,7 @@ class TestReadOnly:
         return [t for t in seen.values() if not isinstance(t, ad.Parameter)]
 
     @pytest.mark.parametrize("analysis", ["kp-scores", "erf"])
-    def test_leaves_every_gradient_buffer_as_it_was(self, analysis):
+    def test_leaves_every_gradient_buffer_as_it_was(self, analysis, kept_outputs):
         g, module = self._graph()
         params = [p for node in g.nodes for _, p in node.layer.state()
                   if isinstance(p, ad.Parameter)]
@@ -111,12 +113,14 @@ class TestReadOnly:
             p.grad[...] = 0.25 + i
         before = [p.grad.tobytes() for p in params]
         images = np.random.default_rng(42).standard_normal((2, 1, 16, 16))
+        outputs = kept_outputs(g)
         if analysis == "kp-scores":
             assert ana.keypoint_offset_scores(g, images, "fsm1").any()
         else:
             assert ana.erf_map(g, images, "fsm1", 1, (2, 1)).any()
         assert [p.grad.tobytes() for p in params] == before
-        tape = self._tape(module)
+        (outs,) = outputs
+        tape = self._tape(module, outs)
         assert any(t._backward is not None for t in tape)
         assert all(t.grad is None for t in tape)
 
@@ -133,6 +137,33 @@ class TestReadOnly:
         ana.keypoint_offset_scores(g, images, "fsm1")
         assert shapes
         assert (2, 1, 16, 16) not in shapes and (2, 4, 8, 8) not in shapes
+
+
+class TestPinnedBytes:
+    """The analyses' bytes on the toy net with a live branch, pinned by
+    sha256. A conv's sums run through BLAS, so another BLAS build may
+    order them differently and change the last bits."""
+
+    @staticmethod
+    def _graph_and_images():
+        g, _ = TestReadOnly._graph()
+        return g, np.random.default_rng(42).standard_normal((2, 1, 16, 16))
+
+    @staticmethod
+    def _digest(a):
+        return hashlib.sha256(a.tobytes()).hexdigest()
+
+    def test_kp_scores(self):
+        g, images = self._graph_and_images()
+        assert self._digest(ana.keypoint_offset_scores(g, images, "fsm1")) == (
+            "c7e5c3aa138ea5010d3886aadb4f99823c3d610d2f55216d5e06f6b00ab7db63")
+
+    @pytest.mark.parametrize("layer, digest", [
+        ("fsm1", "67a9bb3abe8de2f0298e50b4ead1c68c1c55377be7409ac38377706bd675a6a8"),
+        ("stem2", "c2077429be29467b8a802b628738aeb40f6e23c0512d3d315b6c975640d58137")])
+    def test_erf(self, layer, digest):
+        g, images = self._graph_and_images()
+        assert self._digest(ana.erf_map(g, images, layer, 1, (2, 1))) == digest
 
 
 class TestContributionCounts:

@@ -7,7 +7,7 @@ import pytest
 
 from shiftpose import autodiff as ad
 from shiftpose import fsm
-from shiftpose.errors import DimensionError
+from shiftpose.errors import DimensionError, StateError
 from shiftpose.gradcheck import finite_diff_gradcheck
 
 
@@ -313,6 +313,51 @@ class TestModuleForward:
         module = module_with_branch(3, 2)
         with pytest.raises(DimensionError, match="channels"):
             module.forward(ad.tensor(np.zeros((1, 4, 3, 3))))
+
+
+class TestBranches:
+    """``branches`` reads a taped forward's branch tensors off its output."""
+
+    @staticmethod
+    def _taped():
+        rng = np.random.default_rng(12)
+        module = module_with_branch(3, 4, rng=12)
+        p = ad.tensor(rng.standard_normal((2, 3, 5, 6)), requires_grad=True)
+        return module, p, module.forward(p, mode="eval")
+
+    def test_returns_the_tensors_the_module_consumed(self):
+        module, p, out = self._taped()
+        b = module.branches(out)
+        assert b.keys() == {"pre_shift", "post_shift", "attention", "nonlocal"}
+        assert b["pre_shift"].data.tobytes() == (
+            ad.conv1x1(p, module.in_weight).data.tobytes())
+        assert b["post_shift"].data.tobytes() == (
+            fsm.shift(b["pre_shift"], module.dx, module.dy).data.tobytes())
+        assert b["attention"].data.tobytes() == (
+            fsm.ca_forward(p, module.gate_weight).data.tobytes())
+        gated = ad.mul(b["attention"], b["post_shift"])
+        assert b["nonlocal"].data.tobytes() == (
+            ad.conv1x1(gated, module.out_weight).data.tobytes())
+        assert all(t._backward is not None for t in b.values())
+
+    def test_untaped_output_raises(self):
+        module, p, _ = self._taped()
+        with ad._recording(False):
+            out = module.forward(p, mode="eval")
+        with pytest.raises(StateError, match="no tape"):
+            module.branches(out)
+
+    def test_bypassed_module_raises(self):
+        module, p, out = self._taped()
+        module.active = False
+        with pytest.raises(StateError, match="bypassed"):
+            module.branches(out)
+
+    def test_another_modules_output_raises(self):
+        module, p, _ = self._taped()
+        other = module_with_branch(3, 4, rng=13)
+        with pytest.raises(StateError, match="another module"):
+            module.branches(other.forward(p, mode="eval"))
 
 
 class TestOracle:

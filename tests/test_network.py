@@ -1,6 +1,7 @@
 """Graph construction, builders, accounting, serialization."""
 
 import dataclasses
+import gc
 import re
 
 import numpy as np
@@ -401,19 +402,33 @@ class TestTape:
         x = np.random.default_rng(7).standard_normal((2, 1, 16, 16)).astype(np.float32)
         return g, x
 
-    @staticmethod
-    def _cached(g):
-        return [t for _, m in g.fsm_layers() for t in m.cache.values()]
-
-    def test_eval_forward_of_an_array_records_no_tape(self):
+    def test_eval_forward_of_an_array_records_no_tape(self, monkeypatch):
         g, x = self._graph_and_images()
+        node, interior = ad._node, []
+
+        def recorded_node(*args):
+            interior.append(node(*args))
+            return interior[-1]
+
+        monkeypatch.setattr(ad, "_node", recorded_node)
         heads, outputs = g.forward(x, "eval")
-        produced = list(heads.values()) + list(outputs.values()) + self._cached(g)
-        assert len(self._cached(g)) == 4
+        produced = list(heads.values()) + list(outputs.values()) + interior
+        assert len(interior) > len(outputs)
         for t in produced:
             assert t._backward is None and t._parents == () and not t.requires_grad
         with pytest.raises(StateError, match="requires no gradient"):
             heads["main"].backward(np.ones(heads["main"].shape, np.float32))
+        with pytest.raises(StateError, match="no tape"):
+            g.node("fsm1").layer.branches(outputs["fsm1"])
+
+    def test_no_array_of_an_untaped_forward_outlives_its_results(self, tape_arrays):
+        g, x = self._graph_and_images()
+        heads, outputs = g.forward(x, "eval")
+        assert tape_arrays
+        del heads, outputs
+        gc.collect()
+        alive = [r() for r in tape_arrays if r() is not None]
+        assert not alive, [a.shape for a in alive]
 
     def test_untaped_heads_equal_the_taped_eval_forward(self):
         g, x = self._graph_and_images()
@@ -429,7 +444,9 @@ class TestTape:
     def test_train_forward_still_tapes(self):
         g, x = self._graph_and_images()
         heads, outputs = g.forward(x, "train")
-        for t in [outputs[n.name] for n in g.nodes] + self._cached(g):
+        branches = [t for name, m in g.fsm_layers() for t in m.branches(outputs[name]).values()]
+        assert len(branches) == 4
+        for t in [outputs[n.name] for n in g.nodes] + branches:
             assert t._backward is not None and t.requires_grad
         weight = g.node("stem").layer.weight
         weight.grad[...] = 0

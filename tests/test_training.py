@@ -1,5 +1,6 @@
 """Schedules, delayed insertion, determinism, descent."""
 
+import gc
 import hashlib
 import json
 import os
@@ -118,14 +119,15 @@ class TestInsertion:
                 seen = max(seen, float(np.abs(module.dx.grad).max()))
         assert seen > 0.0
 
-    def test_step_leaves_no_gradient_on_the_cached_tape(self):
+    def test_step_leaves_no_gradient_on_its_tape(self, kept_outputs):
         graph, cfg, data = tiny_setup(iterations=4, insertion=1)
         trainer = Trainer(graph, cfg, data)
+        outputs = kept_outputs(graph)
         for _ in range(3):
             trainer.step()
         module = dict(graph.fsm_layers())["fsm1"]
         assert module.active
-        seen, stack, interior = set(), list(module.cache.values()), 0
+        seen, stack, interior = set(), list(module.branches(outputs[-1]["fsm1"]).values()), 0
         while stack:
             t = stack.pop()
             if id(t) in seen:
@@ -136,6 +138,15 @@ class TestInsertion:
                 assert t.grad is None, t
             stack.extend(t._parents)
         assert interior > 0
+
+    def test_no_array_of_a_step_outlives_it(self, tape_arrays):
+        graph, cfg, data = tiny_setup(iterations=4, insertion=1)
+        trainer = Trainer(graph, cfg, data)
+        for _ in range(2):
+            trainer.step()
+        gc.collect()
+        alive = [r() for r in tape_arrays if r() is not None]
+        assert tape_arrays and not alive, [a.shape for a in alive]
 
     def test_inserted_groups_use_offset_lr(self):
         graph, cfg, data = tiny_setup(iterations=8, insertion=2)
