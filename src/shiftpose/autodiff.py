@@ -9,9 +9,11 @@ reader. A forward run with recording off (an inference forward of
 ``NetworkGraph``) records nothing: each op returns a plain tensor, and
 the state only its backward would read is freed when the op returns.
 Backward-only work (relu's mask, max-pool's winning cells) is done in
-backward, from the inputs the tape keeps. Every convolution is one core,
-``_conv`` (``conv1x1`` is ``conv2d``'s 1x1 case), and
-``_conv_input_grad`` builds every conv's input gradient.
+backward, from the arrays the tape keeps: ``relu`` masks by its input,
+and a ReLU fused into a normalization (``relu=True``) by that node's
+output. Every convolution is one core, ``_conv`` (``conv1x1`` is
+``conv2d``'s 1x1 case), and ``_conv_input_grad`` builds every conv's
+input gradient.
 
 Channel contractions run as BLAS matrix products, in an order that is
 fixed for a given BLAS build and thread count, and by the two fixed
@@ -306,10 +308,11 @@ _SMOOTHNESS = None
 
 @contextlib.contextmanager
 def trace_smoothness():
-    """Record, while active, each relu's smallest distance from its kink
-    (``"relu"``) and each normalization's smallest per-slice variance
-    (``"var"``). Gradient-check case selection rejects inputs near a kink
-    or with a near-zero variance, whose 1/sigma curvature defeats finite
+    """Record, while active, each ReLU's smallest distance from its kink
+    (``"relu"``: a fused ReLU's pre-activation, residual included) and
+    each normalization's smallest per-slice variance (``"var"``).
+    Gradient-check case selection rejects inputs near a kink or with a
+    near-zero variance, whose 1/sigma curvature defeats finite
     differencing. Yields the dict of lists being filled."""
     global _SMOOTHNESS
     prev, _SMOOTHNESS = _SMOOTHNESS, {"relu": [], "var": []}
@@ -320,6 +323,8 @@ def trace_smoothness():
 
 
 def relu(x):
+    """max(x, 0) as a node of its own; a ReLU after a normalization rides
+    the normalization's pass instead (``relu=True``)."""
     if _SMOOTHNESS is not None:
         _SMOOTHNESS["relu"].append(float(np.abs(x.data).min()))
     def backward(g):
@@ -679,7 +684,7 @@ def upsample_nearest2x(x):
 EPS = 1e-5
 
 
-def _normalize(op, x, gamma, beta, view, axes, stats=None):
+def _normalize(op, x, gamma, beta, view, axes, stats=None, relu=False, residual=None):
     """gamma * xhat + beta as a tape node, where xhat normalizes ``x``
     reshaped to ``view`` over ``axes``; the last two axes of ``view`` are
     (H, W) and both are reduced, and axis 1 (channels, or groups of them)
@@ -687,20 +692,29 @@ def _normalize(op, x, gamma, beta, view, axes, stats=None):
     reduction; without it they are taken from ``x`` and differentiated
     through. Returns the node, mean and var.
 
+    The epilogue adds ``residual`` (a tensor of the output's shape and
+    dtype), then takes the ReLU when ``relu``: the bytes of ``relu(add(
+    norm, residual))``, with no node or map of their own. Backward masks
+    the gradient by ``output > 0``, which is where the pre-activation is
+    above 0 (not at -0.0 or NaN), and that one masked gradient feeds the
+    sums and is ``residual``'s gradient.
+
     Every sum is an einsum to per-(b, c) sums over (H, W), then a sum of
     those over the rest of ``axes``, so no product array is made. Only the
     centred ``x - mean`` is kept: xhat = (x - mean) * inv_std is merged
     into per-(b, c) coefficients, forward and backward. With no tape
     recording nothing reads it afterwards, so the output is the centred
-    array, scaled and offset in place. Forward and backward run as
-    ``_halves`` of ``view``'s axis 1, so a group's sums stay in one half,
-    into arrays made before the split.
+    array, scaled, offset and activated in place. Forward and backward run
+    as ``_halves`` of ``view``'s axis 1, so a group's sums stay in one
+    half, into arrays made before the split.
     """
     b, c, h, w = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise DimensionError(
             f"{op}: channels: scale/offset need shape ({c},), "
             f"got {gamma.shape}/{beta.shape}")
+    if residual is not None and residual.shape != x.shape:
+        raise DimensionError(f"{op}: residual: shape {residual.shape} differs from {x.shape}")
     units, per_unit = view[1], c // view[1]
     n = math.prod(view[a] for a in axes)
     # a pass over the values takes about as long as 100 FLOPs a value of
@@ -741,7 +755,11 @@ def _normalize(op, x, gamma, beta, view, axes, stats=None):
     # every dtype as numpy's promotion of the parent arrays gives it
     scale = np.empty((b, c), np.promote_types(gamma.dtype, var.dtype))
     dtype = np.promote_types(x.dtype, scale.dtype)
+    if residual is not None and residual.dtype != dtype:
+        raise ValueError(f"{op}: residual: dtype {residual.dtype} differs from {dtype}")
     out = xc if not _RECORD and dtype == xc.dtype else np.empty_like(xc, dtype=dtype)
+    # each half's smallest |pre-activation|, read only by trace_smoothness
+    kinks = []
 
     def forward(u, ch):
         inv, xcs, o = inv_view[:, u], xc[:, ch], out[:, ch]
@@ -756,12 +774,24 @@ def _normalize(op, x, gamma, beta, view, axes, stats=None):
         np.multiply(gamma.data[ch], inv_std[:, ch], out=scale[:, ch])
         np.multiply(xcs, spread(scale[:, ch]), out=o)
         o += beta.data[None, ch, None, None]
+        if residual is not None:
+            o += residual.data[:, ch]
+        if relu:
+            if _SMOOTHNESS is not None:
+                kinks.append(np.abs(o).min())
+            np.maximum(o, 0, out=o)
 
     halves(forward, 2)
     if _SMOOTHNESS is not None:
         _SMOOTHNESS["var"].append(float(var.min()))
+        if relu:
+            # np.min, not min: a NaN in either half is the minimum
+            _SMOOTHNESS["relu"].append(float(np.min(kinks)))
 
     def backward(g):
+        if relu:
+            # the masked gradient, C-ordered as relu's product with its mask was
+            g_out, g = g, np.empty(g.shape, g.dtype)
         sum_g = np.empty((b, c), g.dtype)
         sum_gxhat = np.empty((b, c), np.result_type(g.dtype, x.dtype, var.dtype))
         gx = np.empty_like(g, dtype=np.promote_types(g.dtype, scale.dtype))
@@ -769,6 +799,8 @@ def _normalize(op, x, gamma, beta, view, axes, stats=None):
 
         def part(u, ch):
             gs = g[:, ch]
+            if relu:
+                np.multiply(g_out[:, ch], out[:, ch] > 0, out=gs)
             sum_g[:, ch] = np.einsum("bchw->bc", gs)
             np.multiply(np.einsum("bchw,bchw->bc", gs, xc[:, ch]), inv_std[:, ch],
                         out=sum_gxhat[:, ch])
@@ -785,13 +817,20 @@ def _normalize(op, x, gamma, beta, view, axes, stats=None):
                 gx[:, ch] -= spread((s1 * inv).reshape(b, -1))
 
         halves(part, 3)
-        return ((x, gx), (gamma, sum_gxhat.sum(axis=0)), (beta, sum_g.sum(axis=0)))
+        grads = [(x, gx), (gamma, sum_gxhat.sum(axis=0)), (beta, sum_g.sum(axis=0))]
+        return grads if residual is None else grads + [(residual, g)]
 
-    return _node(out, (x, gamma, beta), backward), mean, var
+    # ``residual`` last, so the walk meets the other parents in the order
+    # it met them through ``add``
+    parents = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
+    return _node(out, parents, backward), mean, var
 
 
-def batch_norm(x, gamma, beta, running_mean, running_var, mode, momentum=0.1):
-    """Per-channel batch normalization.
+def batch_norm(x, gamma, beta, running_mean, running_var, mode, momentum=0.1,
+               relu=False):
+    """Per-channel batch normalization, followed by a ReLU when ``relu``
+    (the bytes of ``relu(batch_norm(...))`` in one node; see
+    ``_normalize``).
 
     ``running_mean``/``running_var`` are plain numpy arrays owned by the
     layer; train mode updates them in place with an exponential moving
@@ -804,21 +843,25 @@ def batch_norm(x, gamma, beta, running_mean, running_var, mode, momentum=0.1):
     if mode == "eval":
         stats = tuple(s.astype(x.dtype)[None, :, None, None]
                       for s in (running_mean, running_var))
-    out, mean, var = _normalize("batch_norm", x, gamma, beta, x.shape, (0, 2, 3), stats)
+    out, mean, var = _normalize("batch_norm", x, gamma, beta, x.shape, (0, 2, 3), stats,
+                                relu)
     if mode == "train":
         running_mean += momentum * (mean.ravel() - running_mean)
         running_var += momentum * (var.ravel() - running_var)
     return out
 
 
-def group_norm(x, gamma, beta, groups):
-    """Group normalization over (channels/groups, H, W) slices per sample."""
+def group_norm(x, gamma, beta, groups, relu=False, residual=None):
+    """Group normalization over (channels/groups, H, W) slices per sample,
+    plus ``residual`` (a tensor like the output) when given, then a ReLU
+    when ``relu``: the bytes of ``relu(add(group_norm(...), residual))``
+    in one node, whose map is the only one kept (see ``_normalize``)."""
     _check_rank4(x, "group_norm")
     b, c, h, w = x.shape
     if c % groups != 0:
         raise ConfigError("group_norm.groups", f"{groups} does not divide {c} channels")
     return _normalize("group_norm", x, gamma, beta, (b, groups, c // groups, h, w),
-                      (2, 3, 4))[0]
+                      (2, 3, 4), None, relu, residual)[0]
 
 
 def default_groups(channels):

@@ -216,7 +216,7 @@ class FeatureShiftModule:
 
     def forward(self, p, mode="train"):
         """Project, shift, gate, project back, add the shortcut, batch-norm
-        the sum, ReLU; a bypassed module returns its input."""
+        the sum and ReLU in one pass; a bypassed module returns its input."""
         if not self.active:
             return p
         if p.ndim != 4 or p.shape[1] != self.channels:
@@ -227,10 +227,9 @@ class FeatureShiftModule:
         post_shift = shift(pre_shift, self.dx, self.dy)
         gate = ca_forward(p, self.gate_weight)
         nonlocal_maps = ad.conv1x1(ad.mul(gate, post_shift), self.out_weight)
-        normed = ad.batch_norm(ad.add(p, nonlocal_maps), self.norm_scale,
-                               self.norm_offset, self.running_mean,
-                               self.running_var, mode)
-        return ad.relu(normed)
+        return ad.batch_norm(ad.add(p, nonlocal_maps), self.norm_scale,
+                             self.norm_offset, self.running_mean,
+                             self.running_var, mode, relu=True)
 
     def branches(self, out):
         """The branch tensors of the taped forward whose output is ``out``:
@@ -241,8 +240,7 @@ class FeatureShiftModule:
         if not self.active:
             raise StateError(f"{self.name}: bypassed: the module has no branch")
         try:
-            (normed,) = out._parents
-            summed, _, _ = normed._parents
+            summed, _, _ = out._parents
             _, nonlocal_maps = summed._parents
             gated, out_weight = nonlocal_maps._parents
             gate, post_shift = gated._parents
@@ -294,7 +292,9 @@ def fsm_oracle(p, module, mode="train"):
     and contracts it against the input maps resampled at each offset by
     ``bilinear_sample``, one pixel at a time. Quadratic in channels and
     interpreted per pixel; intended for small tensors as a correctness
-    reference only. Running statistics are left untouched.
+    reference only. Running statistics are left untouched. The norm and
+    ReLU stay two ops, ``relu(batch_norm(...))``, so a comparison with the
+    module checks its fused pass against the composed ops too.
     """
     pv = p.data if isinstance(p, Tensor) else np.asarray(p)
     b, c, h, w = pv.shape

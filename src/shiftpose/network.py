@@ -35,7 +35,10 @@ def _he_conv(rng, out_ch, in_ch, kh, kw, dtype):
 
 @dataclass(eq=False)
 class ConvBlock:
-    """Convolution with optional norm and ReLU (one Table-style row)."""
+    """Convolution with optional norm and ReLU (one Table-style row).
+
+    A ReLU after a norm runs in the norm's pass (``relu=True``); only a
+    block with no norm runs it as ``ad.relu``."""
 
     in_ch: int
     out_ch: int
@@ -70,15 +73,14 @@ class ConvBlock:
 
     def forward(self, x, mode):
         out = ad.conv2d(x, self.weight, self.stride, self.padding, self.bias_param)
+        relu = self.act == "relu"
         if self.norm == "bn":
-            out = ad.batch_norm(out, self.norm_scale, self.norm_offset,
-                                self.running_mean, self.running_var, mode)
-        elif self.norm == "gn":
-            out = ad.group_norm(out, self.norm_scale, self.norm_offset,
-                                default_groups(self.out_ch))
-        if self.act == "relu":
-            out = ad.relu(out)
-        return out
+            return ad.batch_norm(out, self.norm_scale, self.norm_offset,
+                                 self.running_mean, self.running_var, mode, relu=relu)
+        if self.norm == "gn":
+            return ad.group_norm(out, self.norm_scale, self.norm_offset,
+                                 default_groups(self.out_ch), relu=relu)
+        return ad.relu(out) if relu else out
 
     def out_shape(self, in_shape):
         c, h, w = in_shape
@@ -143,7 +145,10 @@ class Bottleneck:
     conv group-normed.
 
     The projection shortcut exists exactly when the input/output shapes
-    differ (channel change or stride).
+    differ (channel change or stride). The shortcut is added, and the
+    final ReLU taken, in the expand conv's group-norm pass, with the bytes
+    of ``relu(add(expand, shortcut))``; ``expand`` itself has no act, and
+    ``cost_ops`` counts the add and the ReLU here.
     """
 
     in_ch: int
@@ -171,10 +176,11 @@ class Bottleneck:
             self.project = None
 
     def forward(self, x, mode):
-        branch = self.expand.forward(
-            self.spatial.forward(self.reduce.forward(x, mode), mode), mode)
+        mid = self.spatial.forward(self.reduce.forward(x, mode), mode)
         shortcut = self.project.forward(x, mode) if self.project else x
-        return ad.relu(ad.add(branch, shortcut))
+        e = self.expand
+        return ad.group_norm(ad.conv2d(mid, e.weight), e.norm_scale, e.norm_offset,
+                             default_groups(e.out_ch), relu=True, residual=shortcut)
 
     def out_shape(self, in_shape):
         return self.expand.out_shape(self.spatial.out_shape(self.reduce.out_shape(in_shape)))

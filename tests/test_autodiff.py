@@ -331,6 +331,107 @@ class TestSplitAgainstWhole:
         assert len(whole_var) == (0 if op in ("pool", "sigmoid") else 1)
 
 
+class TestFusedEpilogue:
+    """A ReLU, and a residual add before it, fused into a normalization
+    give the bytes of the composed public ops: the output, every gradient
+    (the residual's included), the running statistics and the smoothness
+    trace, on a NaN input, a -0.0 pre-activation and infinite output
+    gradients, whole and split."""
+
+    # (B, C, H, W): a normalization pass over the first is costed below
+    # ``_SPLIT_WORK``, over the second above it
+    SHAPES = {"whole": (2, 6, 5, 7), "split": (2, 64, 32, 32)}
+
+    @staticmethod
+    def _inputs(shape, dtype):
+        c = shape[1]
+        x = rand(shape, 50, dtype) * 2.0 + 1.0
+        # channels 0 and 1 (group 0 of every sample, at C/2 groups) are
+        # constant, so they centre to exactly 0; a negative scale and a
+        # -0.0 offset and residual keep their pre-activation at -0.0
+        x[:, :2] = 3.0
+        x[0, -1, 1, 2] = np.nan
+        gamma, beta = rand(c, 51, dtype), rand(c, 52, dtype)
+        gamma[:2] = -np.abs(gamma[:2]) - 0.5
+        beta[:2] = -0.0
+        residual = rand(shape, 53, dtype)
+        residual[:, :2] = -0.0
+        running = [rand(c, 54, dtype), np.exp(rand(c, 55, dtype))]
+        running[0][:2] = 3.0
+        g = rand(shape, 56, dtype)
+        # an infinite gradient where the mask is 0 (a NaN after masking),
+        # and two where it is not
+        g[0, 0, 0, 0] = np.inf
+        g[0, 3, 1, 1], g[1, 4, 0, 1] = np.inf, -np.inf
+        return x, gamma, beta, residual, running, g
+
+    @staticmethod
+    def _run(kind, fused, taped, x, gamma, beta, residual, running, g):
+        t, r = ad.tensor(x, requires_grad=True), ad.tensor(residual, requires_grad=True)
+        params = [ad.Parameter(gamma), ad.Parameter(beta)]
+        running = [a.copy() for a in running]
+        wrt = [t, *params] + ([r] if kind == "gn-residual" else [])
+        with ad.trace_smoothness() as trace, ad._recording(taped), \
+                np.errstate(invalid="ignore", over="ignore"):
+            if kind.startswith("bn"):
+                args = (t, *params, *running, kind[3:])
+                out = ad.batch_norm(*args, relu=True) if fused else ad.relu(ad.batch_norm(*args))
+            elif fused:
+                out = ad.group_norm(t, *params, x.shape[1] // 2, relu=True,
+                                    residual=r if kind == "gn-residual" else None)
+            else:
+                out = ad.group_norm(t, *params, x.shape[1] // 2)
+                out = ad.relu(ad.add(out, r) if kind == "gn-residual" else out)
+            grads = ad.grad(out, wrt, g) if taped else []
+        if not fused:
+            # the composed ReLU's input: -0.0 in channels 0 and 1
+            pre = out._parents[0].data if taped else None
+            assert pre is None or (np.signbit(pre[:, :2]).all() and not pre[:, :2].any())
+        return [out.data, *grads, *running], trace
+
+    @pytest.mark.parametrize("taped", [True, False], ids=["taped", "untaped"])
+    @pytest.mark.parametrize("size", SHAPES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("kind", ["gn-residual", "gn", "bn-train", "bn-eval"])
+    def test_fused_gives_the_bytes_of_the_composed_ops(self, monkeypatch, kind, dtype,
+                                                       size, taped):
+        inputs = self._inputs(self.SHAPES[size], dtype)
+        works = []
+        halves = ad._halves
+        monkeypatch.setattr(ad, "_halves",
+                            lambda fn, n, work: (works.append(work), halves(fn, n, work)))
+        fused, fused_trace = self._run(kind, True, taped, *inputs)
+        assert any(w >= ad._SPLIT_WORK for w in works) == (size == "split")
+        composed, composed_trace = self._run(kind, False, taped, *inputs)
+        assert len(fused) == len(composed) == 3 + 3 * taped + (kind == "gn-residual" and taped)
+        for a, b in zip(fused, composed, strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        # the smallest |pre-activation| is the NaN's, over both halves
+        assert len(fused_trace["relu"]) == 1 and np.isnan(fused_trace["relu"][0])
+        for key in ("relu", "var"):
+            assert np.array_equal(fused_trace[key], composed_trace[key], equal_nan=True)
+        assert np.isnan(fused[0]).any() and not fused[0][:, :2].any()
+        # the masked infinity is a NaN in the input gradient
+        assert not taped or np.isnan(fused[1][0, 0, 0, 0])
+
+    def test_trace_reads_the_pre_activation_after_the_residual(self):
+        x, gamma, beta, residual, running, g = self._inputs(self.SHAPES["whole"], np.float64)
+        x[0, -1, 1, 2] = 1.0
+        args = [ad.tensor(x), ad.Parameter(gamma), ad.Parameter(beta)]
+        with ad.trace_smoothness() as trace:
+            pre = ad.add(ad.group_norm(*args, 3), ad.tensor(residual + 0.25))
+            ad.group_norm(*args, 3, relu=True, residual=ad.tensor(residual + 0.25))
+        assert trace["relu"] == [float(np.abs(pre.data).min())] != [0.0]
+
+    def test_residual_must_match_the_output(self):
+        x = ad.tensor(rand((1, 4, 3, 3), 57))
+        params = [ad.Parameter(np.ones(4)), ad.Parameter(np.zeros(4))]
+        with pytest.raises(DimensionError, match="residual"):
+            ad.group_norm(x, *params, 2, residual=ad.tensor(rand((1, 4, 3, 2), 58)))
+        with pytest.raises(ValueError, match="residual: dtype float32"):
+            ad.group_norm(x, *params, 2, residual=ad.tensor(rand((1, 4, 3, 3), 58, np.float32)))
+
+
 def conv2d_reference(x, w, b, g, stride, padding):
     """Output and the three gradients of a conv2d from the 6-axis einsum
     over a strided window view; the input gradient scatters through
@@ -761,6 +862,25 @@ class TestGrad:
             for t, g in zip(inputs, got):
                 assert g.dtype == t.grad.dtype
                 assert g.tobytes() == t.grad.tobytes(), (case, seed)
+
+    # the seeds the battery accepted while every ReLU was an op of its own
+    # (a fused ReLU reports the same pre-activation to trace_smoothness)
+    ACCEPTED = {
+        "fsm": [0, 1, 2, 5, 31, 32, 35, 41, 48, 72, 78, 82, 85, 92, 110, 113, 121, 127,
+                128, 134],
+        "bottleneck": [74, 488, 694, 1016, 1143, 1150, 1997, 2384, 2492, 2596, 2869,
+                       2974, 3059, 3154, 3372, 3552, 3603, 3843, 3908, 3995],
+    }
+
+    def test_the_battery_accepts_the_same_cases(self, monkeypatch):
+        # case selection only: the finite differences are the CLI test's
+        monkeypatch.setattr(verify, "finite_diff_gradcheck", lambda fn, inputs, seed: None)
+        accepted = {}
+        for op, seed, _ in verify.gradcheck_suite():
+            if op == "head":
+                break
+            accepted.setdefault(op, []).append(seed)
+        assert {op: accepted[op] for op in self.ACCEPTED} == self.ACCEPTED
 
     def test_a_tensor_the_root_does_not_depend_on_gets_zeros(self):
         x = ad.tensor(rand((1, 2, 3, 3), 30), requires_grad=True)

@@ -293,6 +293,17 @@ class TestModuleForward:
         slow = fsm.fsm_oracle(p, module, mode="train").data
         np.testing.assert_allclose(fast, slow, rtol=1e-6, atol=1e-9)
 
+    def test_the_module_fuses_its_relu_and_the_oracle_does_not(self, monkeypatch):
+        # so the oracle check compares the fused pass with the composed ops
+        relu, calls = ad.relu, []
+        monkeypatch.setattr(ad, "relu", lambda t: calls.append(t) or relu(t))
+        module = module_with_branch(2, 2, rng=9)
+        p = ad.tensor(np.random.default_rng(9).standard_normal((1, 2, 4, 4)))
+        module.forward(p, mode="eval")
+        assert calls == []
+        fsm.fsm_oracle(p, module, mode="eval")
+        assert len(calls) == 1
+
     def test_full_gradcheck_including_offsets(self):
         rng = np.random.default_rng(10)
         c, k = 2, 3

@@ -65,6 +65,29 @@ class TestConvBlockNorm:
         names = [n for n, _ in block.state()]
         assert names == ["weight", "bias"] + slots
 
+    @pytest.mark.parametrize("taped", [True, False], ids=["taped", "untaped"])
+    def test_a_normless_relu_block_is_relu_of_its_conv(self, monkeypatch, taped):
+        # no builder makes one, but a spec may
+        spec = net.build_toy_fsm_net((16, 16), 1, 1, 4, 8).spec()
+        stem = next(n for n in spec["nodes"] if n["name"] == "stem")
+        stem["config"]["norm"] = None
+        block = net.NetworkGraph.from_spec(spec).node("stem").layer
+        assert (block.norm, block.act) == (None, "relu")
+        relu, calls = ad.relu, []
+        monkeypatch.setattr(ad, "relu", lambda t: calls.append(t) or relu(t))
+        x = ad.tensor(np.random.default_rng(3).standard_normal((2, 1, 16, 16)),
+                      requires_grad=True)
+        with ad._recording(taped):
+            got = block.forward(x, "train")
+            want = relu(ad.conv2d(x, block.weight, block.stride, block.padding))
+        assert len(calls) == 1 and (got._backward is not None) == taped
+        assert got.data.tobytes() == want.data.tobytes()
+        if taped:
+            g = np.random.default_rng(4).standard_normal(got.shape)
+            for a, b in zip(ad.grad(got, [x, block.weight], g),
+                            ad.grad(want, [x, block.weight], g)):
+                assert a.tobytes() == b.tobytes()
+
 
 def _held_arrays(layer):
     """Every Parameter and ndarray attribute of ``layer``, its blocks' included."""
